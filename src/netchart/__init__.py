@@ -16,13 +16,6 @@ from .chart import (
     StateChart,
     validate_chart,
 )
-from .engine import (
-    Rule,
-    TraceEntry,
-    TransformationContext,
-    input_id,
-    input_key,
-)
 from .errors import (
     DuplicateIdError,
     MembershipError,
@@ -31,7 +24,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     TraceError,
-    TransformationError,
     TreeError,
     ValidationError,
 )
@@ -48,7 +40,8 @@ from .generator import SpSpec, generate_sp
 from .net import IdSet, PetriNet, Place, Transition, check_net, find_self_loops
 from .pipeline import (
     ReductionReport,
-    RuleSet,
+    Trace,
+    TraceEntry,
     TransformResult,
     initialize,
     reduce,
@@ -77,16 +70,13 @@ __all__ = [
     "Place",
     "PreconditionError",
     "ReductionReport",
-    "Rule",
-    "RuleSet",
     "SpSpec",
     "StateChart",
+    "Trace",
     "TraceEntry",
     "TraceError",
     "Transition",
     "TransformResult",
-    "TransformationContext",
-    "TransformationError",
     "TreeError",
     "ValidationError",
     "bench",
@@ -95,8 +85,6 @@ __all__ = [
     "find_self_loops",
     "generate_sp",
     "initialize",
-    "input_id",
-    "input_key",
     "parse_chart",
     "parse_net",
     "parse_trace",

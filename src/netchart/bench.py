@@ -4,10 +4,10 @@ Each case is generated once and written to a temp file; every
 repetition then measures three disjoint intervals with a monotonic
 clock: reading (load + parse), transformation (the full pipeline run)
 and writing (serialize + store the chart).  A repetition builds its
-rule set and context from scratch inside `transform`, so no state
-carries over.  Automatic garbage collection is paused inside the timed
-region, as `timeit` does, so collector scheduling does not leak into
-the phase times.
+trace from scratch inside `transform`, so no state carries over.
+Automatic garbage collection is paused inside the timed region, as
+`timeit` does, so collector scheduling does not leak into the phase
+times.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import gc
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,27 +164,12 @@ def bench(
     seed: int,
     max_branch: int = 4,
     discard_first: bool = False,
-    parallel_cases: bool = False,
 ) -> BenchReport:
-    """Measure every size in `sizes`; per-case failures land in the row.
-
-    With `parallel_cases` the cases run on a thread pool; repetitions
-    within a case always run sequentially for timing fidelity.
-    """
+    """Measure every size in `sizes`, one case after another; per-case
+    failures land in the row."""
     if not sizes:
         raise PreconditionError("sizes must be nonempty")
     if reps < 1:
         raise PreconditionError(f"reps must be >= 1, got {reps}")
-    if parallel_cases and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
-            rows = list(
-                pool.map(
-                    lambda size: _run_case(size, reps, seed, max_branch, discard_first),
-                    sizes,
-                )
-            )
-    else:
-        rows = [
-            _run_case(size, reps, seed, max_branch, discard_first) for size in sizes
-        ]
+    rows = [_run_case(size, reps, seed, max_branch, discard_first) for size in sizes]
     return BenchReport(rows=rows)

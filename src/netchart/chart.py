@@ -163,8 +163,8 @@ class StateChart:
 
     Nodes are created through `new_basic` / `new_or` / `new_and`, which
     assign ids "s0", "s1", ... in creation order; hyperedges get "h0",
-    "h1", ...  Freshly created nodes are detached: the caller (or a rule
-    persistor) attaches them.
+    "h1", ...  Freshly created nodes are detached: the caller attaches
+    them.
     """
 
     def __init__(self, name: str):
@@ -204,8 +204,8 @@ class StateChart:
         return node
 
     def _new_or_shell(self) -> OrState:
-        # transformation rules create the node first and fill it through
-        # dependency persistors; the final validation enforces nonemptiness
+        # initialization numbers an OR state before the basic it wraps;
+        # the final validation enforces nonemptiness
         id, serial = self._node_id()
         node = OrState(id)
         node.serial = serial

@@ -114,11 +114,6 @@ def _build_parser() -> _ArgumentParser:
         action="store_true",
         help="average over all but the first repetition",
     )
-    p.add_argument(
-        "--parallel-cases",
-        action="store_true",
-        help="run different sizes concurrently",
-    )
     p.set_defaults(handler=_cmd_bench)
     return parser
 
@@ -184,7 +179,6 @@ def _cmd_bench(args) -> int:
         reps=args.reps,
         seed=args.seed,
         discard_first=args.discard_first,
-        parallel_cases=args.parallel_cases,
     )
     for row in report.rows:
         if row.error is not None:

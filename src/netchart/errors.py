@@ -39,7 +39,3 @@ class ParseError(NetchartError):
 
 class TraceError(NetchartError):
     """The transformation trace is missing or ambiguous where it must not be."""
-
-
-class TransformationError(NetchartError):
-    """A dependent rule rejected the input selected for it."""

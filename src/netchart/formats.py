@@ -20,7 +20,6 @@ from typing import Iterable
 from xml.sax.saxutils import quoteattr
 
 from .chart import AndState, Basic, HyperEdge, Node, OrState, StateChart, validate_chart
-from .engine import TraceEntry
 from .errors import (
     MembershipError,
     ParseError,
@@ -28,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .net import PetriNet, check_net
+from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
 
@@ -113,6 +113,12 @@ def _json_document(data: bytes | str):
         raise ParseError(
             f"json syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"json document is not valid {exc.encoding} at byte {exc.start}: {exc.reason}"
+        ) from exc
+    except RecursionError:
+        raise ParseError("json document is nested too deeply") from None
 
 
 def _json_object(obj, what: str, keys: tuple[str, ...]) -> list:

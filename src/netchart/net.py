@@ -43,9 +43,6 @@ class IdSet:
         for element in other:
             self.add(element)
 
-    def ids(self) -> set[str]:
-        return set(self._items)
-
     def intersection(self, other: IdSet) -> list:
         small, large = (self, other) if len(self) <= len(other) else (other, self)
         return [element for element in small if element in large]
@@ -219,23 +216,6 @@ class PetriNet:
         clone.used_ids.update(self.places)
         clone.used_ids.update(self.transitions)
         return clone
-
-    # -- queries -----------------------------------------------------------
-
-    def adjacency(self, element: Place | Transition) -> tuple[frozenset, frozenset]:
-        """Return (inputs, outputs) of `element` as defensive copies.
-
-        For a Transition this is (preset, postset); for a Place it is
-        (pre_transitions, post_transitions).  The returned frozensets are
-        snapshots: later net mutations do not affect them.
-        """
-        if isinstance(element, Transition):
-            if self.transitions.get(element.id) is not element:
-                raise MembershipError(f"transition {element.id!r} is not part of net {self.name!r}")
-            return frozenset(element.preset), frozenset(element.postset)
-        if self.places.get(element.id) is not element:
-            raise MembershipError(f"place {element.id!r} is not part of net {self.name!r}")
-        return frozenset(element.pre_transitions), frozenset(element.post_transitions)
 
     # -- mutation primitives used by the reduction -------------------------
 

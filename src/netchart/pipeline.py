@@ -1,7 +1,8 @@
 """Net-to-statechart transformation pipeline.
 
-Wires the rule set that builds the initial flat chart, then collapses the
-working net with the AND/OR reduction rules until nothing more applies.
+Builds the flat chart in one pass over the net, recording every
+correspondence in a trace, then collapses the working net with the AND/OR
+reduction rules until nothing more applies.
 """
 
 from __future__ import annotations
@@ -11,97 +12,42 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chart import AndState, OrState, StateChart, validate_chart
-from .engine import Rule, TraceEntry, TransformationContext
+from .chart import OrState, StateChart
 from .errors import PreconditionError, TraceError, ValidationError
 from .net import PetriNet, Place, Transition, check_net
 
 
-class RuleSet:
-    """The six transformation rules of one net-to-chart pass, pre-wired.
+@dataclass
+class TraceEntry:
+    """One recorded correspondence: rule name, input id, output id."""
 
-    A rule set carries per-pass state (the chart under construction and the
-    fresh-id counter for merged places), so use one instance per pass and
-    pair it with a fresh :class:`TransformationContext`.
+    rule: str
+    input: str
+    output: str
 
-    Attributes
-    ----------
-    chart : StateChart or None
-        Set by the root rule once it has fired.
-    net_to_chart, net_to_topstate, place_to_or, place_to_basic, \
-    transition_to_edge, merged_place_to_or : Rule
-        The individual rules, exposed for direct execution and for trace
-        queries by name.
+
+class Trace:
+    """Trace of one transformation pass; use a fresh instance per pass.
+
+    Records (rule, input id, output id) triples under the six rule names
+    of the case (PetriNet2StateChart, PetriNet2TopState, Place2Or,
+    Place2Basic, Transition2HyperEdge, AndRulePlace2Or), maps every place
+    id to the OR state built for it, and hands out fresh ids for merged
+    places. Places are looked up by id, never by identity, so places of a
+    copied net resolve to the OR states recorded for the original.
     """
 
     def __init__(self) -> None:
-        self.chart: StateChart | None = None
+        self.entries: list[tuple[str, str, str]] = []
+        self.ors: dict[str, OrState] = {}
         self._next_merge = 0
 
-        self.net_to_chart = Rule("PetriNet2StateChart", create=self._make_chart)
-        self.net_to_topstate = Rule("PetriNet2TopState", create=self._make_topstate)
-        self.place_to_or = Rule("Place2Or", create=self._make_or)
-        self.place_to_basic = Rule("Place2Basic", create=self._make_basic)
-        self.transition_to_edge = Rule(
-            "Transition2HyperEdge", create=self._make_edge
-        )
-        self.merged_place_to_or = Rule("AndRulePlace2Or", create=self._make_or)
-
-        self.net_to_chart.require(
-            self.net_to_topstate,
-            selector=lambda net, chart: net,
-            persistor=lambda chart, top: chart.set_topstate(top),
-        )
-        self.net_to_chart.require_many(
-            self.transition_to_edge,
-            selector=lambda net, chart: list(net.transitions.values()),
-            persistor=lambda chart, edge: chart.add_hyperedge(edge),
-        )
-        self.net_to_topstate.require_many(
-            self.place_to_or,
-            selector=lambda net, top: list(net.places.values()),
-            persistor=lambda top, or_state: top.attach(or_state),
-        )
-        self.place_to_or.require(
-            self.place_to_basic,
-            selector=lambda place, or_state: place,
-            persistor=lambda or_state, basic: or_state.attach(basic),
-        )
-        self.transition_to_edge.require_many(
-            self.place_to_basic,
-            selector=lambda t, edge: list(t.preset),
-            persistor=lambda edge, basic: edge.sources.append(basic),
-        )
-        self.transition_to_edge.require_many(
-            self.place_to_basic,
-            selector=lambda t, edge: list(t.postset),
-            persistor=lambda edge, basic: edge.targets.append(basic),
-        )
-
-    def _make_chart(self, net: PetriNet) -> StateChart:
-        chart = StateChart(net.name)
-        self.chart = chart
-        return chart
-
-    def _require_chart(self) -> StateChart:
-        if self.chart is None:
-            raise PreconditionError(
-                "no chart yet; PetriNet2StateChart must fire first"
-            )
-        return self.chart
-
-    def _make_topstate(self, net: PetriNet) -> AndState:
-        # born empty, filled by the Place2Or persistor
-        return self._require_chart()._new_and_shell()
-
-    def _make_or(self, place: Place) -> OrState:
-        return self._require_chart()._new_or_shell()
-
-    def _make_basic(self, place: Place):
-        return self._require_chart().new_basic(place.id)
-
-    def _make_edge(self, transition: Transition):
-        return self._require_chart().new_hyperedge(transition.id)
+    def or_state(self, place: Place) -> OrState:
+        """The OR state traced to *place*; raises TraceError if there is none."""
+        try:
+            return self.ors[place.id]
+        except KeyError:
+            raise TraceError(f"no OR state traced to place {place.id!r}") from None
 
     def fresh_place_id(self, net: PetriNet) -> str:
         """Pick a merged-place id never used by *net*, not even by removed
@@ -111,6 +57,11 @@ class RuleSet:
             self._next_merge += 1
             if candidate not in net.used_ids:
                 return candidate
+
+    def export(self) -> list[TraceEntry]:
+        """The whole trace as entries sorted by (rule name, input id)."""
+        entries = sorted(self.entries, key=lambda entry: entry[:2])
+        return [TraceEntry(*entry) for entry in entries]
 
 
 @dataclass
@@ -135,44 +86,54 @@ class TransformResult(NamedTuple):
     trace: list[TraceEntry]
 
 
-def initialize(
-    net: PetriNet, rules: RuleSet, ctx: TransformationContext
-) -> StateChart:
+def initialize(net: PetriNet, trace: Trace) -> StateChart:
     """Build the flat chart for *net*: one OR-wrapped basic per place under a
     fresh AND topstate, one hyperedge per transition.
+
+    Nodes are created topstate first, then each place's OR state followed
+    by its basic, then the hyperedges, so ids follow net order.
 
     Raises
     ------
     ValidationError
         If the net has structural violations.
     PreconditionError
-        If *rules* already produced a chart; rule sets are single-use.
+        If *trace* already holds a pass; traces are single-use.
     """
     violations = check_net(net)
     if violations:
         raise ValidationError(f"net {net.name!r} is not well formed", violations)
-    if rules.chart is not None:
-        raise PreconditionError(
-            "rule set already produced a chart; use a fresh RuleSet per pass"
-        )
-    return ctx.execute(rules.net_to_chart, net)
-
-
-def _traced_or(ctx: TransformationContext, place: Place) -> OrState:
-    ors = ctx.resolve_by_kind(place, OrState)
-    if len(ors) != 1:
-        raise TraceError(
-            f"expected exactly one OR state traced to place {place.id!r}, "
-            f"found {len(ors)}"
-        )
-    return ors[0]
+    if trace.entries:
+        raise PreconditionError("trace already holds a pass; use a fresh Trace per pass")
+    record = trace.entries.append
+    chart = StateChart(net.name)
+    record(("PetriNet2StateChart", net.name, net.name))
+    top = chart._new_and_shell()
+    record(("PetriNet2TopState", net.name, top.id))
+    basics = {}
+    for pid in net.places:
+        or_state = chart._new_or_shell()
+        basic = chart.new_basic(pid)
+        or_state.attach(basic)
+        top.attach(or_state)
+        trace.ors[pid] = or_state
+        basics[pid] = basic
+        record(("Place2Or", pid, or_state.id))
+        record(("Place2Basic", pid, basic.id))
+    chart.set_topstate(top)
+    for tid, transition in net.transitions.items():
+        edge = chart.new_hyperedge(tid)
+        edge.sources = [basics[place.id] for place in transition.preset]
+        edge.targets = [basics[place.id] for place in transition.postset]
+        chart.add_hyperedge(edge)
+        record(("Transition2HyperEdge", tid, edge.id))
+    return chart
 
 
 def try_or_rule(
     net: PetriNet,
     chart: StateChart,
-    rules: RuleSet,
-    ctx: TransformationContext,
+    trace: Trace,
     transition: Transition,
 ) -> Place | None:
     """Collapse a sequential step q -> t -> p into q, absorbing or(p) into
@@ -193,8 +154,8 @@ def try_or_rule(
     if p.post_transitions.intersection(q.pre_transitions):
         return None
 
-    or_q = _traced_or(ctx, q)
-    or_p = _traced_or(ctx, p)
+    or_q = trace.or_state(q)
+    or_p = trace.or_state(p)
     net.remove_transition(transition)
     net.fuse_places(q, p)
     chart.detach(or_p)
@@ -205,8 +166,7 @@ def try_or_rule(
 def try_and_rule(
     net: PetriNet,
     chart: StateChart,
-    rules: RuleSet,
-    ctx: TransformationContext,
+    trace: Trace,
     transition: Transition,
 ) -> Place | None:
     """Collapse a group of interchangeable parallel places around
@@ -237,22 +197,21 @@ def try_and_rule(
             return None
 
     group.sort(key=lambda place: place.serial)
-    ors = [_traced_or(ctx, place) for place in group]
-    fresh = net.replace_places(group, rules.fresh_place_id(net))
+    ors = [trace.or_state(place) for place in group]
+    fresh = net.replace_places(group, trace.fresh_place_id(net))
     for or_state in ors:
         chart.detach(or_state)
-    and_state = chart.new_and(ors)
-    wrapper = ctx.execute(rules.merged_place_to_or, fresh)
-    wrapper.attach(and_state)
+    wrapper = chart.new_or([chart.new_and(ors)])
     chart.topstate.attach(wrapper)
+    trace.ors[fresh.id] = wrapper
+    trace.entries.append(("AndRulePlace2Or", fresh.id, wrapper.id))
     return fresh
 
 
 def reduce(
     net: PetriNet,
     chart: StateChart,
-    rules: RuleSet,
-    ctx: TransformationContext,
+    trace: Trace,
     rng: random.Random | None = None,
 ) -> ReductionReport:
     """Apply the OR and AND rules from a transition worklist until it drains.
@@ -275,11 +234,11 @@ def reduce(
             del queue[index]
         queued.discard(transition.id)
 
-        survivor = try_or_rule(net, chart, rules, ctx, transition)
+        survivor = try_or_rule(net, chart, trace, transition)
         if survivor is not None:
             report.or_applications += 1
         else:
-            survivor = try_and_rule(net, chart, rules, ctx, transition)
+            survivor = try_and_rule(net, chart, trace, transition)
             if survivor is not None:
                 report.and_applications += 1
         if survivor is None:
@@ -302,14 +261,11 @@ def transform(
     """Run the full pipeline on *input_net* without mutating it.
 
     The flat chart is built against the original net; reduction then runs on
-    a deep copy, so trace queries keep answering for original element ids
-    while the copy shrinks. Returns the chart, the reduction counters and
-    the exported trace.
+    a deep copy, whose places the trace finds by id while the copy shrinks.
+    Returns the chart, the reduction counters and the exported trace.
     """
-    rules = RuleSet()
-    ctx = TransformationContext()
-    chart = initialize(input_net, rules, ctx)
+    trace = Trace()
+    chart = initialize(input_net, trace)
     working = input_net.copy()
-    report = reduce(working, chart, rules, ctx, rng=rng)
-    trace = ctx.trace_export()
-    return TransformResult(chart=chart, report=report, trace=trace)
+    report = reduce(working, chart, trace, rng=rng)
+    return TransformResult(chart=chart, report=report, trace=trace.export())

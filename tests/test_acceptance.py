@@ -14,16 +14,16 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import netchart
 from netchart import (
     Basic,
-    OrState,
-    RuleSet,
+    PreconditionError,
     SpSpec,
-    TransformationContext,
+    Trace,
     generate_sp,
     initialize,
-    input_key,
     parse_chart,
     parse_net,
     parse_trace,
@@ -83,11 +83,10 @@ def test_criterion_2_conservation_invariants():
     sizes = [1, 500] + [rng.randint(1, 500) for _ in range(998)]
     for index, places in enumerate(sizes):
         net = generate_sp(SpSpec(places=places, seed=index))
-        rules = RuleSet()
-        ctx = TransformationContext()
-        chart = initialize(net, rules, ctx)
+        trace = Trace()
+        chart = initialize(net, trace)
         working = net.copy()
-        report = reduce(working, chart, rules, ctx)
+        report = reduce(working, chart, trace)
 
         basics = [s for s in chart.states() if isinstance(s, Basic)]
         assert len(basics) == len(net.places)
@@ -98,8 +97,7 @@ def test_criterion_2_conservation_invariants():
         children = set(chart.topstate.children)
         assert len(children) == len(working.places) == report.remaining_places
         for place in working.places.values():
-            ors = ctx.resolve_by_kind(place, OrState)
-            assert len(ors) == 1 and ors[0] in children
+            assert trace.or_state(place) in children
 
 
 def test_criterion_3_sp_family_full_reduction():
@@ -139,27 +137,29 @@ def test_criterion_4_scaling_envelope():
 
 
 def test_criterion_5_memoization_counters():
+    # every rule fires at most once per input, and a pass cannot be re-run
     net = diamond()
-    rules = RuleSet()
-    ctx = TransformationContext()
-    chart = initialize(net, rules, ctx)
+    trace = Trace()
+    chart = initialize(net, trace)
     working = net.copy()
-    reduce(working, chart, rules, ctx)
+    reduce(working, chart, trace)
 
-    assert ctx.create_runs
-    assert set(ctx.create_runs.values()) == {1}
-    assert set(ctx.transform_runs.values()) == {1}
-    assert set(ctx.create_runs) == set(ctx.transform_runs)
+    entries = trace.export()
+    pairs = [(e.rule, e.input) for e in entries]
+    assert entries and len(set(pairs)) == len(pairs)
     for pid in net.places:
-        assert ctx.create_runs[("Place2Or", ("Place", pid))] == 1
-        assert ctx.create_runs[("Place2Basic", ("Place", pid))] == 1
+        assert pairs.count(("Place2Or", pid)) == 1
+        assert pairs.count(("Place2Basic", pid)) == 1
     for tid in net.transitions:
-        assert ctx.create_runs[("Transition2HyperEdge", ("Transition", tid))] == 1
+        assert pairs.count(("Transition2HyperEdge", tid)) == 1
+    roots = [pair for pair in pairs if pair[0] == "PetriNet2StateChart"]
+    assert roots == [("PetriNet2StateChart", net.name)]
 
-    again = ctx.execute(rules.net_to_chart, net)
-    assert again is chart
-    assert ctx.create_runs[("PetriNet2StateChart", input_key(net))] == 1
-    assert ctx.transform_runs[("PetriNet2StateChart", input_key(net))] == 1
+    chart_bytes = write_chart(chart, "xml")
+    with pytest.raises(PreconditionError):
+        initialize(net, trace)
+    assert trace.export() == entries
+    assert write_chart(chart, "xml") == chart_bytes
 
 
 def _run_cli(args, hash_seed, tmp_path):

@@ -82,12 +82,6 @@ def test_bench_reports_failures_per_case():
     assert bad.samples == []
 
 
-def test_bench_parallel_cases_keep_order():
-    report = bench([4, 9, 6], reps=1, seed=2, parallel_cases=True)
-    assert [row.case for row in report.rows] == ["sp4", "sp9", "sp6"]
-    assert all(row.error is None for row in report.rows)
-
-
 def test_render_table_layout():
     report = bench([5, 0], reps=1, seed=3)
     table = report.render_table()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from netchart import parse_chart, parse_net, parse_trace, write_net
 from netchart.cli import main
 from support import chart_signature, diamond, three_cycle
@@ -90,6 +92,21 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     code = main(["transform", "--input", str(bad), "--output", str(tmp_path / "c.xml")])
     assert code == 1
     assert "xml syntax error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"name": "n\xff\xfe", "places": [], "transitions": []}', b"[" * 100000],
+    ids=["invalid-utf8", "deep-nesting"],
+)
+def test_undecodable_json_exits_1(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["validate", "--net", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: json document ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_semantic_errors_exit_2(tmp_path, capsys):
@@ -194,7 +211,7 @@ def test_bench_table_output(capsys):
 
 def test_bench_csv_output(capsys):
     assert main(["bench", "--sizes", "5", "--reps", "1", "--seed", "1",
-                 "--report", "csv", "--discard-first", "--parallel-cases"]) == 0
+                 "--report", "csv", "--discard-first"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "case,reading_ms,transformation_ms,writing_ms"
     assert lines[1].startswith("sp5,")

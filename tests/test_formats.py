@@ -167,6 +167,17 @@ def test_parse_net_rejects_bad_json_shapes():
         parse_net(b'["not", "a", "net"]')
 
 
+def test_parse_net_rejects_invalid_utf8_json():
+    data = b'{"name": "n\xff\xfe", "places": [], "transitions": []}'
+    with pytest.raises(ParseError, match="not valid utf-8 at byte 11"):
+        parse_net(data)
+
+
+def test_parse_net_rejects_deeply_nested_json():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_net("[" * 100000)
+
+
 def test_parse_net_enforces_model_rules():
     with pytest.raises(MembershipError, match="'ghost'"):
         parse_net(b'<petrinet name="n"><place id="p"/>'

@@ -103,27 +103,6 @@ def test_copy_is_structural_and_independent():
     assert check_net(clone) == []
 
 
-def test_adjacency_snapshots():
-    net = diamond()
-    pre, post = net.adjacency(net.places["a"])
-    assert {t.id for t in pre} == {"t1"}
-    assert {t.id for t in post} == {"t2"}
-    net.remove_transition(net.transitions["t2"])
-    assert {t.id for t in post} == {"t2"}  # snapshot survives the mutation
-    pre_t, post_t = net.adjacency(net.transitions["t1"])
-    assert {p.id for p in pre_t} == {"q"}
-    assert {p.id for p in post_t} == {"a", "b"}
-
-
-def test_adjacency_rejects_foreign_elements():
-    net = diamond()
-    other = diamond()
-    with pytest.raises(MembershipError):
-        net.adjacency(other.places["a"])  # same id, different net
-    with pytest.raises(MembershipError):
-        net.adjacency(other.transitions["t1"])
-
-
 def test_replace_places_merges_a_parallel_group():
     net = diamond()
     fresh = net.replace_places([net.places["a"], net.places["b"]], "m0")

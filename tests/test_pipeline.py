@@ -12,10 +12,10 @@ from netchart import (
     OrState,
     PetriNet,
     PreconditionError,
-    RuleSet,
     SpSpec,
+    Trace,
+    TraceEntry,
     TraceError,
-    TransformationContext,
     ValidationError,
     generate_sp,
     initialize,
@@ -31,15 +31,14 @@ from support import chart_signature, diamond, net_to_plain, single_place, three_
 
 
 def _initialized(net):
-    rules = RuleSet()
-    ctx = TransformationContext()
-    chart = initialize(net, rules, ctx)
-    return chart, rules, ctx
+    trace = Trace()
+    chart = initialize(net, trace)
+    return chart, trace
 
 
 def test_initialize_builds_the_flat_chart():
     net = diamond()
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     assert chart.name == "D1"
     assert isinstance(chart.topstate, AndState)
     ors = chart.topstate.children
@@ -51,39 +50,52 @@ def test_initialize_builds_the_flat_chart():
     assert [b.origin_place for b in t2.sources] == ["a", "b"]
     assert [b.origin_place for b in t2.targets] == ["r"]
     assert validate_chart(chart) == []
-    assert len(ctx.trace_export()) == 12
+    assert len(trace.export()) == 12
 
 
 def test_initialize_smallest_net():
-    chart, _, ctx = _initialized(single_place())
+    chart, trace = _initialized(single_place())
     assert chart_signature(chart) == "and(or(b[p0]))"
     assert chart.hyperedges == []
-    assert len(ctx.trace_export()) == 4
+    assert len(trace.export()) == 4
 
 
 def test_initialize_rejects_broken_nets():
     net = diamond()
     net.places["a"].pre_transitions.remove(net.transitions["t1"])
-    rules = RuleSet()
-    ctx = TransformationContext()
+    trace = Trace()
     with pytest.raises(ValidationError) as info:
-        initialize(net, rules, ctx)
+        initialize(net, trace)
     assert info.value.violations
-    assert ctx.trace_export() == []
+    assert trace.export() == []
 
 
 def test_rule_sets_are_single_use():
     net = diamond()
-    chart, rules, ctx = _initialized(net)
-    with pytest.raises(PreconditionError, match="fresh RuleSet"):
-        initialize(net, rules, ctx)
-    assert rules.chart is chart
+    chart, trace = _initialized(net)
+    before = trace.export()
+    with pytest.raises(PreconditionError, match="fresh Trace"):
+        initialize(net, trace)
+    assert trace.export() == before
+    assert trace.or_state(net.places["q"]) is chart.topstate.children[0]
+
+
+def test_trace_export_is_sorted_and_stringly_typed():
+    trace = Trace()
+    trace.entries.append(("Place2Or", "b", "s3"))
+    trace.entries.append(("Place2Or", "a", "s1"))
+    trace.entries.append(("PetriNet2StateChart", "n", "n"))
+    assert trace.export() == [
+        TraceEntry(rule="PetriNet2StateChart", input="n", output="n"),
+        TraceEntry(rule="Place2Or", input="a", output="s1"),
+        TraceEntry(rule="Place2Or", input="b", output="s3"),
+    ]
 
 
 def test_or_rule_collapses_a_sequential_step():
     net = two_chain()
-    chart, rules, ctx = _initialized(net)
-    survivor = try_or_rule(net, chart, rules, ctx, net.transitions["t"])
+    chart, trace = _initialized(net)
+    survivor = try_or_rule(net, chart, trace, net.transitions["t"])
     assert survivor is net.places["p"]
     assert set(net.places) == {"p"}
     assert set(net.transitions) == set()
@@ -94,17 +106,17 @@ def test_or_rule_collapses_a_sequential_step():
 
 def test_or_rule_skips_wrong_arities():
     net = diamond()
-    chart, rules, ctx = _initialized(net)
-    assert try_or_rule(net, chart, rules, ctx, net.transitions["t1"]) is None
-    assert try_or_rule(net, chart, rules, ctx, net.transitions["t2"]) is None
+    chart, trace = _initialized(net)
+    assert try_or_rule(net, chart, trace, net.transitions["t1"]) is None
+    assert try_or_rule(net, chart, trace, net.transitions["t2"]) is None
 
 
 def test_or_rule_skips_self_loops():
     net = PetriNet("n")
     net.add_place("p")
     net.add_transition("t", ["p"], ["p"])
-    chart, rules, ctx = _initialized(net)
-    assert try_or_rule(net, chart, rules, ctx, net.transitions["t"]) is None
+    chart, trace = _initialized(net)
+    assert try_or_rule(net, chart, trace, net.transitions["t"]) is None
 
 
 def test_or_rule_skips_doubled_transitions():
@@ -113,10 +125,10 @@ def test_or_rule_skips_doubled_transitions():
     net.add_place("p")
     net.add_transition("t", ["q"], ["p"])
     net.add_transition("t2", ["q"], ["p"])
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     # fusing would turn the twin transition into a self-loop
-    assert try_or_rule(net, chart, rules, ctx, net.transitions["t"]) is None
-    assert try_or_rule(net, chart, rules, ctx, net.transitions["t2"]) is None
+    assert try_or_rule(net, chart, trace, net.transitions["t"]) is None
+    assert try_or_rule(net, chart, trace, net.transitions["t2"]) is None
 
 
 def test_or_rule_skips_two_place_cycles():
@@ -125,23 +137,23 @@ def test_or_rule_skips_two_place_cycles():
     net.add_place("p")
     net.add_transition("fwd", ["q"], ["p"])
     net.add_transition("back", ["p"], ["q"])
-    chart, rules, ctx = _initialized(net)
-    assert try_or_rule(net, chart, rules, ctx, net.transitions["fwd"]) is None
-    assert try_or_rule(net, chart, rules, ctx, net.transitions["back"]) is None
+    chart, trace = _initialized(net)
+    assert try_or_rule(net, chart, trace, net.transitions["fwd"]) is None
+    assert try_or_rule(net, chart, trace, net.transitions["back"]) is None
 
 
 def test_or_rule_ignores_removed_transitions():
     net = two_chain()
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     t = net.transitions["t"]
-    assert try_or_rule(net, chart, rules, ctx, t) is not None
-    assert try_or_rule(net, chart, rules, ctx, t) is None
+    assert try_or_rule(net, chart, trace, t) is not None
+    assert try_or_rule(net, chart, trace, t) is None
 
 
 def test_and_rule_merges_a_parallel_group():
     net = diamond()
-    chart, rules, ctx = _initialized(net)
-    fresh = try_and_rule(net, chart, rules, ctx, net.transitions["t2"])
+    chart, trace = _initialized(net)
+    fresh = try_and_rule(net, chart, trace, net.transitions["t2"])
     assert fresh is not None and fresh.id == "m0"
     assert set(net.places) == {"q", "m0", "r"}
     assert [p.id for p in net.transitions["t1"].postset] == ["m0"]
@@ -152,8 +164,8 @@ def test_and_rule_merges_a_parallel_group():
     and_state = wrapper.children[0]
     assert isinstance(and_state, AndState)
     assert [o.children[0].origin_place for o in and_state.children] == ["a", "b"]
-    assert ctx.resolve_by_kind(fresh, OrState) == [wrapper]
-    entries = [e for e in ctx.trace_export() if e.rule == "AndRulePlace2Or"]
+    assert trace.or_state(fresh) is wrapper
+    entries = [e for e in trace.export() if e.rule == "AndRulePlace2Or"]
     assert [(e.input, e.output) for e in entries] == [("m0", wrapper.id)]
 
 
@@ -164,8 +176,8 @@ def test_and_rule_orders_the_group_by_declaration():
     net.add_place("q")
     # transition lists y before z; declaration order must win
     net.add_transition("t", ["q"], ["y", "z"])
-    chart, rules, ctx = _initialized(net)
-    fresh = try_and_rule(net, chart, rules, ctx, net.transitions["t"])
+    chart, trace = _initialized(net)
+    fresh = try_and_rule(net, chart, trace, net.transitions["t"])
     and_state = chart.topstate.children[-1].children[0]
     assert [o.children[0].origin_place for o in and_state.children] == ["z", "y"]
     assert fresh.id == "m0"
@@ -181,16 +193,16 @@ def test_and_rule_prefers_the_preset():
     # break the preset symmetry; the equal postset must not be tried instead
     net.add_place("x")
     net.add_transition("u", ["a"], ["x"])
-    chart, rules, ctx = _initialized(net)
-    assert try_and_rule(net, chart, rules, ctx, net.transitions["t"]) is None
+    chart, trace = _initialized(net)
+    assert try_and_rule(net, chart, trace, net.transitions["t"]) is None
 
     # with the asymmetry removed the same call merges the preset
     net2 = PetriNet("n")
     for id in ("a", "b", "c", "d"):
         net2.add_place(id)
     net2.add_transition("t", ["a", "b"], ["c", "d"])
-    chart2, rules2, ctx2 = _initialized(net2)
-    fresh = try_and_rule(net2, chart2, rules2, ctx2, net2.transitions["t"])
+    chart2, trace2 = _initialized(net2)
+    fresh = try_and_rule(net2, chart2, trace2, net2.transitions["t"])
     assert {b.id for b in net2.transitions["t"].preset} == {fresh.id}
     assert {b.id for b in net2.transitions["t"].postset} == {"c", "d"}
 
@@ -199,8 +211,8 @@ def test_and_rule_skips_unequal_groups():
     net = diamond()
     net.add_place("u")
     net.add_transition("t3", ["a"], ["u"])
-    chart, rules, ctx = _initialized(net)
-    assert try_and_rule(net, chart, rules, ctx, net.transitions["t2"]) is None
+    chart, trace = _initialized(net)
+    assert try_and_rule(net, chart, trace, net.transitions["t2"]) is None
 
 
 def test_and_rule_skips_self_looped_members():
@@ -208,40 +220,40 @@ def test_and_rule_skips_self_looped_members():
     net.add_place("a")
     net.add_place("b")
     net.add_transition("t", ["a", "b"], ["a", "b"])
-    chart, rules, ctx = _initialized(net)
-    assert try_and_rule(net, chart, rules, ctx, net.transitions["t"]) is None
+    chart, trace = _initialized(net)
+    assert try_and_rule(net, chart, trace, net.transitions["t"]) is None
 
 
 def test_and_rule_skips_wrong_arities():
     net = two_chain()
-    chart, rules, ctx = _initialized(net)
-    assert try_and_rule(net, chart, rules, ctx, net.transitions["t"]) is None
+    chart, trace = _initialized(net)
+    assert try_and_rule(net, chart, trace, net.transitions["t"]) is None
 
 
 def test_and_rule_ignores_removed_transitions():
     net = diamond()
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     t2 = net.transitions["t2"]
     net.remove_transition(t2)
-    assert try_and_rule(net, chart, rules, ctx, t2) is None
+    assert try_and_rule(net, chart, trace, t2) is None
 
 
 def test_rules_refuse_untraced_places():
     net = two_chain()
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     foreign = PetriNet("other")
     foreign.add_place("x")
     foreign.add_place("y")
     foreign.add_transition("t9", ["x"], ["y"])
     with pytest.raises(TraceError):
-        try_or_rule(foreign, chart, rules, ctx, foreign.transitions["t9"])
+        try_or_rule(foreign, chart, trace, foreign.transitions["t9"])
 
 
 def test_rules_bridge_copied_nets_through_ids():
     net = two_chain()
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     working = net.copy()
-    survivor = try_or_rule(working, chart, rules, ctx, working.transitions["t"])
+    survivor = try_or_rule(working, chart, trace, working.transitions["t"])
     assert survivor is working.places["p"]
     # the chart built for the original still received the absorb
     assert chart_signature(chart) == "and(or(b[p2],b[p]))"
@@ -249,9 +261,9 @@ def test_rules_bridge_copied_nets_through_ids():
 
 def test_reduce_diamond_counters():
     net = diamond()
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     working = net.copy()
-    report = reduce(working, chart, rules, ctx)
+    report = reduce(working, chart, trace)
     assert (report.and_applications, report.or_applications) == (1, 2)
     assert (report.remaining_places, report.remaining_transitions) == (1, 0)
     assert report.fully_reduced
@@ -259,16 +271,16 @@ def test_reduce_diamond_counters():
 
 def test_reduce_isolated_place():
     net = single_place()
-    chart, rules, ctx = _initialized(net)
-    report = reduce(net, chart, rules, ctx)
+    chart, trace = _initialized(net)
+    report = reduce(net, chart, trace)
     assert report.fully_reduced
     assert report.and_applications == report.or_applications == 0
 
 
 def test_reduce_cycle_stops_early():
     net = three_cycle()
-    chart, rules, ctx = _initialized(net)
-    report = reduce(net, chart, rules, ctx)
+    chart, trace = _initialized(net)
+    report = reduce(net, chart, trace)
     assert not report.fully_reduced
     assert (report.and_applications, report.or_applications) == (0, 1)
     assert (report.remaining_places, report.remaining_transitions) == (2, 2)
@@ -283,14 +295,13 @@ def test_reduce_cycle_stops_early():
 
 def test_remaining_places_match_topstate_children():
     net = three_cycle()
-    chart, rules, ctx = _initialized(net)
+    chart, trace = _initialized(net)
     working = net.copy()
-    reduce(working, chart, rules, ctx)
+    reduce(working, chart, trace)
     children = set(chart.topstate.children)
     assert len(children) == len(working.places)
     for place in working.places.values():
-        ors = ctx.resolve_by_kind(place, OrState)
-        assert len(ors) == 1 and ors[0] in children
+        assert trace.or_state(place) in children
 
 
 def test_randomized_reduce_matches_the_fifo_result():
@@ -301,6 +312,29 @@ def test_randomized_reduce_matches_the_fifo_result():
             chart, report, _ = transform(net, rng=random.Random(seed))
             assert chart_signature(chart) == chart_signature(baseline_chart)
             assert report == baseline_report
+
+
+def test_random_order_is_not_confluent_on_general_nets():
+    # t0 blocks whichever OR fusion comes second, t1 (p5 into p0) or
+    # t2 (p5 into p4), so random picks can reach two different shapes
+    def counterexample():
+        net = PetriNet("cx")
+        for pid in ("p0", "p1", "p4", "p5"):
+            net.add_place(pid)
+        net.add_transition("t0", ["p4"], ["p0", "p1"])
+        net.add_transition("t1", ["p5"], ["p0"])
+        net.add_transition("t2", ["p4"], ["p5"])
+        return net
+
+    fifo = "and(or(b[p0],b[p5]),or(b[p1]),or(b[p4]))"
+    other = "and(or(b[p0]),or(b[p1]),or(b[p4],b[p5]))"
+    assert chart_signature(transform(counterexample()).chart) == fifo
+    assert oracle_reduce(*net_to_plain(counterexample())).signature == fifo
+    shapes = {
+        chart_signature(transform(counterexample(), rng=random.Random(seed)).chart)
+        for seed in range(40)
+    }
+    assert shapes == {fifo, other}
 
 
 def test_transform_leaves_the_input_untouched():
