@@ -3,9 +3,12 @@
 Two self-contained formats per model: XML and a JSON mirror.  Writers
 emit UTF-8 bytes with LF line endings, two-space indentation and a
 fixed attribute order, so equal models produce identical bytes.
-Parsers are strict: unknown elements, attributes or keys are syntax
-errors; semantic problems (duplicate ids, dangling references, empty
-transition sides) raise model errors naming the offending id.
+The JSON writers emit their text directly, walking charts with an
+explicit stack, and produce the bytes of `json.dumps(doc, indent=2)`
+plus a newline, so any nesting depth writes.  Parsers are strict:
+unknown elements, attributes or keys are syntax errors; semantic
+problems (duplicate ids, dangling references, empty transition sides)
+raise model errors naming the offending id.
 
 Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; parsers and writers both enforce this.
@@ -13,9 +16,11 @@ carry space-separated id lists; parsers and writers both enforce this.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import xml.etree.ElementTree as ET
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 from xml.sax.saxutils import quoteattr
 
@@ -36,8 +41,10 @@ _EDGE_SUFFIX = re.compile(r"^h(\d+)$")
 
 
 def detect_format(data: bytes | str) -> str:
-    """Guess the document format from the first non-whitespace character."""
+    """Guess the document format from the first non-whitespace character;
+    bytes may start with a UTF-8 byte-order mark, as both parsers accept."""
     if isinstance(data, bytes):
+        data = data.removeprefix(b"\xef\xbb\xbf")
         head = data.lstrip()[:1].decode("utf-8", "replace")
     else:
         head = data.lstrip()[:1]
@@ -153,8 +160,15 @@ def _string_list(value, what: str) -> list[str]:
     return [_string(item, f"{what} entry") for item in value]
 
 
-def _dump_json(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+def _json_strings(values: Iterable[str], pad: str) -> str:
+    """A JSON string array as `json.dumps(indent=2)` prints it at indent `pad`."""
+    items = f",\n{pad}  ".join(map(_quote, values))
+    return f"[\n{pad}  {items}\n{pad}]" if items else "[]"
+
+
+def _json_records(records: list[str], pad: str) -> str:
+    """A JSON array of objects already printed one level below `pad`."""
+    return ("[\n" + ",\n".join(records) + f"\n{pad}]") if records else "[]"
 
 
 # -- Petri nets ------------------------------------------------------------
@@ -236,20 +250,18 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
             )
         lines.append("</petrinet>")
         return ("\n".join(lines) + "\n").encode("utf-8")
-    return _dump_json(
-        {
-            "name": net.name,
-            "places": [{"id": p.id} for p in net.places.values()],
-            "transitions": [
-                {
-                    "id": t.id,
-                    "src": [p.id for p in t.preset],
-                    "tgt": [p.id for p in t.postset],
-                }
-                for t in net.transitions.values()
-            ],
-        }
-    )
+    places = [f'    {{\n      "id": {_quote(p.id)}\n    }}' for p in net.places.values()]
+    transitions = [
+        f'    {{\n      "id": {_quote(t.id)},\n'
+        f'      "src": {_json_strings((p.id for p in t.preset), "      ")},\n'
+        f'      "tgt": {_json_strings((p.id for p in t.postset), "      ")}\n    }}'
+        for t in net.transitions.values()
+    ]
+    return (
+        f'{{\n  "name": {_quote(net.name)},\n'
+        f'  "places": {_json_records(places, "  ")},\n'
+        f'  "transitions": {_json_records(transitions, "  ")}\n}}\n'
+    ).encode("utf-8")
 
 
 # -- statecharts -----------------------------------------------------------
@@ -482,37 +494,49 @@ def _chart_to_xml(chart: StateChart) -> bytes:
 
 
 def _chart_to_json(chart: StateChart) -> bytes:
-    def shell(node: Node) -> dict:
-        if isinstance(node, Basic):
-            return {"kind": "basic", "id": node.id, "place": node.origin_place}
-        kind = "and" if isinstance(node, AndState) else "or"
-        return {"kind": kind, "id": node.id, "children": []}
-
-    top_obj = shell(chart.topstate)
-    stack: list[tuple[Node, dict]] = [(chart.topstate, top_obj)]
+    # pieces go straight into one buffer: the document is never held both
+    # as pieces and as their join, which a deep chart's indentation makes large
+    out = io.BytesIO()
+    emit = out.write
+    emit(f'{{\n  "name": {_quote(chart.name)},\n  "topstate": '.encode())
+    # explicit stack of (state, indent level of its braces) and literal
+    # text: containment can nest deeper than Python's recursion cap
+    stack: list[tuple[Node, int] | bytes] = [(chart.topstate, 1)]
     while stack:
-        node, obj = stack.pop()
-        if isinstance(node, Basic):
+        item = stack.pop()
+        if isinstance(item, bytes):
+            emit(item)
             continue
-        for child in node.children:
-            child_obj = shell(child)
-            obj["children"].append(child_obj)
-            stack.append((child, child_obj))
-    return _dump_json(
-        {
-            "name": chart.name,
-            "topstate": top_obj,
-            "hyperedges": [
-                {
-                    "id": edge.id,
-                    "transition": edge.origin_transition,
-                    "src": [b.id for b in _by_creation(edge.sources)],
-                    "tgt": [b.id for b in _by_creation(edge.targets)],
-                }
-                for edge in chart.hyperedges
-            ],
-        }
-    )
+        node, level = item
+        pad = "  " * level
+        if isinstance(node, Basic):
+            emit(
+                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_quote(node.id)},\n'
+                f'{pad}  "place": {_quote(node.origin_place)}\n{pad}}}'.encode()
+            )
+            continue
+        kind = "and" if isinstance(node, AndState) else "or"
+        emit(
+            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(node.id)},\n'
+            f'{pad}  "children": [\n{pad}    '.encode()
+        )
+        stack.append(f"\n{pad}  ]\n{pad}}}".encode())
+        children = node.children
+        separator = f",\n{pad}    ".encode()
+        for index in range(len(children) - 1, 0, -1):
+            stack.append((children[index], level + 2))
+            stack.append(separator)
+        stack.append((children[0], level + 2))
+    edges = [
+        f'    {{\n      "id": {_quote(edge.id)},\n'
+        f'      "transition": {_quote(edge.origin_transition)},\n'
+        f'      "src": {_json_strings((b.id for b in _by_creation(edge.sources)), "      ")},\n'
+        f'      "tgt": {_json_strings((b.id for b in _by_creation(edge.targets)), "      ")}\n'
+        "    }"
+        for edge in chart.hyperedges
+    ]
+    emit(f',\n  "hyperedges": {_json_records(edges, "  ")}\n}}\n'.encode())
+    return out.getvalue()
 
 
 # -- traces ----------------------------------------------------------------
@@ -541,8 +565,8 @@ def parse_trace(data: bytes | str) -> list[TraceEntry]:
 def write_trace(entries: Iterable[TraceEntry]) -> bytes:
     """Serialize trace entries as a JSON array sorted by (rule, input)."""
     records = [
-        {"rule": entry.rule, "input": entry.input, "output": entry.output}
-        for entry in entries
+        f'  {{\n    "rule": {_quote(entry.rule)},\n    "input": {_quote(entry.input)},\n'
+        f'    "output": {_quote(entry.output)}\n  }}'
+        for entry in sorted(entries, key=lambda entry: (entry.rule, entry.input))
     ]
-    records.sort(key=lambda record: (record["rule"], record["input"]))
-    return _dump_json(records)
+    return (_json_records(records, "") + "\n").encode("utf-8")

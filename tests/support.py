@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from netchart import AndState, Basic, Node, PetriNet, StateChart
+import random
+
+from netchart import AndState, Basic, Node, PetriNet, SpSpec, StateChart, generate_sp
 
 
 def diamond() -> PetriNet:
@@ -38,6 +40,31 @@ def single_place() -> PetriNet:
     net = PetriNet("solo")
     net.add_place("p0")
     return net
+
+
+def fork_join_nest(depth: int) -> PetriNet:
+    """`depth` nested fork/joins: each level forks into one place and the
+    next level in, and joins them again.  The reduced chart nests an OR
+    and an AND state per level; depth 0 is a single place."""
+    net = PetriNet(f"nest{depth}")
+    entry = exit_ = net.add_place("c0").id
+    for level in range(1, depth + 1):
+        side, fork, join = (net.add_place(f"{kind}{level}").id for kind in "afj")
+        net.add_transition(f"fork{level}", [fork], [side, entry])
+        net.add_transition(f"join{level}", [side, exit_], [join])
+        entry, exit_ = fork, join
+    return net
+
+
+def round_trip_corpus() -> list[PetriNet]:
+    """The support nets plus 20 seeded SP nets of 1 to 200 places."""
+    corpus = [diamond(), three_cycle(), two_chain(), single_place()]
+    rng = random.Random(8)
+    corpus += [
+        generate_sp(SpSpec(places=rng.randint(1, 200), seed=seed))
+        for seed in range(20)
+    ]
+    return corpus
 
 
 def node_signature(node: Node) -> str:

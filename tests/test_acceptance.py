@@ -43,9 +43,7 @@ from support import (
     edges_signature,
     net_edges_signature,
     net_to_plain,
-    single_place,
-    three_cycle,
-    two_chain,
+    round_trip_corpus,
 )
 
 
@@ -223,13 +221,7 @@ def test_criterion_7_confluence_under_random_order():
 
 
 def test_criterion_8_round_trip_corpus():
-    corpus = [diamond(), three_cycle(), two_chain(), single_place()]
-    rng = random.Random(8)
-    corpus += [
-        generate_sp(SpSpec(places=rng.randint(1, 200), seed=seed))
-        for seed in range(20)
-    ]
-    for net in corpus:
+    for net in round_trip_corpus():
         for format in ("xml", "json"):
             blob = write_net(net, format)
             assert write_net(parse_net(blob), format) == blob

@@ -109,6 +109,14 @@ def test_undecodable_json_exits_1(tmp_path, capsys, data):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_validate_accepts_a_utf8_byte_order_mark(tmp_path, capsys, format):
+    path = tmp_path / f"net.{format}"
+    path.write_bytes(b"\xef\xbb\xbf" + write_net(diamond(), format))
+    assert main(["validate", "--net", str(path)]) == 0
+    assert "net 'D1': OK (4 places, 2 transitions)" in capsys.readouterr().out
+
+
 def test_semantic_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.xml"
     bad.write_bytes(b'<petrinet name="n"><place id="p"/>'

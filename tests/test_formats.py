@@ -5,16 +5,23 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchart import (
+    AndState,
+    Basic,
     DuplicateIdError,
     MembershipError,
     ParseError,
+    PetriNet,
     PreconditionError,
+    SpSpec,
     TraceEntry,
     TreeError,
     ValidationError,
     detect_format,
+    generate_sp,
     parse_chart,
     parse_net,
     parse_trace,
@@ -23,7 +30,14 @@ from netchart import (
     write_net,
     write_trace,
 )
-from support import chart_identical, diamond, single_place, three_cycle
+from support import (
+    chart_identical,
+    diamond,
+    fork_join_nest,
+    round_trip_corpus,
+    single_place,
+    three_cycle,
+)
 
 D1_NET_XML = b"""\
 <petrinet name="D1">
@@ -176,6 +190,14 @@ def test_parse_net_rejects_invalid_utf8_json():
 def test_parse_net_rejects_deeply_nested_json():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_net("[" * 100000)
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_parsers_accept_a_utf8_byte_order_mark(format):
+    blob = write_net(diamond(), format)
+    assert write_net(parse_net(b"\xef\xbb\xbf" + blob), format) == blob
+    blob = write_chart(transform(diamond()).chart, format)
+    assert write_chart(parse_chart(b"\xef\xbb\xbf" + blob), format) == blob
 
 
 def test_parse_net_enforces_model_rules():
@@ -362,3 +384,127 @@ def test_documents_end_with_a_single_newline():
     ):
         assert blob.endswith(b"\n") and not blob.endswith(b"\n\n")
         assert b"\r" not in blob
+
+
+# -- the JSON writers against the encoder they replaced ----------------------
+
+
+def _reference(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+def _net_obj(net):
+    return {
+        "name": net.name,
+        "places": [{"id": p.id} for p in net.places.values()],
+        "transitions": [
+            {
+                "id": t.id,
+                "src": [p.id for p in t.preset],
+                "tgt": [p.id for p in t.postset],
+            }
+            for t in net.transitions.values()
+        ],
+    }
+
+
+def _state_obj(node):
+    if isinstance(node, Basic):
+        return {"kind": "basic", "id": node.id, "place": node.origin_place}
+    kind = "and" if isinstance(node, AndState) else "or"
+    return {"kind": kind, "id": node.id, "children": [_state_obj(c) for c in node.children]}
+
+
+def _chart_obj(chart):
+    def ids(endpoints):
+        return [b.id for b in sorted(endpoints, key=lambda b: b.serial)]
+
+    return {
+        "name": chart.name,
+        "topstate": _state_obj(chart.topstate),
+        "hyperedges": [
+            {
+                "id": edge.id,
+                "transition": edge.origin_transition,
+                "src": ids(edge.sources),
+                "tgt": ids(edge.targets),
+            }
+            for edge in chart.hyperedges
+        ],
+    }
+
+
+def _trace_obj(entries):
+    records = [{"rule": e.rule, "input": e.input, "output": e.output} for e in entries]
+    return sorted(records, key=lambda record: (record["rule"], record["input"]))
+
+
+def _assert_writers_match_json_dumps(net):
+    assert write_net(net, "json") == _reference(_net_obj(net))
+    chart, _, trace = transform(net)
+    if net.places:  # a chart without places has an empty topstate
+        assert write_chart(chart, "json") == _reference(_chart_obj(chart))
+    assert write_trace(trace) == _reference(_trace_obj(trace))
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        *round_trip_corpus(),  # single_place among them: no hyperedges
+        PetriNet("empty"),
+        generate_sp(SpSpec(places=300, seed=9, max_branch=9)),
+    ],
+    ids=lambda net: net.name,
+)
+def test_json_writers_match_json_dumps(net):
+    _assert_writers_match_json_dumps(net)
+
+
+# quotes, backslashes, controls, non-ASCII and astral characters; never
+# whitespace, which ids may not contain
+_ID_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x01\x1b\x7f\x80\xe9\u20ac\ufffe\U00010000\U0001f600'),
+    st.characters(),
+).filter(lambda ch: not ch.isspace())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.text(max_size=6),
+    ids=st.lists(st.text(_ID_CHARS, min_size=1, max_size=5), min_size=6, max_size=6, unique=True),
+)
+def test_json_writers_escape_like_json_dumps(name, ids):
+    q, a, b, r, t1, t2 = ids
+    net = PetriNet(name)
+    for pid in (q, a, b, r):
+        net.add_place(pid)
+    net.add_transition(t1, [q], [a, b])
+    net.add_transition(t2, [a, b], [r])
+    _assert_writers_match_json_dumps(net)
+    chart, _, trace = transform(net)
+    assert chart_identical(parse_chart(write_chart(chart, "json")), chart)
+    assert parse_trace(write_trace(trace)) == trace
+
+
+# -- deep charts ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("depth", [400, 1000])
+def test_deep_charts_write_json_iteratively(depth):
+    chart, report, _ = transform(fork_join_nest(depth))
+    assert report.fully_reduced
+    blob = write_chart(chart, "json")  # no RecursionError
+    via_xml = parse_chart(write_chart(chart, "xml"))
+    assert chart_identical(via_xml, chart)
+    assert write_chart(via_xml, "json") == blob
+    # the JSON reader recurses: this nest is past its stated bound
+    with pytest.raises(ParseError, match="^json document is nested too deeply$"):
+        parse_chart(blob)
+
+
+def test_nests_of_depth_200_round_trip_through_json():
+    chart, _, _ = transform(fork_join_nest(200))
+    blob = write_chart(chart, "json")
+    back = parse_chart(blob)
+    assert chart_identical(chart, back)
+    assert write_chart(back, "json") == blob
