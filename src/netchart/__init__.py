@@ -11,7 +11,6 @@ from .chart import (
     Basic,
     HyperEdge,
     Node,
-    NodeList,
     OrState,
     StateChart,
     validate_chart,
@@ -37,7 +36,7 @@ from .formats import (
     write_trace,
 )
 from .generator import SpSpec, generate_sp
-from .net import IdSet, PetriNet, Place, Transition, check_net, find_self_loops
+from .net import PetriNet, Place, Transition, check_net, find_self_loops
 from .pipeline import (
     ReductionReport,
     Trace,
@@ -57,12 +56,10 @@ __all__ = [
     "BenchRow",
     "DuplicateIdError",
     "HyperEdge",
-    "IdSet",
     "MembershipError",
     "ModelError",
     "NetchartError",
     "Node",
-    "NodeList",
     "OrState",
     "ParseError",
     "PetriNet",

@@ -31,7 +31,6 @@ class PhaseSample:
     reading_ms: float
     transformation_ms: float
     writing_ms: float
-    wall_ms: float
 
 
 @dataclass
@@ -148,7 +147,6 @@ def _run_case(
                         reading_ms=(t1 - t0) * 1e3,
                         transformation_ms=(t2 - t1) * 1e3,
                         writing_ms=(t3 - t2) * 1e3,
-                        wall_ms=(t3 - t0) * 1e3,
                     )
                 )
         if discard_first and len(row.samples) > 1:

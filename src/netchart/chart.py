@@ -4,64 +4,17 @@ plus hyperedges connecting Basic states.
 Alternation rule: AND children are OR states; OR children are Basic or
 AND states; Basic states are leaves.  The tree root ("topstate") is an
 AND state.  Node ids are handed out by the owning chart from a creation
-counter, so equal construction sequences yield equal ids.
+counter, so equal construction sequences yield equal ids.  A composite's
+children are a plain dict mapping each child node, hashed by identity, to
+None: insertion-ordered, with O(1) removal, because reduction detaches OR
+states from a topstate that still has thousands of children.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import PreconditionError, TreeError
-
-
-class NodeList:
-    """Ordered child collection with O(1) removal by node identity.
-
-    Reduction detaches OR states from the topstate constantly while the
-    topstate still has thousands of children, so removal must not scan.
-    Supports just enough of the list protocol for traversal and tests;
-    indexing materializes and is meant for small lists only.
-    """
-
-    __slots__ = ("_nodes",)
-
-    def __init__(self, nodes: Iterable = ()):
-        self._nodes: dict[int, Node] = {id(node): node for node in nodes}
-
-    def append(self, node) -> None:
-        self._nodes[id(node)] = node
-
-    def remove(self, node) -> None:
-        try:
-            del self._nodes[id(node)]
-        except KeyError:
-            raise ValueError(f"{node!r} is not a child") from None
-
-    def clear(self) -> None:
-        self._nodes.clear()
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._nodes.values())
-
-    def __reversed__(self) -> Iterator:
-        return reversed(self._nodes.values())
-
-    def __contains__(self, node) -> bool:
-        return id(node) in self._nodes
-
-    def __getitem__(self, index):
-        return list(self._nodes.values())[index]
-
-    def __eq__(self, other):
-        if isinstance(other, (NodeList, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"NodeList({list(self)!r})"
 
 
 class Basic:
@@ -86,7 +39,7 @@ class OrState:
 
     def __init__(self, id: str):
         self.id = id
-        self.children: NodeList = NodeList()
+        self.children: dict[Basic | AndState, None] = {}
         self.parent: AndState | None = None
         self.serial = -1
 
@@ -96,7 +49,7 @@ class OrState:
         if child.parent is not None:
             raise TreeError(f"node {child.id!r} already has parent {child.parent.id!r}")
         child.parent = self
-        self.children.append(child)
+        self.children[child] = None
 
     def absorb(self, src: OrState) -> None:
         """Take over all children of `src`, preserving their order.
@@ -124,7 +77,7 @@ class AndState:
 
     def __init__(self, id: str):
         self.id = id
-        self.children: NodeList = NodeList()
+        self.children: dict[OrState, None] = {}
         self.parent: OrState | None = None
         self.serial = -1
 
@@ -134,7 +87,7 @@ class AndState:
         if child.parent is not None:
             raise TreeError(f"node {child.id!r} already has parent {child.parent.id!r}")
         child.parent = self
-        self.children.append(child)
+        self.children[child] = None
 
     def __repr__(self) -> str:
         return f"AndState({self.id!r}, {len(self.children)} children)"
@@ -242,7 +195,7 @@ class StateChart:
             raise PreconditionError("cannot detach the topstate")
         if node.parent is None:
             raise PreconditionError(f"node {node.id!r} has no parent to detach from")
-        node.parent.children.remove(node)
+        del node.parent.children[node]
         node.parent = None
         return node
 

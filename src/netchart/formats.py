@@ -27,6 +27,7 @@ from xml.sax.saxutils import quoteattr
 from .chart import AndState, Basic, HyperEdge, Node, OrState, StateChart, validate_chart
 from .errors import (
     MembershipError,
+    ModelError,
     ParseError,
     PreconditionError,
     ValidationError,
@@ -38,6 +39,8 @@ FORMATS = ("xml", "json")
 
 _NODE_SUFFIX = re.compile(r"^s(\d+)$")
 _EDGE_SUFFIX = re.compile(r"^h(\d+)$")
+# the characters XML 1.0's Char production leaves out
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def detect_format(data: bytes | str) -> str:
@@ -87,22 +90,31 @@ def _xml_root(data: bytes | str, expected_tag: str) -> ET.Element:
     return root
 
 
+def _key_mismatch(got: Iterable[str], need: tuple[str, ...]) -> str:
+    """How the names in `got` differ from `need`: "missing: …; unexpected: …"."""
+    got, wanted = set(got), set(need)
+    parts = []
+    if wanted - got:
+        parts.append("missing: " + ", ".join(sorted(wanted - got)))
+    if got - wanted:
+        parts.append("unexpected: " + ", ".join(sorted(got - wanted)))
+    return "; ".join(parts)
+
+
 def _attrs(elem: ET.Element, required: tuple[str, ...]) -> list[str]:
-    got = set(elem.attrib)
-    need = set(required)
-    if got != need:
-        missing = ", ".join(sorted(need - got))
-        extra = ", ".join(sorted(got - need))
-        detail = "; ".join(
-            part
-            for part in (
-                f"missing: {missing}" if missing else "",
-                f"unexpected: {extra}" if extra else "",
-            )
-            if part
-        )
+    if elem.attrib.keys() != set(required):
+        detail = _key_mismatch(elem.attrib, required)
         raise ParseError(f"element <{elem.tag}>: bad attributes ({detail})")
     return [elem.attrib[name] for name in required]
+
+
+def _xml_attr(value: str) -> str:
+    """`value` as a quoted XML attribute; refuses any character XML 1.0
+    cannot carry, which no XML reader, netchart's own included, accepts."""
+    bad = _NOT_XML_CHAR.search(value)
+    if bad:
+        raise ModelError(f"cannot write {value!r} as XML: it holds {bad.group()!r}")
+    return quoteattr(value)
 
 
 def _reject_text(elem: ET.Element) -> None:
@@ -131,20 +143,8 @@ def _json_document(data: bytes | str):
 def _json_object(obj, what: str, keys: tuple[str, ...]) -> list:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object, got {type(obj).__name__}")
-    got = set(obj)
-    need = set(keys)
-    if got != need:
-        missing = ", ".join(sorted(need - got))
-        extra = ", ".join(sorted(got - need))
-        detail = "; ".join(
-            part
-            for part in (
-                f"missing: {missing}" if missing else "",
-                f"unexpected: {extra}" if extra else "",
-            )
-            if part
-        )
-        raise ParseError(f"{what}: bad keys ({detail})")
+    if obj.keys() != set(keys):
+        raise ParseError(f"{what}: bad keys ({_key_mismatch(obj, keys)})")
     return [obj[key] for key in keys]
 
 
@@ -238,15 +238,15 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
     for transition in net.transitions.values():
         _check_id("transition", transition.id)
     if format == "xml":
-        lines = [f"<petrinet name={quoteattr(net.name)}>"]
+        lines = [f"<petrinet name={_xml_attr(net.name)}>"]
         for place in net.places.values():
-            lines.append(f"  <place id={quoteattr(place.id)}/>")
+            lines.append(f"  <place id={_xml_attr(place.id)}/>")
         for t in net.transitions.values():
             src = " ".join(p.id for p in t.preset)
             tgt = " ".join(p.id for p in t.postset)
             lines.append(
-                f"  <transition id={quoteattr(t.id)} src={quoteattr(src)}"
-                f" tgt={quoteattr(tgt)}/>"
+                f"  <transition id={_xml_attr(t.id)} src={_xml_attr(src)}"
+                f" tgt={_xml_attr(tgt)}/>"
             )
         lines.append("</petrinet>")
         return ("\n".join(lines) + "\n").encode("utf-8")
@@ -461,7 +461,7 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
 
 
 def _chart_to_xml(chart: StateChart) -> bytes:
-    lines = [f"<statechart name={quoteattr(chart.name)}>"]
+    lines = [f"<statechart name={_xml_attr(chart.name)}>"]
     # explicit stack: containment can nest deeper than Python's recursion cap
     stack: list[tuple[Node, int, bool]] = [(chart.topstate, 1, False)]
     while stack:
@@ -472,12 +472,12 @@ def _chart_to_xml(chart: StateChart) -> bytes:
             continue
         if isinstance(node, Basic):
             lines.append(
-                f"{pad}<basic id={quoteattr(node.id)}"
-                f" place={quoteattr(node.origin_place)}/>"
+                f"{pad}<basic id={_xml_attr(node.id)}"
+                f" place={_xml_attr(node.origin_place)}/>"
             )
             continue
         tag = "and" if isinstance(node, AndState) else "or"
-        lines.append(f"{pad}<{tag} id={quoteattr(node.id)}>")
+        lines.append(f"{pad}<{tag} id={_xml_attr(node.id)}>")
         stack.append((node, depth, True))
         for child in reversed(node.children):
             stack.append((child, depth + 1, False))
@@ -485,9 +485,9 @@ def _chart_to_xml(chart: StateChart) -> bytes:
         src = " ".join(b.id for b in _by_creation(edge.sources))
         tgt = " ".join(b.id for b in _by_creation(edge.targets))
         lines.append(
-            f"  <hyperedge id={quoteattr(edge.id)}"
-            f" transition={quoteattr(edge.origin_transition)}"
-            f" src={quoteattr(src)} tgt={quoteattr(tgt)}/>"
+            f"  <hyperedge id={_xml_attr(edge.id)}"
+            f" transition={_xml_attr(edge.origin_transition)}"
+            f" src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
         )
     lines.append("</statechart>")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -521,7 +521,7 @@ def _chart_to_json(chart: StateChart) -> bytes:
             f'{pad}  "children": [\n{pad}    '.encode()
         )
         stack.append(f"\n{pad}  ]\n{pad}}}".encode())
-        children = node.children
+        children = list(node.children)
         separator = f",\n{pad}    ".encode()
         for index in range(len(children) - 1, 0, -1):
             stack.append((children[index], level + 2))

@@ -2,67 +2,28 @@
 
 The reduction loop spends nearly all of its time deleting elements from
 adjacency collections, so those collections must support removal without
-shifting or rescanning unrelated entries.  ``IdSet`` (a dict keyed by
-element id) gives amortized O(1) add/remove/membership while keeping a
-deterministic iteration order, which the writers rely on.
+shifting or rescanning unrelated entries.  Each one is a plain dict that
+maps an element, hashed by identity, to None: amortized O(1)
+add/remove/membership, and a deterministic insertion order, which the
+writers rely on.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DuplicateIdError, MembershipError, PreconditionError
 
 
-class IdSet:
-    """Insertion-ordered set of net elements, keyed by element id.
+def shared(a: dict, b: dict) -> list:
+    """Keys of both dicts, in the insertion order of the smaller one.
 
-    Backed by a dict, so ``add``/``discard``/``in`` are amortized O(1) and
-    iteration follows insertion order.  Two IdSets compare equal when they
-    contain the same ids, regardless of order.
+    Scans only the smaller side, so a hub's large adjacency costs nothing
+    extra; unlike `a.keys() & b.keys()` the order stays deterministic.
     """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Iterable = ()):
-        self._items: dict[str, object] = {}
-        for element in items:
-            self.add(element)
-
-    def add(self, element) -> None:
-        self._items[element.id] = element
-
-    def remove(self, element) -> None:
-        """Remove `element`; raises KeyError if it is not a member."""
-        del self._items[element.id]
-
-    def discard(self, element) -> None:
-        self._items.pop(element.id, None)
-
-    def update(self, other: IdSet | Iterable) -> None:
-        for element in other:
-            self.add(element)
-
-    def intersection(self, other: IdSet) -> list:
-        small, large = (self, other) if len(self) <= len(other) else (other, self)
-        return [element for element in small if element in large]
-
-    def __contains__(self, element) -> bool:
-        return getattr(element, "id", None) in self._items
-
-    def __iter__(self) -> Iterator:
-        return iter(self._items.values())
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IdSet):
-            return self._items.keys() == other._items.keys()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return "IdSet({%s})" % ", ".join(self._items)
+    if len(a) > len(b):
+        a, b = b, a
+    return [key for key in a if key in b]
 
 
 class Place:
@@ -74,9 +35,9 @@ class Place:
         Identifier, unique among the places of its net.
     name : str or None
         Optional display name; never serialized.
-    pre_transitions : IdSet of Transition
+    pre_transitions : dict of Transition to None
         Transitions whose postset contains this place.
-    post_transitions : IdSet of Transition
+    post_transitions : dict of Transition to None
         Transitions whose preset contains this place.
     """
 
@@ -85,13 +46,13 @@ class Place:
     def __init__(self, id: str, name: str | None = None):
         self.id = id
         self.name = name
-        self.pre_transitions = IdSet()
-        self.post_transitions = IdSet()
+        self.pre_transitions: dict[Transition, None] = {}
+        self.post_transitions: dict[Transition, None] = {}
         self.serial = -1  # insertion index within the owning net
 
     def on_self_loop(self) -> bool:
         """True if some transition has this place on both sides."""
-        return bool(self.pre_transitions.intersection(self.post_transitions))
+        return bool(shared(self.pre_transitions, self.post_transitions))
 
     def __repr__(self) -> str:
         return f"Place({self.id!r})"
@@ -106,9 +67,9 @@ class Transition:
         Identifier, unique among the transitions of its net.
     name : str or None
         Optional display name; never serialized.
-    preset : IdSet of Place
+    preset : dict of Place to None
         Input places.
-    postset : IdSet of Place
+    postset : dict of Place to None
         Output places.
     """
 
@@ -117,8 +78,8 @@ class Transition:
     def __init__(self, id: str, name: str | None = None):
         self.id = id
         self.name = name
-        self.preset = IdSet()
-        self.postset = IdSet()
+        self.preset: dict[Place, None] = {}
+        self.postset: dict[Place, None] = {}
 
     def __repr__(self) -> str:
         return f"Transition({self.id!r})"
@@ -172,11 +133,11 @@ class PetriNet:
             raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
         transition = Transition(id, name)
         for place in pre:
-            transition.preset.add(place)
-            place.post_transitions.add(transition)
+            transition.preset[place] = None
+            place.post_transitions[transition] = None
         for place in post:
-            transition.postset.add(place)
-            place.pre_transitions.add(transition)
+            transition.postset[place] = None
+            place.pre_transitions[transition] = None
         self.transitions[id] = transition
         self.used_ids.add(id)
         return transition
@@ -190,9 +151,6 @@ class PetriNet:
 
     def copy(self) -> PetriNet:
         """Structural deep copy; preserves ids, names and insertion order."""
-        # wires adjacency dicts directly: the source net is well formed by
-        # construction, and the checked mutators are too slow for the large
-        # nets this gets called on per transformation
         clone = PetriNet(self.name)
         twins = clone.places
         for place in self.places.values():
@@ -202,16 +160,14 @@ class PetriNet:
         clone._next_serial = self._next_serial
         for t in self.transitions.values():
             twin = Transition(t.id, t.name)
-            preset = twin.preset._items
             for p in t.preset:
                 place = twins[p.id]
-                preset[p.id] = place
-                place.post_transitions._items[t.id] = twin
-            postset = twin.postset._items
+                twin.preset[place] = None
+                place.post_transitions[twin] = None
             for p in t.postset:
                 place = twins[p.id]
-                postset[p.id] = place
-                place.pre_transitions._items[t.id] = twin
+                twin.postset[place] = None
+                place.pre_transitions[twin] = None
             clone.transitions[t.id] = twin
         clone.used_ids.update(self.places)
         clone.used_ids.update(self.transitions)
@@ -247,17 +203,17 @@ class PetriNet:
         fresh.post_transitions.update(first.post_transitions)
         for t in first.pre_transitions:
             for place in members:
-                t.postset.discard(place)
-                t.preset.discard(place)  # self-loop groups lose both sides
-            t.postset.add(fresh)
+                t.postset.pop(place, None)
+                t.preset.pop(place, None)  # self-loop groups lose both sides
+            t.postset[fresh] = None
             if t in first.post_transitions:
-                t.preset.add(fresh)
+                t.preset[fresh] = None
         for t in first.post_transitions:
             if t in first.pre_transitions:
                 continue  # already rewired above
             for place in members:
-                t.preset.discard(place)
-            t.preset.add(fresh)
+                t.preset.pop(place, None)
+            t.preset[fresh] = None
         for place in members:
             del self.places[place.id]
         return fresh
@@ -270,13 +226,13 @@ class PetriNet:
             if self.places.get(place.id) is not place:
                 raise MembershipError(f"place {place.id!r} is not part of net {self.name!r}")
         for t in drop.pre_transitions:
-            t.postset.remove(drop)
-            t.postset.add(keep)
-            keep.pre_transitions.add(t)
+            del t.postset[drop]
+            t.postset[keep] = None
+            keep.pre_transitions[t] = None
         for t in drop.post_transitions:
-            t.preset.remove(drop)
-            t.preset.add(keep)
-            keep.post_transitions.add(t)
+            del t.preset[drop]
+            t.preset[keep] = None
+            keep.post_transitions[t] = None
         del self.places[drop.id]
         return keep
 
@@ -285,9 +241,9 @@ class PetriNet:
         if self.transitions.get(t.id) is not t:
             raise MembershipError(f"transition {t.id!r} is not part of net {self.name!r}")
         for place in t.preset:
-            place.post_transitions.remove(t)
+            del place.post_transitions[t]
         for place in t.postset:
-            place.pre_transitions.remove(t)
+            del place.pre_transitions[t]
         del self.transitions[t.id]
 
 
@@ -340,6 +296,6 @@ def find_self_loops(net: PetriNet) -> list[str]:
     """
     warnings = []
     for place in net.places.values():
-        for t in place.pre_transitions.intersection(place.post_transitions):
+        for t in shared(place.pre_transitions, place.post_transitions):
             warnings.append(f"place {place.id!r} is on a self-loop through transition {t.id!r}")
     return warnings

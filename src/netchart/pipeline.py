@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .chart import OrState, StateChart
 from .errors import PreconditionError, TraceError, ValidationError
-from .net import PetriNet, Place, Transition, check_net
+from .net import PetriNet, Place, Transition, check_net, shared
 
 
 @dataclass
@@ -148,10 +148,10 @@ def try_or_rule(
     if q is p:
         return None
     # a second q->p transition would become a self-loop on the fused place
-    for other in q.post_transitions.intersection(p.pre_transitions):
+    for other in shared(q.post_transitions, p.pre_transitions):
         if other is not transition:
             return None
-    if p.post_transitions.intersection(q.pre_transitions):
+    if shared(p.post_transitions, q.pre_transitions):
         return None
 
     or_q = trace.or_state(q)

@@ -78,9 +78,9 @@ def test_absorb_appends_children_in_order():
     keep = chart.new_or([a])
     src = chart.new_or([b, c])
     keep.absorb(src)
-    assert keep.children == [a, b, c]
+    assert list(keep.children) == [a, b, c]
     assert b.parent is keep and c.parent is keep
-    assert src.children == []
+    assert list(src.children) == []
 
 
 def test_absorb_preconditions():
@@ -96,12 +96,12 @@ def test_absorb_preconditions():
 
 def test_detach():
     chart = _tiny_chart()
-    or_state = chart.topstate.children[0]
-    basic = or_state.children[0]
+    or_state = list(chart.topstate.children)[0]
+    basic = list(or_state.children)[0]
     returned = chart.detach(basic)
     assert returned is basic
     assert basic.parent is None
-    assert or_state.children == []
+    assert list(or_state.children) == []
     with pytest.raises(PreconditionError):
         chart.detach(basic)
     with pytest.raises(PreconditionError):
@@ -139,7 +139,7 @@ def test_validate_requires_a_topstate():
 
 def test_validate_reports_empty_composites():
     chart = _tiny_chart()
-    chart.detach(chart.topstate.children[0].children[0])
+    chart.detach(list(list(chart.topstate.children)[0].children)[0])
     assert any("no children" in v for v in validate_chart(chart))
 
 
@@ -154,30 +154,30 @@ def test_validate_requires_two_children_below_the_root():
 
 def test_validate_reports_alternation_breaks():
     chart = _tiny_chart()
-    or_state = chart.topstate.children[0]
+    or_state = list(chart.topstate.children)[0]
     stray = chart.new_or([chart.new_basic("x")])
     # bypass attach to build the illegal shape
-    or_state.children.append(stray)
+    or_state.children[stray] = None
     stray.parent = or_state
     assert any("is an OR state" in v for v in validate_chart(chart))
 
 
 def test_validate_reports_duplicate_ids():
     chart = _tiny_chart()
-    or_state = chart.topstate.children[0]
-    twin = Basic(or_state.children[0].id, "p2")
-    or_state.children.append(twin)
+    or_state = list(chart.topstate.children)[0]
+    twin = Basic(list(or_state.children)[0].id, "p2")
+    or_state.children[twin] = None
     twin.parent = or_state
     assert any(v.startswith("duplicate node id") for v in validate_chart(chart))
 
 
 def test_validate_reports_shared_subtrees():
     chart = _tiny_chart()
-    or_state = chart.topstate.children[0]
-    basic = or_state.children[0]
+    or_state = list(chart.topstate.children)[0]
+    basic = list(or_state.children)[0]
     second = OrState("s99")  # built by hand to bypass the attach checks
-    second.children.append(basic)
-    chart.topstate.children.append(second)
+    second.children[basic] = None
+    chart.topstate.children[second] = None
     second.parent = chart.topstate
     violations = validate_chart(chart)
     assert any("reached twice" in v for v in violations)
@@ -185,14 +185,14 @@ def test_validate_reports_shared_subtrees():
 
 def test_validate_reports_broken_parent_links():
     chart = _tiny_chart()
-    basic = chart.topstate.children[0].children[0]
+    basic = list(list(chart.topstate.children)[0].children)[0]
     basic.parent = chart.topstate
     assert any("parent link" in v for v in validate_chart(chart))
 
 
 def test_validate_checks_hyperedge_endpoints():
     chart = _tiny_chart()
-    basic = chart.topstate.children[0].children[0]
+    basic = list(list(chart.topstate.children)[0].children)[0]
     edge = chart.new_hyperedge("t")
     edge.sources.append(basic)
     chart.add_hyperedge(edge)
@@ -202,13 +202,13 @@ def test_validate_checks_hyperedge_endpoints():
     edge.targets.append(loose)
     assert any("not in the chart" in v for v in validate_chart(chart))
 
-    edge.targets[:] = [chart.topstate.children[0]]
+    edge.targets[:] = [list(chart.topstate.children)[0]]
     assert any("not a basic state" in v for v in validate_chart(chart))
 
 
 def test_validate_reports_duplicate_hyperedge_ids():
     chart = _tiny_chart()
-    basic = chart.topstate.children[0].children[0]
+    basic = list(list(chart.topstate.children)[0].children)[0]
     for _ in range(2):
         edge = chart.new_hyperedge("t")
         edge.sources.append(basic)

@@ -126,6 +126,21 @@ def test_semantic_errors_exit_2(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char", ["\x01", "\ufffe", "\ud800"])
+def test_xml_output_refuses_characters_xml_cannot_carry(tmp_path, capsys, char):
+    net = diamond()
+    net.name = f"D{char}"
+    inp = _net_file(tmp_path, net, "net.json", "json")
+    out = tmp_path / "chart.xml"
+    assert main(["transform", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    out = tmp_path / "chart.json"
+    assert main(["transform", "--input", str(inp), "--output", str(out)]) == 0
+    assert parse_chart(out.read_bytes()).name == net.name
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["transform", "--input", "x"]) == 1  # --output missing
     assert main(["--nope"]) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from netchart import (
     Basic,
     DuplicateIdError,
     MembershipError,
+    ModelError,
     ParseError,
     PetriNet,
     PreconditionError,
@@ -215,10 +217,39 @@ def test_parse_net_enforces_model_rules():
 
 def test_write_net_refuses_broken_nets():
     net = diamond()
-    net.places["a"].pre_transitions.remove(net.transitions["t1"])
+    del net.places["a"].pre_transitions[net.transitions["t1"]]
     with pytest.raises(ValidationError) as info:
         write_net(net)
     assert info.value.violations
+
+
+# a C0 control, a noncharacter and a lone surrogate: legal in JSON strings,
+# outside XML 1.0's character range
+@pytest.mark.parametrize(
+    "char", ["\x01", "\ufffe", "\ud800"], ids=["control", "noncharacter", "surrogate"]
+)
+@pytest.mark.parametrize("where", ["id", "name"])
+def test_xml_writers_refuse_characters_xml_cannot_carry(char, where):
+    bad = f"a{char}"
+    net = PetriNet(bad if where == "name" else "n")
+    net.add_place("q")
+    net.add_place(bad if where == "id" else "p")
+    net.add_transition("t", ["q"], [bad if where == "id" else "p"])
+    chart = transform(net).chart
+    for write in (write_net, write_chart):
+        model = net if write is write_net else chart
+        with pytest.raises(ModelError, match=re.escape(repr(bad))):
+            write(model, "xml")
+        assert write(model, "json").decode("ascii")  # JSON escapes them
+
+
+def test_xml_writers_keep_every_character_xml_can_carry():
+    name = "\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff<&>\"'"
+    net = PetriNet(name)
+    net.add_place("\ud7ff\ue000\ufffd\U0010ffff")
+    assert parse_net(write_net(net, "xml")).name == name
+    chart = transform(net).chart
+    assert parse_chart(write_chart(chart, "xml")).name == name
 
 
 def test_write_chart_xml_golden():
@@ -330,7 +361,7 @@ def test_parse_chart_rejects_bad_json_kinds():
 
 def test_write_chart_refuses_invalid_charts():
     chart, _, _ = transform(diamond())
-    chart.detach(chart.topstate.children[0].children[0])
+    chart.detach(list(list(chart.topstate.children)[0].children)[0])
     with pytest.raises(ValidationError):
         write_chart(chart)
 

@@ -6,7 +6,6 @@ import pytest
 
 from netchart import (
     DuplicateIdError,
-    IdSet,
     MembershipError,
     PetriNet,
     PreconditionError,
@@ -14,41 +13,6 @@ from netchart import (
     find_self_loops,
 )
 from support import diamond
-
-
-class _Element:
-    def __init__(self, id: str):
-        self.id = id
-
-
-def test_idset_keeps_insertion_order():
-    items = [_Element(x) for x in ("c", "a", "b")]
-    s = IdSet(items)
-    assert [e.id for e in s] == ["c", "a", "b"]
-    s.discard(items[1])
-    s.add(items[1])
-    assert [e.id for e in s] == ["c", "b", "a"]
-
-
-def test_idset_membership_and_equality():
-    a, b = _Element("a"), _Element("b")
-    s = IdSet([a, b])
-    t = IdSet([b, a])
-    assert s == t
-    assert a in s and b in s
-    assert _Element("a") in s  # membership is by id, not object identity
-    s.remove(a)
-    assert s != t
-    assert len(s) == 1
-    with pytest.raises(KeyError):
-        s.remove(a)
-    s.discard(a)  # no-op
-
-
-def test_idset_intersection():
-    a, b, c = (_Element(x) for x in "abc")
-    assert [e.id for e in IdSet([a, b]).intersection(IdSet([b, c]))] == ["b"]
-    assert IdSet([a]).intersection(IdSet([c])) == []
 
 
 def test_add_place_and_transition():
@@ -191,7 +155,7 @@ def test_remove_transition():
 
 def test_check_net_reports_broken_reverse_adjacency():
     net = diamond()
-    net.places["a"].pre_transitions.remove(net.transitions["t1"])
+    del net.places["a"].pre_transitions[net.transitions["t1"]]
     violations = check_net(net)
     assert any("t1" in v and "'a'" in v for v in violations)
 
@@ -199,7 +163,7 @@ def test_check_net_reports_broken_reverse_adjacency():
 def test_check_net_reports_nonmember_references():
     net = diamond()
     stray = PetriNet("other").add_place("x")
-    net.transitions["t1"].postset.add(stray)
+    net.transitions["t1"].postset[stray] = None
     violations = check_net(net)
     assert any("'x'" in v for v in violations)
 
@@ -208,8 +172,8 @@ def test_check_net_reports_empty_sides():
     net = diamond()
     t1 = net.transitions["t1"]
     for place in list(t1.preset):
-        t1.preset.remove(place)
-        place.post_transitions.remove(t1)
+        del t1.preset[place]
+        del place.post_transitions[t1]
     assert any("empty preset" in v for v in check_net(net))
 
 

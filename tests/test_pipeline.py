@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchart import (
     AndState,
@@ -27,7 +29,16 @@ from netchart import (
     write_chart,
 )
 from oracle import oracle_reduce
-from support import chart_signature, diamond, net_to_plain, single_place, three_cycle, two_chain
+from support import (
+    chart_signature,
+    diamond,
+    edges_signature,
+    net_edges_signature,
+    net_to_plain,
+    single_place,
+    three_cycle,
+    two_chain,
+)
 
 
 def _initialized(net):
@@ -43,7 +54,7 @@ def test_initialize_builds_the_flat_chart():
     assert isinstance(chart.topstate, AndState)
     ors = chart.topstate.children
     assert [type(o) for o in ors] == [OrState] * 4
-    assert [o.children[0].origin_place for o in ors] == ["q", "a", "b", "r"]
+    assert [list(o.children)[0].origin_place for o in ors] == ["q", "a", "b", "r"]
     assert all(len(o.children) == 1 for o in ors)
     assert [e.origin_transition for e in chart.hyperedges] == ["t1", "t2"]
     t2 = chart.hyperedges[1]
@@ -62,7 +73,7 @@ def test_initialize_smallest_net():
 
 def test_initialize_rejects_broken_nets():
     net = diamond()
-    net.places["a"].pre_transitions.remove(net.transitions["t1"])
+    del net.places["a"].pre_transitions[net.transitions["t1"]]
     trace = Trace()
     with pytest.raises(ValidationError) as info:
         initialize(net, trace)
@@ -77,7 +88,7 @@ def test_rule_sets_are_single_use():
     with pytest.raises(PreconditionError, match="fresh Trace"):
         initialize(net, trace)
     assert trace.export() == before
-    assert trace.or_state(net.places["q"]) is chart.topstate.children[0]
+    assert trace.or_state(net.places["q"]) is list(chart.topstate.children)[0]
 
 
 def test_trace_export_is_sorted_and_stringly_typed():
@@ -100,7 +111,7 @@ def test_or_rule_collapses_a_sequential_step():
     assert set(net.places) == {"p"}
     assert set(net.transitions) == set()
     assert chart_signature(chart) == "and(or(b[p2],b[p]))"
-    or_q = chart.topstate.children[0]
+    or_q = list(chart.topstate.children)[0]
     assert [b.origin_place for b in or_q.children] == ["p", "p2"]
 
 
@@ -158,12 +169,12 @@ def test_and_rule_merges_a_parallel_group():
     assert set(net.places) == {"q", "m0", "r"}
     assert [p.id for p in net.transitions["t1"].postset] == ["m0"]
 
-    wrapper = chart.topstate.children[-1]
+    wrapper = list(chart.topstate.children)[-1]
     assert isinstance(wrapper, OrState)
     assert len(wrapper.children) == 1
-    and_state = wrapper.children[0]
+    and_state = list(wrapper.children)[0]
     assert isinstance(and_state, AndState)
-    assert [o.children[0].origin_place for o in and_state.children] == ["a", "b"]
+    assert [list(o.children)[0].origin_place for o in and_state.children] == ["a", "b"]
     assert trace.or_state(fresh) is wrapper
     entries = [e for e in trace.export() if e.rule == "AndRulePlace2Or"]
     assert [(e.input, e.output) for e in entries] == [("m0", wrapper.id)]
@@ -178,8 +189,8 @@ def test_and_rule_orders_the_group_by_declaration():
     net.add_transition("t", ["q"], ["y", "z"])
     chart, trace = _initialized(net)
     fresh = try_and_rule(net, chart, trace, net.transitions["t"])
-    and_state = chart.topstate.children[-1].children[0]
-    assert [o.children[0].origin_place for o in and_state.children] == ["z", "y"]
+    and_state = list(list(chart.topstate.children)[-1].children)[0]
+    assert [list(o.children)[0].origin_place for o in and_state.children] == ["z", "y"]
     assert fresh.id == "m0"
 
 
@@ -337,6 +348,41 @@ def test_random_order_is_not_confluent_on_general_nets():
     assert shapes == {fifo, other}
 
 
+@st.composite
+def general_nets(draw):
+    """Nets of 1-8 places and 0-8 transitions; each side holds 1-4
+    distinct places, and a place may sit on both sides (a self-loop)."""
+    places = [f"p{i}" for i in range(draw(st.integers(1, 8)))]
+    side = st.lists(st.sampled_from(places), min_size=1, max_size=4, unique=True)
+    net = PetriNet("g")
+    for pid in places:
+        net.add_place(pid)
+    for index, (src, tgt) in enumerate(draw(st.lists(st.tuples(side, side), max_size=8))):
+        net.add_transition(f"t{index}", src, tgt)
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_nets())
+def test_fifo_order_matches_the_oracle_on_general_nets(net):
+    chart, report, _ = transform(net)
+    expected = oracle_reduce(*net_to_plain(net))
+    assert chart_signature(chart) == expected.signature
+    assert (
+        report.and_applications,
+        report.or_applications,
+        report.remaining_places,
+        report.remaining_transitions,
+    ) == (
+        expected.and_applications,
+        expected.or_applications,
+        expected.remaining_places,
+        expected.remaining_transitions,
+    )
+    assert edges_signature(chart) == net_edges_signature(net)
+    assert validate_chart(chart) == []
+
+
 def test_transform_leaves_the_input_untouched():
     from netchart import check_net
 
@@ -352,7 +398,7 @@ def test_transform_diamond_end_to_end():
     assert report.fully_reduced
     assert len(trace) == 13
     assert chart_signature(chart) == "and(or(and(or(b[a]),or(b[b])),b[q],b[r]))"
-    top_or = chart.topstate.children[0]
+    top_or = list(chart.topstate.children)[0]
     kinds = [type(child) for child in top_or.children]
     assert kinds == [Basic, AndState, Basic]
     assert [c.origin_place for c in top_or.children if isinstance(c, Basic)] == ["q", "r"]
