@@ -45,8 +45,6 @@ from .pipeline import (
     initialize,
     reduce,
     transform,
-    try_and_rule,
-    try_or_rule,
 )
 
 __all__ = [
@@ -87,8 +85,6 @@ __all__ = [
     "parse_trace",
     "reduce",
     "transform",
-    "try_and_rule",
-    "try_or_rule",
     "validate_chart",
     "write_chart",
     "write_net",

@@ -13,6 +13,7 @@ times.
 from __future__ import annotations
 
 import gc
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ class PhaseSample:
 
 @dataclass
 class BenchRow:
-    """All measurements for one case; averages skip discarded warmups."""
+    """All measurements for one case; medians skip discarded warmups."""
 
     case: str
     samples: list[PhaseSample] = field(default_factory=list)
@@ -47,19 +48,19 @@ class BenchRow:
 
     @property
     def reading_ms(self) -> float:
-        return _mean([s.reading_ms for s in self.measured()])
+        return _median([s.reading_ms for s in self.measured()])
 
     @property
     def transformation_ms(self) -> float:
-        return _mean([s.transformation_ms for s in self.measured()])
+        return _median([s.transformation_ms for s in self.measured()])
 
     @property
     def writing_ms(self) -> float:
-        return _mean([s.writing_ms for s in self.measured()])
+        return _median([s.writing_ms for s in self.measured()])
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def _median(values: list[float]) -> float:
+    return statistics.median(values) if values else 0.0
 
 
 _COLUMNS = ("Reading input", "Transformation", "Writing output")

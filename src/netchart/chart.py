@@ -6,8 +6,8 @@ AND states; Basic states are leaves.  The tree root ("topstate") is an
 AND state.  Node ids are handed out by the owning chart from a creation
 counter, so equal construction sequences yield equal ids.  A composite's
 children are a plain dict mapping each child node, hashed by identity, to
-None: insertion-ordered, with O(1) removal, because reduction detaches OR
-states from a topstate that still has thousands of children.
+None: insertion-ordered, with O(1) membership.  Only `reduce` reshapes a
+chart after it is built.
 """
 
 from __future__ import annotations
@@ -50,21 +50,6 @@ class OrState:
             raise TreeError(f"node {child.id!r} already has parent {child.parent.id!r}")
         child.parent = self
         self.children[child] = None
-
-    def absorb(self, src: OrState) -> None:
-        """Take over all children of `src`, preserving their order.
-
-        `src` must already be detached from its parent; it ends up empty
-        and is simply dropped by the caller (its id is never reused).
-        """
-        if src is self:
-            raise PreconditionError(f"OR state {self.id!r} cannot absorb itself")
-        if src.parent is not None:
-            raise PreconditionError(f"OR state {src.id!r} must be detached before being absorbed")
-        for child in src.children:
-            child.parent = None
-            self.attach(child)
-        src.children.clear()
 
     def __repr__(self) -> str:
         return f"OrState({self.id!r}, {len(self.children)} children)"
@@ -184,20 +169,6 @@ class StateChart:
 
     def add_hyperedge(self, edge: HyperEdge) -> None:
         self.hyperedges.append(edge)
-
-    def detach(self, node: Node) -> Node:
-        """Unlink `node` from its parent and return it parentless.
-
-        The parent may transiently be left with no children; the final
-        `validate_chart` call enforces nonemptiness.
-        """
-        if node is self.topstate:
-            raise PreconditionError("cannot detach the topstate")
-        if node.parent is None:
-            raise PreconditionError(f"node {node.id!r} has no parent to detach from")
-        del node.parent.children[node]
-        node.parent = None
-        return node
 
     # -- traversal ---------------------------------------------------------
 

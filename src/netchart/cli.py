@@ -112,7 +112,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument(
         "--discard-first",
         action="store_true",
-        help="average over all but the first repetition",
+        help="report the median of all but the first repetition",
     )
     p.set_defaults(handler=_cmd_bench)
     return parser

@@ -22,7 +22,7 @@ class PreconditionError(ModelError):
 
 
 class TreeError(ModelError):
-    """A statechart containment rule was broken (re-parenting, detach of root)."""
+    """A statechart containment rule was broken (re-parenting, alternation)."""
 
 
 class ValidationError(ModelError):
@@ -38,4 +38,4 @@ class ParseError(NetchartError):
 
 
 class TraceError(NetchartError):
-    """The transformation trace is missing or ambiguous where it must not be."""
+    """A chart and trace do not belong to the net handed to `reduce` with them."""

@@ -37,8 +37,6 @@ from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
 
-_NODE_SUFFIX = re.compile(r"^s(\d+)$")
-_EDGE_SUFFIX = re.compile(r"^h(\d+)$")
 # the characters XML 1.0's Char production leaves out
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
@@ -271,13 +269,12 @@ def parse_chart(data: bytes | str, format: str | None = None) -> StateChart:
     """Read a chart document; raises on any well-formedness violation."""
     format = _pick_format(data, format)
     if format == "xml":
-        chart, nodes, preorder = _chart_tree_from_xml(data)
+        chart = _chart_tree_from_xml(data)
     else:
-        chart, nodes, preorder = _chart_tree_from_json(data)
+        chart = _chart_tree_from_json(data)
     violations = validate_chart(chart)
     if violations:
         raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
-    _advance_counters(chart, preorder)
     return chart
 
 
@@ -295,22 +292,6 @@ def _resolve_endpoints(edge_id: str, ids: list[str], nodes: dict[str, Node]) -> 
             )
         endpoints.append(node)
     return endpoints
-
-
-def _advance_counters(chart: StateChart, preorder: int) -> None:
-    # keep future generated ids collision-free after parsing
-    top = preorder
-    for node in chart.states():
-        match = _NODE_SUFFIX.match(node.id)
-        if match:
-            top = max(top, int(match.group(1)) + 1)
-    chart._next_node = top
-    edges = len(chart.hyperedges)
-    for edge in chart.hyperedges:
-        match = _EDGE_SUFFIX.match(edge.id)
-        if match:
-            edges = max(edges, int(match.group(1)) + 1)
-    chart._next_edge = edges
 
 
 def _state_node_from_xml(elem: ET.Element) -> Node:
@@ -375,7 +356,7 @@ def _chart_tree_from_xml(data: bytes | str):
         edge.sources = _resolve_endpoints(edge.id, src.split(), nodes)
         edge.targets = _resolve_endpoints(edge.id, tgt.split(), nodes)
         chart.hyperedges.append(edge)
-    return chart, nodes, serial
+    return chart
 
 
 def _state_node_from_json(obj) -> tuple[Node, list]:
@@ -437,7 +418,7 @@ def _chart_tree_from_json(data: bytes | str):
         edge.sources = _resolve_endpoints(edge.id, _string_list(src, "'src'"), nodes)
         edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), nodes)
         chart.hyperedges.append(edge)
-    return chart, nodes, serial
+    return chart
 
 
 def _by_creation(endpoints: list[Basic]) -> list[Basic]:

@@ -1,8 +1,9 @@
 """Net-to-statechart transformation pipeline.
 
 Builds the flat chart in one pass over the net, recording every
-correspondence in a trace, then collapses the working net with the AND/OR
-reduction rules until nothing more applies.
+correspondence in a trace, then derives the hierarchy with the AND/OR
+reduction rules, run on a private index graph of the net, until nothing
+more applies. The input net is never changed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from .chart import OrState, StateChart
 from .errors import PreconditionError, TraceError, ValidationError
-from .net import PetriNet, Place, Transition, check_net, shared
+from .net import PetriNet, check_net, shared
 
 
 @dataclass
@@ -31,32 +32,13 @@ class Trace:
 
     Records (rule, input id, output id) triples under the six rule names
     of the case (PetriNet2StateChart, PetriNet2TopState, Place2Or,
-    Place2Basic, Transition2HyperEdge, AndRulePlace2Or), maps every place
-    id to the OR state built for it, and hands out fresh ids for merged
-    places. Places are looked up by id, never by identity, so places of a
-    copied net resolve to the OR states recorded for the original.
+    Place2Basic, Transition2HyperEdge, AndRulePlace2Or), and maps every
+    place id of the input net to the OR state `initialize` built for it.
     """
 
     def __init__(self) -> None:
         self.entries: list[tuple[str, str, str]] = []
         self.ors: dict[str, OrState] = {}
-        self._next_merge = 0
-
-    def or_state(self, place: Place) -> OrState:
-        """The OR state traced to *place*; raises TraceError if there is none."""
-        try:
-            return self.ors[place.id]
-        except KeyError:
-            raise TraceError(f"no OR state traced to place {place.id!r}") from None
-
-    def fresh_place_id(self, net: PetriNet) -> str:
-        """Pick a merged-place id never used by *net*, not even by removed
-        elements, so trace inputs stay unambiguous."""
-        while True:
-            candidate = f"m{self._next_merge}"
-            self._next_merge += 1
-            if candidate not in net.used_ids:
-                return candidate
 
     def export(self) -> list[TraceEntry]:
         """The whole trace as entries sorted by (rule name, input id)."""
@@ -130,82 +112,121 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     return chart
 
 
-def try_or_rule(
-    net: PetriNet,
-    chart: StateChart,
-    trace: Trace,
-    transition: Transition,
-) -> Place | None:
-    """Collapse a sequential step q -> t -> p into q, absorbing or(p) into
-    or(q). Returns the surviving place, or None when t does not qualify.
+class _Graph:
+    """The net as integer-indexed adjacency, private to one `reduce` call.
+
+    Place slots follow the net's order and merged places are appended, so
+    slot order is declaration order. `pre[i]` and `post[i]` map transition
+    indices to None in the net's insertion order; `tpre[j]` and `tpost[j]`
+    are the place slots of transition j. `ors[i]` is the OR state of slot
+    i. A dead slot holds None in all three, and a dead transition in both
+    of its sides.
     """
-    if net.transitions.get(transition.id) is not transition:
-        return None
-    if len(transition.preset) != 1 or len(transition.postset) != 1:
-        return None
-    q = next(iter(transition.preset))
-    p = next(iter(transition.postset))
-    if q is p:
-        return None
-    # a second q->p transition would become a self-loop on the fused place
-    for other in shared(q.post_transitions, p.pre_transitions):
-        if other is not transition:
+
+    __slots__ = ("net", "chart", "trace", "pre", "post", "tpre", "tpost", "ors",
+                 "live_places", "live_transitions", "merges")
+
+    def __init__(self, net: PetriNet, chart: StateChart, trace: Trace, ors: list):
+        slot = {place: i for i, place in enumerate(net.places.values())}
+        step = {t: j for j, t in enumerate(net.transitions.values())}
+        self.net, self.chart, self.trace, self.ors = net, chart, trace, ors
+        self.pre = [dict.fromkeys(step[t] for t in p.pre_transitions) for p in slot]
+        self.post = [dict.fromkeys(step[t] for t in p.post_transitions) for p in slot]
+        self.tpre = [{slot[p] for p in t.preset} for t in step]
+        self.tpost = [{slot[p] for p in t.postset} for t in step]
+        self.live_places = len(slot)
+        self.live_transitions = len(step)
+        self.merges = 0
+
+    def or_rule(self, t: int) -> int | None:
+        """Fuse p into q for a sequential step q -> t -> p, appending or(p)'s
+        children to or(q). Returns q, or None when t does not qualify."""
+        src, tgt = self.tpre[t], self.tpost[t]
+        if len(src) != 1 or len(tgt) != 1:
             return None
-    if shared(p.post_transitions, q.pre_transitions):
-        return None
-
-    or_q = trace.or_state(q)
-    or_p = trace.or_state(p)
-    net.remove_transition(transition)
-    net.fuse_places(q, p)
-    chart.detach(or_p)
-    or_q.absorb(or_p)
-    return q
-
-
-def try_and_rule(
-    net: PetriNet,
-    chart: StateChart,
-    trace: Trace,
-    transition: Transition,
-) -> Place | None:
-    """Collapse a group of interchangeable parallel places around
-    *transition* into one fresh place, nesting their OR states under a new
-    AND. Returns the fresh place, or None when no group qualifies.
-
-    The group is the whole preset when it has two or more places, else the
-    whole postset. Every member must share both adjacency sets exactly and
-    stay off self-loops.
-    """
-    if net.transitions.get(transition.id) is not transition:
-        return None
-    if len(transition.preset) >= 2:
-        group = list(transition.preset)
-    elif len(transition.postset) >= 2:
-        group = list(transition.postset)
-    else:
-        return None
-    first = group[0]
-    for place in group[1:]:
-        if (
-            place.pre_transitions != first.pre_transitions
-            or place.post_transitions != first.post_transitions
-        ):
+        (q,), (p,) = src, tgt
+        if q == p:
             return None
-    for place in group:
-        if place.on_self_loop():
+        pre, post = self.pre, self.post
+        # a second q->p transition would become a self-loop on the fused place
+        if len(shared(post[q], pre[p])) > 1 or shared(post[p], pre[q]):
+            return None
+        del post[q][t], pre[p][t]
+        self.tpre[t] = self.tpost[t] = None
+        for u in pre[p]:
+            side = self.tpost[u]
+            side.discard(p)
+            side.add(q)
+            pre[q][u] = None
+        for u in post[p]:
+            side = self.tpre[u]
+            side.discard(p)
+            side.add(q)
+            post[q][u] = None
+        pre[p] = post[p] = None
+        keep, drop = self.ors[q], self.ors[p]
+        for child in drop.children:
+            child.parent = keep
+            keep.children[child] = None
+        drop.children.clear()
+        drop.parent = self.ors[p] = None
+        self.live_places -= 1
+        self.live_transitions -= 1
+        return q
+
+    def and_rule(self, t: int) -> int | None:
+        """Replace a group of interchangeable parallel places around t by one
+        fresh slot, nesting their OR states under a new AND. Returns the
+        fresh slot, or None when no group qualifies.
+
+        The group is the whole preset when it has two or more places, else
+        the whole postset. Every member must share both adjacency sets
+        exactly and stay off self-loops.
+        """
+        src, tgt = self.tpre[t], self.tpost[t]
+        group = sorted(src if len(src) >= 2 else tgt if len(tgt) >= 2 else ())
+        if not group:
+            return None
+        pre, post = self.pre, self.post
+        first = group[0]
+        for member in group[1:]:
+            if pre[member] != pre[first] or post[member] != post[first]:
+                return None
+        if shared(pre[first], post[first]):
             return None
 
-    group.sort(key=lambda place: place.serial)
-    ors = [trace.or_state(place) for place in group]
-    fresh = net.replace_places(group, trace.fresh_place_id(net))
-    for or_state in ors:
-        chart.detach(or_state)
-    wrapper = chart.new_or([chart.new_and(ors)])
-    chart.topstate.attach(wrapper)
-    trace.ors[fresh.id] = wrapper
-    trace.entries.append(("AndRulePlace2Or", fresh.id, wrapper.id))
-    return fresh
+        fresh = len(pre)
+        members = set(group)
+        for u in pre[first]:
+            side = self.tpost[u]
+            side -= members
+            side.add(fresh)
+        for u in post[first]:
+            side = self.tpre[u]
+            side -= members
+            side.add(fresh)
+        pre.append(pre[first])
+        post.append(post[first])
+        states = []
+        for member in group:
+            pre[member] = post[member] = None
+            states.append(self.ors[member])
+            self.ors[member] = None
+        for state in states:
+            state.parent = None
+        wrapper = self.chart.new_or([self.chart.new_and(states)])
+        self.ors.append(wrapper)
+        self.trace.entries.append(("AndRulePlace2Or", self._merged_id(), wrapper.id))
+        self.live_places += 1 - len(group)
+        return fresh
+
+    def _merged_id(self) -> str:
+        """The next id m<k> that is no place or transition id of the net."""
+        while True:
+            candidate = f"m{self.merges}"
+            self.merges += 1
+            if candidate not in self.net.places and candidate not in self.net.transitions:
+                return candidate
 
 
 def reduce(
@@ -216,14 +237,31 @@ def reduce(
 ) -> ReductionReport:
     """Apply the OR and AND rules from a transition worklist until it drains.
 
-    The worklist starts with every transition in insertion order and is
+    *chart* and *trace* must be the flat chart and the trace that
+    `initialize` built for *net*. The rules run on a private graph built
+    from *net*, which stays untouched; only the chart changes. The
+    worklist starts with every transition in insertion order and is
     consumed first-in first-out; passing *rng* switches to random picks,
-    which exercises confluence without changing the result's shape. After a
-    successful application the transitions around the surviving place go
+    which exercises confluence without changing the result's shape. After
+    a successful application the transitions around the surviving place go
     back on the list.
+
+    Raises
+    ------
+    TraceError
+        If the topstate's children are not the OR states *trace* recorded
+        for the places of *net*, in net order: a chart built for another
+        net, or one that was already reduced.
     """
-    queue: deque[Transition] = deque(net.transitions.values())
-    queued = set(net.transitions)
+    top = chart.topstate
+    ors = [trace.ors.get(pid) for pid in net.places]
+    if top is None or list(top.children) != ors:
+        raise TraceError(
+            f"chart {chart.name!r} is not the flat chart traced for net {net.name!r}"
+        )
+    graph = _Graph(net, chart, trace, ors)
+    queue: deque[int] = deque(range(graph.live_transitions))
+    queued = [True] * graph.live_transitions
     report = ReductionReport()
     while queue:
         if rng is None:
@@ -232,26 +270,29 @@ def reduce(
             index = rng.randrange(len(queue))
             transition = queue[index]
             del queue[index]
-        queued.discard(transition.id)
+        queued[transition] = False
 
-        survivor = try_or_rule(net, chart, trace, transition)
+        survivor = graph.or_rule(transition)
         if survivor is not None:
             report.or_applications += 1
         else:
-            survivor = try_and_rule(net, chart, trace, transition)
+            survivor = graph.and_rule(transition)
             if survivor is not None:
                 report.and_applications += 1
         if survivor is None:
             continue
-        for adjacent in list(survivor.pre_transitions) + list(
-            survivor.post_transitions
-        ):
-            if adjacent.id not in queued:
+        for adjacent in list(graph.pre[survivor]) + list(graph.post[survivor]):
+            if not queued[adjacent]:
                 queue.append(adjacent)
-                queued.add(adjacent.id)
+                queued[adjacent] = True
 
-    report.remaining_places = len(net.places)
-    report.remaining_transitions = len(net.transitions)
+    top.children = {}
+    for state in ors:
+        if state is not None:
+            state.parent = top
+            top.children[state] = None
+    report.remaining_places = graph.live_places
+    report.remaining_transitions = graph.live_transitions
     return report
 
 
@@ -260,12 +301,9 @@ def transform(
 ) -> TransformResult:
     """Run the full pipeline on *input_net* without mutating it.
 
-    The flat chart is built against the original net; reduction then runs on
-    a deep copy, whose places the trace finds by id while the copy shrinks.
     Returns the chart, the reduction counters and the exported trace.
     """
     trace = Trace()
     chart = initialize(input_net, trace)
-    working = input_net.copy()
-    report = reduce(working, chart, trace, rng=rng)
+    report = reduce(input_net, chart, trace, rng=rng)
     return TransformResult(chart=chart, report=report, trace=trace.export())

@@ -2,7 +2,8 @@
 
 Implements the same two reduction rules over plain sets and dicts:
 every round it re-derives adjacency from scratch and tries both rules
-at every transition until nothing fires.  No worklist, no trace, no
+at every transition, in the net's transition order, until nothing
+fires.  No worklist, no trace, no
 code shared with the package under test; the only common vocabulary is
 the canonical signature grammar from `support`.
 """
@@ -60,7 +61,8 @@ def oracle_reduce(
     changed = True
     while changed:
         changed = False
-        for tid in sorted(trans):
+        # sweep in the net's transition order, the order FIFO starts from
+        for tid in list(trans):
             if tid not in trans:
                 continue
             src, tgt = trans[tid]

@@ -19,9 +19,11 @@ import pytest
 import netchart
 from netchart import (
     Basic,
+    OrState,
     PreconditionError,
     SpSpec,
     Trace,
+    check_net,
     generate_sp,
     initialize,
     parse_chart,
@@ -81,10 +83,10 @@ def test_criterion_2_conservation_invariants():
     sizes = [1, 500] + [rng.randint(1, 500) for _ in range(998)]
     for index, places in enumerate(sizes):
         net = generate_sp(SpSpec(places=places, seed=index))
+        place_ids, transition_ids = list(net.places), list(net.transitions)
         trace = Trace()
         chart = initialize(net, trace)
-        working = net.copy()
-        report = reduce(working, chart, trace)
+        report = reduce(net, chart, trace)
 
         basics = [s for s in chart.states() if isinstance(s, Basic)]
         assert len(basics) == len(net.places)
@@ -92,10 +94,17 @@ def test_criterion_2_conservation_invariants():
         assert len(chart.hyperedges) == len(net.transitions)
         assert validate_chart(chart) == []
 
-        children = set(chart.topstate.children)
-        assert len(children) == len(working.places) == report.remaining_places
-        for place in working.places.values():
-            assert trace.or_state(place) in children
+        children = list(chart.topstate.children)
+        assert len(children) == report.remaining_places
+        traced = {
+            entry.output
+            for entry in trace.export()
+            if entry.rule in ("Place2Or", "AndRulePlace2Or")
+        }
+        for child in children:
+            assert isinstance(child, OrState) and child.id in traced
+        assert check_net(net) == []
+        assert (list(net.places), list(net.transitions)) == (place_ids, transition_ids)
 
 
 def test_criterion_3_sp_family_full_reduction():
@@ -139,8 +148,7 @@ def test_criterion_5_memoization_counters():
     net = diamond()
     trace = Trace()
     chart = initialize(net, trace)
-    working = net.copy()
-    reduce(working, chart, trace)
+    reduce(net, chart, trace)
 
     entries = trace.export()
     pairs = [(e.rule, e.input) for e in entries]

@@ -35,6 +35,12 @@ def test_row_averages_skip_discarded_warmups():
     assert (row.reading_ms, row.transformation_ms, row.writing_ms) == (2.0, 4.0, 6.0)
 
 
+def test_row_summaries_are_medians():
+    row = BenchRow(case="sp5")
+    row.samples = [_sample(1.0, 1.0, 1.0), _sample(2.0, 2.0, 2.0), _sample(100.0, 100.0, 100.0)]
+    assert (row.reading_ms, row.transformation_ms, row.writing_ms) == (2.0, 2.0, 2.0)
+
+
 def test_empty_rows_average_to_zero():
     assert BenchRow(case="sp0").reading_ms == 0.0
 

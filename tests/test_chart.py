@@ -1,4 +1,4 @@
-"""Statechart model: factories, tree surgery, validation."""
+"""Statechart model: factories, tree building, validation."""
 
 from __future__ import annotations
 
@@ -72,42 +72,6 @@ def test_set_topstate_rejects_parented_nodes():
         chart.set_topstate(inner)
 
 
-def test_absorb_appends_children_in_order():
-    chart = StateChart("c")
-    a, b, c = (chart.new_basic(x) for x in "abc")
-    keep = chart.new_or([a])
-    src = chart.new_or([b, c])
-    keep.absorb(src)
-    assert list(keep.children) == [a, b, c]
-    assert b.parent is keep and c.parent is keep
-    assert list(src.children) == []
-
-
-def test_absorb_preconditions():
-    chart = StateChart("c")
-    keep = chart.new_or([chart.new_basic("a")])
-    with pytest.raises(PreconditionError):
-        keep.absorb(keep)
-    src = chart.new_or([chart.new_basic("b")])
-    chart.new_and([src])
-    with pytest.raises(PreconditionError, match="detached"):
-        keep.absorb(src)
-
-
-def test_detach():
-    chart = _tiny_chart()
-    or_state = list(chart.topstate.children)[0]
-    basic = list(or_state.children)[0]
-    returned = chart.detach(basic)
-    assert returned is basic
-    assert basic.parent is None
-    assert list(or_state.children) == []
-    with pytest.raises(PreconditionError):
-        chart.detach(basic)
-    with pytest.raises(PreconditionError):
-        chart.detach(chart.topstate)
-
-
 def test_states_yields_preorder():
     chart = StateChart("c")
     a = chart.new_basic("a")
@@ -139,7 +103,9 @@ def test_validate_requires_a_topstate():
 
 def test_validate_reports_empty_composites():
     chart = _tiny_chart()
-    chart.detach(list(list(chart.topstate.children)[0].children)[0])
+    basic = list(list(chart.topstate.children)[0].children)[0]
+    del basic.parent.children[basic]
+    basic.parent = None
     assert any("no children" in v for v in validate_chart(chart))
 
 

@@ -19,14 +19,14 @@ from netchart import (
     TraceEntry,
     TraceError,
     ValidationError,
+    check_net,
     generate_sp,
     initialize,
     reduce,
     transform,
-    try_and_rule,
-    try_or_rule,
     validate_chart,
     write_chart,
+    write_net,
 )
 from oracle import oracle_reduce
 from support import (
@@ -88,7 +88,7 @@ def test_rule_sets_are_single_use():
     with pytest.raises(PreconditionError, match="fresh Trace"):
         initialize(net, trace)
     assert trace.export() == before
-    assert trace.or_state(net.places["q"]) is list(chart.topstate.children)[0]
+    assert trace.ors["q"] is list(chart.topstate.children)[0]
 
 
 def test_trace_export_is_sorted_and_stringly_typed():
@@ -103,31 +103,59 @@ def test_trace_export_is_sorted_and_stringly_typed():
     ]
 
 
-def test_or_rule_collapses_a_sequential_step():
-    net = two_chain()
+def _reduced(net, rng=None):
     chart, trace = _initialized(net)
-    survivor = try_or_rule(net, chart, trace, net.transitions["t"])
-    assert survivor is net.places["p"]
-    assert set(net.places) == {"p"}
-    assert set(net.transitions) == set()
+    report = reduce(net, chart, trace, rng=rng)
+    return chart, report, trace
+
+
+def _counters(report):
+    return (
+        report.and_applications,
+        report.or_applications,
+        report.remaining_places,
+        report.remaining_transitions,
+    )
+
+
+def _and_states(chart):
+    """AND states below the topstate, in creation order."""
+    return sorted(
+        (s for s in chart.states() if isinstance(s, AndState) and s is not chart.topstate),
+        key=lambda state: state.serial,
+    )
+
+
+def _child_places(state):
+    return [list(o.children)[0].origin_place for o in state.children]
+
+
+def test_or_rule_collapses_a_sequential_step():
+    chart, report, _ = _reduced(two_chain())
+    assert _counters(report) == (0, 1, 1, 0)
     assert chart_signature(chart) == "and(or(b[p2],b[p]))"
     or_q = list(chart.topstate.children)[0]
     assert [b.origin_place for b in or_q.children] == ["p", "p2"]
+    assert all(b.parent is or_q for b in or_q.children)
+    assert validate_chart(chart) == []
 
 
 def test_or_rule_skips_wrong_arities():
-    net = diamond()
-    chart, trace = _initialized(net)
-    assert try_or_rule(net, chart, trace, net.transitions["t1"]) is None
-    assert try_or_rule(net, chart, trace, net.transitions["t2"]) is None
+    # neither diamond transition has one place a side, so the AND rule
+    # must merge {a, b} before the OR rule can fire at all
+    chart, report, trace = _reduced(diamond())
+    assert _counters(report) == (1, 2, 1, 0)
+    assert chart_signature(chart) == "and(or(and(or(b[a]),or(b[b])),b[q],b[r]))"
+    assert [e.input for e in trace.export() if e.rule == "AndRulePlace2Or"] == ["m0"]
 
 
 def test_or_rule_skips_self_loops():
     net = PetriNet("n")
     net.add_place("p")
     net.add_transition("t", ["p"], ["p"])
-    chart, trace = _initialized(net)
-    assert try_or_rule(net, chart, trace, net.transitions["t"]) is None
+    chart, report, _ = _reduced(net)
+    assert _counters(report) == (0, 0, 1, 1)
+    assert chart_signature(chart) == "and(or(b[p]))"
 
 
 def test_or_rule_skips_doubled_transitions():
@@ -136,10 +164,10 @@ def test_or_rule_skips_doubled_transitions():
     net.add_place("p")
     net.add_transition("t", ["q"], ["p"])
     net.add_transition("t2", ["q"], ["p"])
-    chart, trace = _initialized(net)
     # fusing would turn the twin transition into a self-loop
-    assert try_or_rule(net, chart, trace, net.transitions["t"]) is None
-    assert try_or_rule(net, chart, trace, net.transitions["t2"]) is None
+    chart, report, _ = _reduced(net)
+    assert _counters(report) == (0, 0, 2, 2)
+    assert chart_signature(chart) == "and(or(b[p]),or(b[q]))"
 
 
 def test_or_rule_skips_two_place_cycles():
@@ -148,36 +176,33 @@ def test_or_rule_skips_two_place_cycles():
     net.add_place("p")
     net.add_transition("fwd", ["q"], ["p"])
     net.add_transition("back", ["p"], ["q"])
-    chart, trace = _initialized(net)
-    assert try_or_rule(net, chart, trace, net.transitions["fwd"]) is None
-    assert try_or_rule(net, chart, trace, net.transitions["back"]) is None
+    chart, report, _ = _reduced(net)
+    assert _counters(report) == (0, 0, 2, 2)
+    assert chart_signature(chart) == "and(or(b[p]),or(b[q]))"
 
 
 def test_or_rule_ignores_removed_transitions():
-    net = two_chain()
-    chart, trace = _initialized(net)
-    t = net.transitions["t"]
-    assert try_or_rule(net, chart, trace, t) is not None
-    assert try_or_rule(net, chart, trace, t) is None
+    # the OR rule consumes its transition and the AND rule none, so a
+    # transition that came back onto the worklist after its removal would
+    # show up as an extra OR application (or fail outright)
+    nets = [diamond(), three_cycle(), _choice_net(), generate_sp(SpSpec(places=40, seed=5))]
+    for net in nets:
+        for rng in [None] + [random.Random(seed) for seed in range(10)]:
+            _, report, _ = _reduced(net, rng)
+            assert report.or_applications == len(net.transitions) - report.remaining_transitions
 
 
 def test_and_rule_merges_a_parallel_group():
-    net = diamond()
-    chart, trace = _initialized(net)
-    fresh = try_and_rule(net, chart, trace, net.transitions["t2"])
-    assert fresh is not None and fresh.id == "m0"
-    assert set(net.places) == {"q", "m0", "r"}
-    assert [p.id for p in net.transitions["t1"].postset] == ["m0"]
-
-    wrapper = list(chart.topstate.children)[-1]
-    assert isinstance(wrapper, OrState)
-    assert len(wrapper.children) == 1
-    and_state = list(wrapper.children)[0]
-    assert isinstance(and_state, AndState)
-    assert [list(o.children)[0].origin_place for o in and_state.children] == ["a", "b"]
-    assert trace.or_state(fresh) is wrapper
+    chart, report, trace = _reduced(diamond())
+    assert report.fully_reduced
+    (and_state,) = _and_states(chart)
+    assert _child_places(and_state) == ["a", "b"]
+    top_or = list(chart.topstate.children)[0]
+    assert and_state.parent is top_or
+    assert [type(c) for c in top_or.children] == [Basic, AndState, Basic]
     entries = [e for e in trace.export() if e.rule == "AndRulePlace2Or"]
-    assert [(e.input, e.output) for e in entries] == [("m0", wrapper.id)]
+    # the wrapper OR of m0 is created right after the AND state
+    assert [(e.input, e.output) for e in entries] == [("m0", f"s{and_state.serial + 1}")]
 
 
 def test_and_rule_orders_the_group_by_declaration():
@@ -187,43 +212,51 @@ def test_and_rule_orders_the_group_by_declaration():
     net.add_place("q")
     # transition lists y before z; declaration order must win
     net.add_transition("t", ["q"], ["y", "z"])
-    chart, trace = _initialized(net)
-    fresh = try_and_rule(net, chart, trace, net.transitions["t"])
-    and_state = list(list(chart.topstate.children)[-1].children)[0]
-    assert [list(o.children)[0].origin_place for o in and_state.children] == ["z", "y"]
-    assert fresh.id == "m0"
+    chart, report, trace = _reduced(net)
+    assert _counters(report) == (1, 1, 1, 0)
+    (and_state,) = _and_states(chart)
+    assert _child_places(and_state) == ["z", "y"]
+    assert [e.input for e in trace.export() if e.rule == "AndRulePlace2Or"] == ["m0"]
 
 
 def test_and_rule_prefers_the_preset():
     net = PetriNet("n")
-    net.add_place("a")
-    net.add_place("b")
-    net.add_place("c")
-    net.add_place("d")
+    for id in ("a", "b", "c", "d"):
+        net.add_place(id)
     net.add_transition("t", ["a", "b"], ["c", "d"])
-    # break the preset symmetry; the equal postset must not be tried instead
-    net.add_place("x")
-    net.add_transition("u", ["a"], ["x"])
-    chart, trace = _initialized(net)
-    assert try_and_rule(net, chart, trace, net.transitions["t"]) is None
+    # a self-loop breaks the preset symmetry for good; the equal postset
+    # must not be tried instead
+    net.add_transition("u", ["a"], ["a"])
+    chart, report, _ = _reduced(net)
+    assert _counters(report) == (0, 0, 4, 2)
+    assert _and_states(chart) == []
 
-    # with the asymmetry removed the same call merges the preset
+    # with the asymmetry removed the preset merges first, then the postset
     net2 = PetriNet("n")
     for id in ("a", "b", "c", "d"):
         net2.add_place(id)
     net2.add_transition("t", ["a", "b"], ["c", "d"])
-    chart2, trace2 = _initialized(net2)
-    fresh = try_and_rule(net2, chart2, trace2, net2.transitions["t"])
-    assert {b.id for b in net2.transitions["t"].preset} == {fresh.id}
-    assert {b.id for b in net2.transitions["t"].postset} == {"c", "d"}
+    chart2, report2, _ = _reduced(net2)
+    assert _counters(report2) == (2, 1, 1, 0)
+    assert [_child_places(s) for s in _and_states(chart2)] == [["a", "b"], ["c", "d"]]
 
 
 def test_and_rule_skips_unequal_groups():
     net = diamond()
     net.add_place("u")
     net.add_transition("t3", ["a"], ["u"])
-    chart, trace = _initialized(net)
-    assert try_and_rule(net, chart, trace, net.transitions["t2"]) is None
+    # t1 and t2 are tried first and find a and b unequal; only after the
+    # OR rule fuses u into a does the group merge
+    chart, report, _ = _reduced(net)
+    assert _counters(report) == (1, 3, 1, 0)
+    assert chart_signature(chart) == (
+        "and(or(and(or(b[a],b[u]),or(b[b])),b[q],b[r]))"
+    )
+    # a doubled a->u keeps the group unequal for good
+    net.add_transition("t4", ["a"], ["u"])
+    chart, report, _ = _reduced(net)
+    assert _counters(report) == (0, 0, 5, 4)
+    assert _and_states(chart) == []
 
 
 def test_and_rule_skips_self_looped_members():
@@ -231,50 +264,62 @@ def test_and_rule_skips_self_looped_members():
     net.add_place("a")
     net.add_place("b")
     net.add_transition("t", ["a", "b"], ["a", "b"])
-    chart, trace = _initialized(net)
-    assert try_and_rule(net, chart, trace, net.transitions["t"]) is None
+    chart, report, _ = _reduced(net)
+    assert _counters(report) == (0, 0, 2, 1)
+    assert chart_signature(chart) == "and(or(b[a]),or(b[b]))"
 
 
 def test_and_rule_skips_wrong_arities():
-    net = two_chain()
-    chart, trace = _initialized(net)
-    assert try_and_rule(net, chart, trace, net.transitions["t"]) is None
-
-
-def test_and_rule_ignores_removed_transitions():
-    net = diamond()
-    chart, trace = _initialized(net)
-    t2 = net.transitions["t2"]
-    net.remove_transition(t2)
-    assert try_and_rule(net, chart, trace, t2) is None
+    _, report, trace = _reduced(two_chain())
+    assert report.and_applications == 0
+    assert [e for e in trace.export() if e.rule == "AndRulePlace2Or"] == []
 
 
 def test_rules_refuse_untraced_places():
     net = two_chain()
     chart, trace = _initialized(net)
+    before = write_chart(chart, "xml")
     foreign = PetriNet("other")
     foreign.add_place("x")
     foreign.add_place("y")
     foreign.add_transition("t9", ["x"], ["y"])
     with pytest.raises(TraceError):
-        try_or_rule(foreign, chart, trace, foreign.transitions["t9"])
+        reduce(foreign, chart, trace)
+    assert write_chart(chart, "xml") == before
 
 
-def test_rules_bridge_copied_nets_through_ids():
+def test_reduce_refuses_a_second_pass():
     net = two_chain()
     chart, trace = _initialized(net)
-    working = net.copy()
-    survivor = try_or_rule(working, chart, trace, working.transitions["t"])
-    assert survivor is working.places["p"]
-    # the chart built for the original still received the absorb
-    assert chart_signature(chart) == "and(or(b[p2],b[p]))"
+    assert reduce(net, chart, trace).or_applications == 1
+    after = write_chart(chart, "xml")
+    entries = trace.export()
+    # the chart no longer has one OR state per place of the net
+    with pytest.raises(TraceError):
+        reduce(net, chart, trace)
+    assert write_chart(chart, "xml") == after
+    assert trace.export() == entries
+
+
+@pytest.mark.parametrize(
+    "build",
+    [diamond, three_cycle, lambda: generate_sp(SpSpec(places=60, seed=3))],
+    ids=["diamond", "three_cycle", "sp60"],
+)
+def test_reduce_leaves_its_net_untouched(build):
+    net = build()
+    before = {format: write_net(net, format) for format in ("xml", "json")}
+    _, report, _ = _reduced(net)
+    if net.name.startswith("sp"):
+        assert report.and_applications > 0
+    assert {format: write_net(net, format) for format in ("xml", "json")} == before
+    assert check_net(net) == []
 
 
 def test_reduce_diamond_counters():
     net = diamond()
     chart, trace = _initialized(net)
-    working = net.copy()
-    report = reduce(working, chart, trace)
+    report = reduce(net, chart, trace)
     assert (report.and_applications, report.or_applications) == (1, 2)
     assert (report.remaining_places, report.remaining_transitions) == (1, 0)
     assert report.fully_reduced
@@ -306,13 +351,13 @@ def test_reduce_cycle_stops_early():
 
 def test_remaining_places_match_topstate_children():
     net = three_cycle()
-    chart, trace = _initialized(net)
-    working = net.copy()
-    reduce(working, chart, trace)
-    children = set(chart.topstate.children)
-    assert len(children) == len(working.places)
-    for place in working.places.values():
-        assert trace.or_state(place) in children
+    chart, report, trace = _reduced(net)
+    children = list(chart.topstate.children)
+    assert len(children) == report.remaining_places == 2
+    traced = {e.output for e in trace.export() if e.rule in ("Place2Or", "AndRulePlace2Or")}
+    for child in children:
+        assert isinstance(child, OrState) and child.id in traced
+        assert child.parent is chart.topstate
 
 
 def test_randomized_reduce_matches_the_fifo_result():
@@ -351,14 +396,20 @@ def test_random_order_is_not_confluent_on_general_nets():
 @st.composite
 def general_nets(draw):
     """Nets of 1-8 places and 0-8 transitions; each side holds 1-4
-    distinct places, and a place may sit on both sides (a self-loop)."""
+    distinct places, and a place may sit on both sides (a self-loop).
+    Transition ids are drawn apart from insertion order: a permutation
+    of two-digit ids under a drawn prefix, so neither their sorted order
+    nor their names follow the order the net lists them in."""
     places = [f"p{i}" for i in range(draw(st.integers(1, 8)))]
     side = st.lists(st.sampled_from(places), min_size=1, max_size=4, unique=True)
+    arcs = draw(st.lists(st.tuples(side, side), max_size=8))
+    prefix = draw(st.sampled_from(["t", "u", "x", "step_"]))
+    numbers = draw(st.permutations(range(10, 10 + len(arcs))))
     net = PetriNet("g")
     for pid in places:
         net.add_place(pid)
-    for index, (src, tgt) in enumerate(draw(st.lists(st.tuples(side, side), max_size=8))):
-        net.add_transition(f"t{index}", src, tgt)
+    for number, (src, tgt) in zip(numbers, arcs):
+        net.add_transition(f"{prefix}{number}", src, tgt)
     return net
 
 
@@ -383,9 +434,51 @@ def test_fifo_order_matches_the_oracle_on_general_nets(net):
     assert validate_chart(chart) == []
 
 
-def test_transform_leaves_the_input_untouched():
-    from netchart import check_net
+def _choice_net():
+    """The 2-way exclusive choice a->x0->z, a->x1->z, transitions listed
+    as u0 v0 u1 v1: their sorted order u0 u1 v0 v1 differs."""
+    net = PetriNet("choice")
+    for pid in ("a", "x0", "x1", "z"):
+        net.add_place(pid)
+    net.add_transition("u0", ["a"], ["x0"])
+    net.add_transition("v0", ["x0"], ["z"])
+    net.add_transition("u1", ["a"], ["x1"])
+    net.add_transition("v1", ["x1"], ["z"])
+    return net
 
+
+def _descending_ids_net():
+    """Three transitions declared with descending ids t02 t01 t00."""
+    net = PetriNet("descending")
+    for pid in ("p0", "p1", "p2"):
+        net.add_place(pid)
+    net.add_transition("t02", ["p1"], ["p0"])
+    net.add_transition("t01", ["p0"], ["p2"])
+    net.add_transition("t00", ["p2"], ["p2", "p1"])
+    return net
+
+
+@pytest.mark.parametrize(
+    "build, signature",
+    [
+        (_choice_net, "and(or(b[a],b[x0],b[z]),or(b[x1]))"),
+        (_descending_ids_net, "and(or(b[p0],b[p1]),or(b[p2]))"),
+    ],
+    ids=["choice", "descending_ids"],
+)
+def test_fifo_follows_declaration_order_not_id_order(build, signature):
+    chart, report, _ = transform(build())
+    expected = oracle_reduce(*net_to_plain(build()))
+    assert chart_signature(chart) == expected.signature == signature
+    assert _counters(report) == (
+        expected.and_applications,
+        expected.or_applications,
+        expected.remaining_places,
+        expected.remaining_transitions,
+    )
+
+
+def test_transform_leaves_the_input_untouched():
     net = diamond()
     transform(net)
     assert set(net.places) == {"q", "a", "b", "r"}
@@ -434,26 +527,6 @@ def test_transform_charts_are_valid_across_the_corpus():
         assert len(basics) == len(net.places)
 
 
-def test_merge_groups_share_adjacency_when_replaced(monkeypatch):
-    recorded = []
-    original = PetriNet.replace_places
-
-    def checked(self, group, fresh_id):
-        members = list(group)
-        first = members[0]
-        for place in members[1:]:
-            assert place.pre_transitions == first.pre_transitions
-            assert place.post_transitions == first.post_transitions
-        recorded.append(len(members))
-        return original(self, group, fresh_id)
-
-    monkeypatch.setattr(PetriNet, "replace_places", checked)
-    chart, report, _ = transform(generate_sp(SpSpec(places=60, seed=3)))
-    assert report.fully_reduced
-    assert recorded and all(size >= 2 for size in recorded)
-    assert len(recorded) == report.and_applications
-
-
 def test_merged_place_ids_avoid_the_input_namespace():
     net = PetriNet("n")
     net.add_place("m0")
@@ -466,6 +539,14 @@ def test_merged_place_ids_avoid_the_input_namespace():
     assert report.fully_reduced
     merged = [e.input for e in trace if e.rule == "AndRulePlace2Or"]
     assert merged == ["m1"]
+    # transition ids are skipped too
+    net.add_place("c")
+    net.add_place("d")
+    net.add_transition("m1", ["r"], ["c", "d"])
+    _, report, trace = transform(net)
+    merged = [e.input for e in trace if e.rule == "AndRulePlace2Or"]
+    assert report.and_applications == 2
+    assert merged == ["m2", "m3"]
 
 
 def test_transform_is_deterministic_in_process():
