@@ -6,8 +6,9 @@ AND states; Basic states are leaves.  The tree root ("topstate") is an
 AND state.  Node ids are handed out by the owning chart from a creation
 counter, so equal construction sequences yield equal ids.  A composite's
 children are a plain dict mapping each child node, hashed by identity, to
-None: insertion-ordered, with O(1) membership.  Only `reduce` reshapes a
-chart after it is built.
+None: insertion-ordered, with O(1) membership.  A hyperedge stores its
+endpoint lists once, in the order the writers print them.  Only `reduce`
+reshapes a chart after it is built.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from .errors import PreconditionError, TreeError
 class Basic:
     """Leaf state created from exactly one place of the input net."""
 
-    __slots__ = ("id", "origin_place", "parent", "serial")
+    __slots__ = ("id", "origin_place", "parent")
 
     def __init__(self, id: str, origin_place: str):
         self.id = id
         self.origin_place = origin_place
         self.parent: OrState | None = None
-        self.serial = -1
 
     def __repr__(self) -> str:
         return f"Basic({self.id!r}, place={self.origin_place!r})"
@@ -35,13 +35,12 @@ class Basic:
 class OrState:
     """Exclusive composite: exactly one child (Basic or AndState) is active."""
 
-    __slots__ = ("id", "children", "parent", "serial")
+    __slots__ = ("id", "children", "parent")
 
     def __init__(self, id: str):
         self.id = id
         self.children: dict[Basic | AndState, None] = {}
         self.parent: AndState | None = None
-        self.serial = -1
 
     def attach(self, child: Basic | AndState) -> None:
         if not isinstance(child, (Basic, AndState)):
@@ -58,13 +57,12 @@ class OrState:
 class AndState:
     """Parallel composite: all children (OR states) are active simultaneously."""
 
-    __slots__ = ("id", "children", "parent", "serial")
+    __slots__ = ("id", "children", "parent")
 
     def __init__(self, id: str):
         self.id = id
         self.children: dict[OrState, None] = {}
         self.parent: OrState | None = None
-        self.serial = -1
 
     def attach(self, child: OrState) -> None:
         if not isinstance(child, OrState):
@@ -82,7 +80,8 @@ Node = Basic | OrState | AndState
 
 
 class HyperEdge:
-    """Statechart transition with sets of source and target Basic states."""
+    """Statechart transition from source to target Basic states, each
+    list kept in the order the writers print it."""
 
     __slots__ = ("id", "origin_transition", "sources", "targets")
 
@@ -114,16 +113,13 @@ class StateChart:
 
     # -- node factories ----------------------------------------------------
 
-    def _node_id(self) -> tuple[str, int]:
-        serial = self._next_node
+    def _node_id(self) -> str:
+        id = f"s{self._next_node}"
         self._next_node += 1
-        return f"s{serial}", serial
+        return id
 
     def new_basic(self, origin_place: str) -> Basic:
-        id, serial = self._node_id()
-        node = Basic(id, origin_place)
-        node.serial = serial
-        return node
+        return Basic(self._node_id(), origin_place)
 
     def new_or(self, children: list[Basic | AndState]) -> OrState:
         if not children:
@@ -144,16 +140,10 @@ class StateChart:
     def _new_or_shell(self) -> OrState:
         # initialization numbers an OR state before the basic it wraps;
         # the final validation enforces nonemptiness
-        id, serial = self._node_id()
-        node = OrState(id)
-        node.serial = serial
-        return node
+        return OrState(self._node_id())
 
     def _new_and_shell(self) -> AndState:
-        id, serial = self._node_id()
-        node = AndState(id)
-        node.serial = serial
-        return node
+        return AndState(self._node_id())
 
     def new_hyperedge(self, origin_transition: str) -> HyperEdge:
         edge = HyperEdge(f"h{self._next_edge}", origin_transition)

@@ -39,6 +39,8 @@ FORMATS = ("xml", "json")
 
 # the characters XML 1.0's Char production leaves out
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# `\s` matches exactly the characters for which `str.isspace` holds
+_ID = re.compile(r"\S+")
 
 
 def detect_format(data: bytes | str) -> str:
@@ -65,7 +67,7 @@ def _pick_format(data: bytes | str, format: str | None) -> str:
 
 
 def _check_id(kind: str, value: str) -> str:
-    if not isinstance(value, str) or not value or any(ch.isspace() for ch in value):
+    if not isinstance(value, str) or not _ID.fullmatch(value):
         raise PreconditionError(
             f"{kind} id {value!r} must be a nonempty string without whitespace"
         )
@@ -326,15 +328,12 @@ def _chart_tree_from_xml(data: bytes | str):
 
     chart = StateChart(name)
     nodes: dict[str, Node] = {}
-    serial = 0
     root_node: Node | None = None
     stack: list[tuple[ET.Element, Node | None]] = [(top_elem, None)]
     while stack:
         elem, parent = stack.pop()
         _reject_text(elem)
         node = _state_node_from_xml(elem)
-        node.serial = serial
-        serial += 1
         nodes[node.id] = node
         if parent is None:
             root_node = node
@@ -388,14 +387,11 @@ def _chart_tree_from_json(data: bytes | str):
     )
     chart = StateChart(_string(name, "chart name"))
     nodes: dict[str, Node] = {}
-    serial = 0
     root_node: Node | None = None
     stack: list[tuple[object, Node | None]] = [(topstate, None)]
     while stack:
         entry, parent = stack.pop()
         node, children = _state_node_from_json(entry)
-        node.serial = serial
-        serial += 1
         nodes[node.id] = node
         if parent is None:
             root_node = node
@@ -421,12 +417,8 @@ def _chart_tree_from_json(data: bytes | str):
     return chart
 
 
-def _by_creation(endpoints: list[Basic]) -> list[Basic]:
-    return sorted(endpoints, key=lambda basic: basic.serial)
-
-
 def write_chart(chart: StateChart, format: str = "xml") -> bytes:
-    """Serialize a chart; refuses charts that fail validation."""
+    """Serialize a chart; refuses invalid charts and ids its reader refuses."""
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
     violations = validate_chart(chart)
@@ -434,8 +426,11 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
         raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
     for node in chart.states():
         _check_id("state", node.id)
+        if isinstance(node, Basic):
+            _check_id("place", node.origin_place)
     for edge in chart.hyperedges:
         _check_id("hyperedge", edge.id)
+        _check_id("transition", edge.origin_transition)
     if format == "xml":
         return _chart_to_xml(chart)
     return _chart_to_json(chart)
@@ -463,8 +458,8 @@ def _chart_to_xml(chart: StateChart) -> bytes:
         for child in reversed(node.children):
             stack.append((child, depth + 1, False))
     for edge in chart.hyperedges:
-        src = " ".join(b.id for b in _by_creation(edge.sources))
-        tgt = " ".join(b.id for b in _by_creation(edge.targets))
+        src = " ".join(b.id for b in edge.sources)
+        tgt = " ".join(b.id for b in edge.targets)
         lines.append(
             f"  <hyperedge id={_xml_attr(edge.id)}"
             f" transition={_xml_attr(edge.origin_transition)}"
@@ -511,8 +506,8 @@ def _chart_to_json(chart: StateChart) -> bytes:
     edges = [
         f'    {{\n      "id": {_quote(edge.id)},\n'
         f'      "transition": {_quote(edge.origin_transition)},\n'
-        f'      "src": {_json_strings((b.id for b in _by_creation(edge.sources)), "      ")},\n'
-        f'      "tgt": {_json_strings((b.id for b in _by_creation(edge.targets)), "      ")}\n'
+        f'      "src": {_json_strings((b.id for b in edge.sources), "      ")},\n'
+        f'      "tgt": {_json_strings((b.id for b in edge.targets), "      ")}\n'
         "    }"
         for edge in chart.hyperedges
     ]

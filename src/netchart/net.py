@@ -1,7 +1,8 @@
 """In-memory Petri nets: the read-only input model of the pipeline.
 
-Each adjacency collection is a plain dict that maps an element, hashed
-by identity, to None: amortized O(1) membership and a deterministic
+Arcs are stored once, on the transitions; a place carries only its id.
+Each side of a transition is a plain dict mapping a place, hashed by
+identity, to None: amortized O(1) membership and a deterministic
 insertion order, which the writers and the reduction rely on.  Nets are
 built with `add_place` and `add_transition`; nothing in the pipeline
 changes them afterwards.
@@ -32,18 +33,12 @@ class Place:
     ----------
     id : str
         Identifier, unique among the places of its net.
-    pre_transitions : dict of Transition to None
-        Transitions whose postset contains this place.
-    post_transitions : dict of Transition to None
-        Transitions whose preset contains this place.
     """
 
-    __slots__ = ("id", "pre_transitions", "post_transitions")
+    __slots__ = ("id",)
 
     def __init__(self, id: str):
         self.id = id
-        self.pre_transitions: dict[Transition, None] = {}
-        self.post_transitions: dict[Transition, None] = {}
 
     def __repr__(self) -> str:
         return f"Place({self.id!r})"
@@ -74,7 +69,7 @@ class Transition:
 
 
 class PetriNet:
-    """A directed bipartite net with forward and reverse adjacency.
+    """A directed bipartite net; its arcs live on the transitions.
 
     Attributes
     ----------
@@ -112,12 +107,7 @@ class PetriNet:
         if not pre or not post:
             raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
         transition = Transition(id)
-        for place in pre:
-            transition.preset[place] = None
-            place.post_transitions[transition] = None
-        for place in post:
-            transition.postset[place] = None
-            place.pre_transitions[transition] = None
+        transition.preset, transition.postset = dict.fromkeys(pre), dict.fromkeys(post)
         self.transitions[id] = transition
         return transition
 
@@ -132,24 +122,14 @@ class PetriNet:
 def check_net(net: PetriNet) -> list[str]:
     """Report every broken structural invariant; empty list means the net is sound.
 
-    Checks id-key consistency, membership closure, reverse-adjacency
-    consistency and nonempty transition sides.  Self-loops are legal and
-    reported separately by `find_self_loops`.
+    Checks id-key consistency, nonempty transition sides and that every
+    place on a transition's side is a member of the net.  Self-loops are
+    legal and reported separately by `find_self_loops`.
     """
     violations = []
     for pid, place in net.places.items():
         if place.id != pid:
             violations.append(f"place {pid!r}: stored under key {pid!r} but has id {place.id!r}")
-        for t in place.pre_transitions:
-            if net.transitions.get(t.id) is not t:
-                violations.append(f"place {pid!r}: pre_transitions contains {t.id!r}, not a member of the net")
-            elif place not in t.postset:
-                violations.append(f"place {pid!r}: lists {t.id!r} as pre-transition but is not in its postset")
-        for t in place.post_transitions:
-            if net.transitions.get(t.id) is not t:
-                violations.append(f"place {pid!r}: post_transitions contains {t.id!r}, not a member of the net")
-            elif place not in t.preset:
-                violations.append(f"place {pid!r}: lists {t.id!r} as post-transition but is not in its preset")
     for tid, t in net.transitions.items():
         if t.id != tid:
             violations.append(f"transition {tid!r}: stored under key {tid!r} but has id {t.id!r}")
@@ -160,13 +140,9 @@ def check_net(net: PetriNet) -> list[str]:
         for place in t.preset:
             if net.places.get(place.id) is not place:
                 violations.append(f"transition {tid!r}: preset place {place.id!r} is not a member of the net")
-            elif t not in place.post_transitions:
-                violations.append(f"transition {tid!r}: preset place {place.id!r} does not list it back")
         for place in t.postset:
             if net.places.get(place.id) is not place:
                 violations.append(f"transition {tid!r}: postset place {place.id!r} is not a member of the net")
-            elif t not in place.pre_transitions:
-                violations.append(f"transition {tid!r}: postset place {place.id!r} does not list it back")
     return violations
 
 
@@ -176,8 +152,9 @@ def find_self_loops(net: PetriNet) -> list[str]:
     Self-looped places are valid input but the reduction rules refuse to
     fire on them, so the net around them cannot collapse.
     """
-    warnings = []
-    for place in net.places.values():
-        for t in shared(place.pre_transitions, place.post_transitions):
-            warnings.append(f"place {place.id!r} is on a self-loop through transition {t.id!r}")
-    return warnings
+    order = {place: i for i, place in enumerate(net.places.values())}
+    loops = [(p, t) for t in net.transitions.values() for p in shared(t.preset, t.postset)]
+    return [
+        f"place {p.id!r} is on a self-loop through transition {t.id!r}"
+        for p, t in sorted(loops, key=lambda loop: order[loop[0]])
+    ]

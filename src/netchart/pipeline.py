@@ -73,7 +73,8 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     fresh AND topstate, one hyperedge per transition.
 
     Nodes are created topstate first, then each place's OR state followed
-    by its basic, then the hyperedges, so ids follow net order.
+    by its basic, then the hyperedges, so ids follow net order. Each
+    hyperedge lists its sources and targets in place-declaration order.
 
     Raises
     ------
@@ -92,21 +93,23 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     record(("PetriNet2StateChart", net.name, net.name))
     top = chart._new_and_shell()
     record(("PetriNet2TopState", net.name, top.id))
-    basics = {}
-    for pid in net.places:
+    basics = []
+    slot = {}
+    for pid, place in net.places.items():
         or_state = chart._new_or_shell()
         basic = chart.new_basic(pid)
         or_state.attach(basic)
         top.attach(or_state)
         trace.ors[pid] = or_state
-        basics[pid] = basic
+        slot[place] = len(basics)
+        basics.append(basic)
         record(("Place2Or", pid, or_state.id))
         record(("Place2Basic", pid, basic.id))
     chart.set_topstate(top)
     for tid, transition in net.transitions.items():
         edge = chart.new_hyperedge(tid)
-        edge.sources = [basics[place.id] for place in transition.preset]
-        edge.targets = [basics[place.id] for place in transition.postset]
+        edge.sources = [basics[i] for i in sorted(slot[p] for p in transition.preset)]
+        edge.targets = [basics[i] for i in sorted(slot[p] for p in transition.postset)]
         chart.add_hyperedge(edge)
         record(("Transition2HyperEdge", tid, edge.id))
     return chart
@@ -128,14 +131,17 @@ class _Graph:
 
     def __init__(self, net: PetriNet, chart: StateChart, trace: Trace, ors: list):
         slot = {place: i for i, place in enumerate(net.places.values())}
-        step = {t: j for j, t in enumerate(net.transitions.values())}
         self.net, self.chart, self.trace, self.ors = net, chart, trace, ors
-        self.pre = [dict.fromkeys(step[t] for t in p.pre_transitions) for p in slot]
-        self.post = [dict.fromkeys(step[t] for t in p.post_transitions) for p in slot]
-        self.tpre = [{slot[p] for p in t.preset} for t in step]
-        self.tpost = [{slot[p] for p in t.postset} for t in step]
+        self.pre, self.post = [{} for _ in slot], [{} for _ in slot]
+        self.tpre = [{slot[p] for p in t.preset} for t in net.transitions.values()]
+        self.tpost = [{slot[p] for p in t.postset} for t in net.transitions.values()]
+        for j, (src, tgt) in enumerate(zip(self.tpre, self.tpost)):
+            for i in src:
+                self.post[i][j] = None
+            for i in tgt:
+                self.pre[i][j] = None
         self.live_places = len(slot)
-        self.live_transitions = len(step)
+        self.live_transitions = len(self.tpre)
         self.merges = 0
 
     def or_rule(self, t: int) -> int | None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from netchart import AndState, Basic, Node, PetriNet, SpSpec, StateChart, generate_sp
 
 
@@ -65,6 +67,26 @@ def round_trip_corpus() -> list[PetriNet]:
         for seed in range(20)
     ]
     return corpus
+
+
+@st.composite
+def general_nets(draw):
+    """Nets of 1-8 places and 0-8 transitions; each side holds 1-4
+    distinct places, and a place may sit on both sides (a self-loop).
+    Transition ids are drawn apart from insertion order: a permutation
+    of two-digit ids under a drawn prefix, so neither their sorted order
+    nor their names follow the order the net lists them in."""
+    places = [f"p{i}" for i in range(draw(st.integers(1, 8)))]
+    side = st.lists(st.sampled_from(places), min_size=1, max_size=4, unique=True)
+    arcs = draw(st.lists(st.tuples(side, side), max_size=8))
+    prefix = draw(st.sampled_from(["t", "u", "x", "step_"]))
+    numbers = draw(st.permutations(range(10, 10 + len(arcs))))
+    net = PetriNet("g")
+    for pid in places:
+        net.add_place(pid)
+    for number, (src, tgt) in zip(numbers, arcs):
+        net.add_transition(f"{prefix}{number}", src, tgt)
+    return net
 
 
 def node_signature(node: Node) -> str:
@@ -130,8 +152,8 @@ def net_to_plain(net: PetriNet) -> tuple[set[str], dict[str, tuple[frozenset, fr
 
 
 def chart_identical(a: StateChart, b: StateChart) -> bool:
-    """Structural equality: trees match with ids and child order; hyperedge
-    endpoints compare as id sets because serialization may reorder them."""
+    """Structural equality: trees match with ids and child order, hyperedges
+    with ids and endpoint order."""
     if a.name != b.name or len(a.hyperedges) != len(b.hyperedges):
         return False
     if (a.topstate is None) != (b.topstate is None):
@@ -152,8 +174,8 @@ def chart_identical(a: StateChart, b: StateChart) -> bool:
     for ex, ey in zip(a.hyperedges, b.hyperedges):
         if ex.id != ey.id or ex.origin_transition != ey.origin_transition:
             return False
-        if {s.id for s in ex.sources} != {s.id for s in ey.sources}:
+        if [s.id for s in ex.sources] != [s.id for s in ey.sources]:
             return False
-        if {t.id for t in ex.targets} != {t.id for t in ey.targets}:
+        if [t.id for t in ex.targets] != [t.id for t in ey.targets]:
             return False
     return True

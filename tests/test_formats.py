@@ -36,6 +36,7 @@ from support import (
     chart_identical,
     diamond,
     fork_join_nest,
+    general_nets,
     round_trip_corpus,
     single_place,
     three_cycle,
@@ -217,7 +218,7 @@ def test_parse_net_enforces_model_rules():
 
 def test_write_net_refuses_broken_nets():
     net = diamond()
-    del net.places["a"].pre_transitions[net.transitions["t1"]]
+    net.transitions["t1"].preset.clear()
     with pytest.raises(ValidationError) as info:
         write_net(net)
     assert info.value.violations
@@ -280,6 +281,34 @@ def test_chart_round_trips_both_formats():
             back = parse_chart(blob)
             assert chart_identical(chart, back)
             assert write_chart(back, format) == blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_nets())
+def test_documents_round_trip_byte_stable_on_general_nets(net):
+    for format in ("xml", "json"):
+        blob = write_net(net, format)
+        assert write_net(parse_net(blob), format) == blob
+    chart, _, trace = transform(net)
+    blobs = {format: write_chart(chart, format) for format in ("xml", "json")}
+    for blob in blobs.values():
+        back = parse_chart(blob)
+        assert chart_identical(chart, back)
+        assert {format: write_chart(back, format) for format in blobs} == blobs
+    blob = write_trace(trace)
+    assert write_trace(parse_trace(blob)) == blob
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_write_chart_refuses_origin_ids_its_reader_refuses(format):
+    for place, transition, kind in (("a b", "t", "place"), ("p", "t\t1", "transition")):
+        net = PetriNet("n")
+        net.add_place("q")
+        net.add_place(place)
+        net.add_transition(transition, ["q"], [place])
+        chart = transform(net).chart
+        with pytest.raises(PreconditionError, match=f"^{kind} id .* without whitespace$"):
+            write_chart(chart, format)
 
 
 def test_parse_chart_rejects_foreign_structure():
@@ -441,7 +470,7 @@ def _state_obj(node):
 
 def _chart_obj(chart):
     def ids(endpoints):
-        return [b.id for b in sorted(endpoints, key=lambda b: b.serial)]
+        return [b.id for b in endpoints]
 
     return {
         "name": chart.name,

@@ -6,7 +6,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netchart import (
     AndState,
@@ -33,6 +32,7 @@ from support import (
     chart_signature,
     diamond,
     edges_signature,
+    general_nets,
     net_edges_signature,
     net_to_plain,
     single_place,
@@ -73,7 +73,7 @@ def test_initialize_smallest_net():
 
 def test_initialize_rejects_broken_nets():
     net = diamond()
-    del net.places["a"].pre_transitions[net.transitions["t1"]]
+    net.transitions["t1"].postset[PetriNet("other").add_place("x")] = None
     trace = Trace()
     with pytest.raises(ValidationError) as info:
         initialize(net, trace)
@@ -122,7 +122,7 @@ def _and_states(chart):
     """AND states below the topstate, in creation order."""
     return sorted(
         (s for s in chart.states() if isinstance(s, AndState) and s is not chart.topstate),
-        key=lambda state: state.serial,
+        key=lambda state: int(state.id[1:]),
     )
 
 
@@ -202,7 +202,7 @@ def test_and_rule_merges_a_parallel_group():
     assert [type(c) for c in top_or.children] == [Basic, AndState, Basic]
     entries = [e for e in trace.export() if e.rule == "AndRulePlace2Or"]
     # the wrapper OR of m0 is created right after the AND state
-    assert [(e.input, e.output) for e in entries] == [("m0", f"s{and_state.serial + 1}")]
+    assert [(e.input, e.output) for e in entries] == [("m0", f"s{int(and_state.id[1:]) + 1}")]
 
 
 def test_and_rule_orders_the_group_by_declaration():
@@ -393,26 +393,6 @@ def test_random_order_is_not_confluent_on_general_nets():
     assert shapes == {fifo, other}
 
 
-@st.composite
-def general_nets(draw):
-    """Nets of 1-8 places and 0-8 transitions; each side holds 1-4
-    distinct places, and a place may sit on both sides (a self-loop).
-    Transition ids are drawn apart from insertion order: a permutation
-    of two-digit ids under a drawn prefix, so neither their sorted order
-    nor their names follow the order the net lists them in."""
-    places = [f"p{i}" for i in range(draw(st.integers(1, 8)))]
-    side = st.lists(st.sampled_from(places), min_size=1, max_size=4, unique=True)
-    arcs = draw(st.lists(st.tuples(side, side), max_size=8))
-    prefix = draw(st.sampled_from(["t", "u", "x", "step_"]))
-    numbers = draw(st.permutations(range(10, 10 + len(arcs))))
-    net = PetriNet("g")
-    for pid in places:
-        net.add_place(pid)
-    for number, (src, tgt) in zip(numbers, arcs):
-        net.add_transition(f"{prefix}{number}", src, tgt)
-    return net
-
-
 @settings(max_examples=300, deadline=None)
 @given(general_nets())
 def test_fifo_order_matches_the_oracle_on_general_nets(net):
@@ -432,6 +412,24 @@ def test_fifo_order_matches_the_oracle_on_general_nets(net):
     )
     assert edges_signature(chart) == net_edges_signature(net)
     assert validate_chart(chart) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_nets())
+def test_conservation_invariants_hold_on_general_nets(net):
+    chart, _, _ = transform(net)
+    basics = [s for s in chart.states() if isinstance(s, Basic)]
+    basic_of = {b.origin_place: b for b in basics}
+    # every place has exactly one basic
+    assert len(basics) == len(basic_of) and basic_of.keys() == net.places.keys()
+    # one hyperedge per transition, in net order, with endpoints in
+    # place-declaration order
+    assert [e.origin_transition for e in chart.hyperedges] == list(net.transitions)
+    position = {pid: i for i, pid in enumerate(net.places)}
+    for edge, t in zip(chart.hyperedges, net.transitions.values()):
+        for endpoints, side in ((edge.sources, t.preset), (edge.targets, t.postset)):
+            expected = sorted(side, key=lambda place: position[place.id])
+            assert endpoints == [basic_of[place.id] for place in expected]
 
 
 def _choice_net():
