@@ -114,12 +114,10 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _run_case(
-    size: int, reps: int, seed: int, max_branch: int, discard_first: bool
-) -> BenchRow:
+def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
     row = BenchRow(case=f"sp{size}")
     try:
-        net = generate_sp(SpSpec(places=size, seed=seed, max_branch=max_branch))
+        net = generate_sp(SpSpec(places=size, seed=seed))
         document = write_net(net, "xml")
         with tempfile.TemporaryDirectory(prefix="netchart-bench-") as tmp:
             in_path = Path(tmp) / "net.xml"
@@ -134,7 +132,7 @@ def _run_case(
                 gc.disable()
                 try:
                     t0 = time.perf_counter()
-                    parsed = parse_net(in_path.read_bytes(), "xml")
+                    parsed = parse_net(in_path.read_bytes())
                     t1 = time.perf_counter()
                     result = transform(parsed)
                     t2 = time.perf_counter()
@@ -161,7 +159,6 @@ def bench(
     sizes: list[int],
     reps: int,
     seed: int,
-    max_branch: int = 4,
     discard_first: bool = False,
 ) -> BenchReport:
     """Measure every size in `sizes`, one case after another; per-case
@@ -170,5 +167,5 @@ def bench(
         raise PreconditionError("sizes must be nonempty")
     if reps < 1:
         raise PreconditionError(f"reps must be >= 1, got {reps}")
-    rows = [_run_case(size, reps, seed, max_branch, discard_first) for size in sizes]
+    rows = [_run_case(size, reps, seed, discard_first) for size in sizes]
     return BenchReport(rows=rows)

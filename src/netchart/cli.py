@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bench import bench
-from .errors import ModelError, NetchartError, ParseError, ValidationError
+from .errors import NetchartError, ParseError, ValidationError
 from .formats import parse_chart, parse_net, write_chart, write_net, write_trace
 from .generator import SpSpec, generate_sp
 from .net import find_self_loops
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValidationError as exc:
@@ -206,15 +206,9 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NetchartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

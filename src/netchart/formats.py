@@ -1,6 +1,7 @@
 """Deterministic document IO for nets, charts and traces.
 
-Two self-contained formats per model: XML and a JSON mirror.  Writers
+Two self-contained formats per model: XML and a JSON mirror; a parser
+reads the one that the document's first character names.  Writers
 emit UTF-8 bytes with LF line endings, two-space indentation and a
 fixed attribute order, so equal models produce identical bytes.
 The JSON writers emit their text directly, walking charts with an
@@ -8,10 +9,13 @@ explicit stack, and produce the bytes of `json.dumps(doc, indent=2)`
 plus a newline, so any nesting depth writes.  Parsers are strict:
 unknown elements, attributes or keys are syntax errors; semantic
 problems (duplicate ids, dangling references, empty transition sides)
-raise model errors naming the offending id.
+raise model errors naming the offending id.  The XML chart reader only
+translates its document into what `json.loads` gives for the same chart
+in JSON, and one builder makes the chart from either.
 
 Ids must be nonempty and free of whitespace because the XML documents
-carry space-separated id lists; parsers and writers both enforce this.
+carry space-separated id lists; the readers refuse other ids and the
+writers check the ids they print.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Iterable
 from xml.sax.saxutils import quoteattr
 
@@ -32,15 +37,13 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .net import PetriNet, check_net
+from .net import PetriNet, check_id, check_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
 
 # the characters XML 1.0's Char production leaves out
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-# `\s` matches exactly the characters for which `str.isspace` holds
-_ID = re.compile(r"\S+")
 
 
 def detect_format(data: bytes | str) -> str:
@@ -58,22 +61,6 @@ def detect_format(data: bytes | str) -> str:
     raise ParseError("cannot detect document format (expected XML or JSON)")
 
 
-def _pick_format(data: bytes | str, format: str | None) -> str:
-    if format is None:
-        return detect_format(data)
-    if format not in FORMATS:
-        raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
-    return format
-
-
-def _check_id(kind: str, value: str) -> str:
-    if not isinstance(value, str) or not _ID.fullmatch(value):
-        raise PreconditionError(
-            f"{kind} id {value!r} must be a nonempty string without whitespace"
-        )
-    return value
-
-
 def _xml_root(data: bytes | str, expected_tag: str) -> ET.Element:
     try:
         root = ET.fromstring(data)
@@ -82,8 +69,8 @@ def _xml_root(data: bytes | str, expected_tag: str) -> ET.Element:
         raise ParseError(
             f"xml syntax error at line {line}, column {column}: {exc.msg}"
         ) from exc
-    except ValueError as exc:
-        # e.g. a str carrying an encoding declaration
+    except (ValueError, LookupError) as exc:
+        # a str with a lone surrogate, or bytes declaring an unknown encoding
         raise ParseError(f"xml error: {exc}") from exc
     if root.tag != expected_tag:
         raise ParseError(f"expected root element <{expected_tag}>, found <{root.tag}>")
@@ -174,10 +161,9 @@ def _json_records(records: list[str], pad: str) -> str:
 # -- Petri nets ------------------------------------------------------------
 
 
-def parse_net(data: bytes | str, format: str | None = None) -> PetriNet:
-    """Read a net document; the format is sniffed when not given."""
-    format = _pick_format(data, format)
-    if format == "xml":
+def parse_net(data: bytes | str) -> PetriNet:
+    """Read a net document in the format `detect_format` finds."""
+    if detect_format(data) == "xml":
         return _net_from_xml(data)
     return _net_from_json(data)
 
@@ -192,12 +178,12 @@ def _net_from_xml(data: bytes | str) -> PetriNet:
             (pid,) = _attrs(elem, ("id",))
             if len(elem):
                 raise ParseError("element <place> cannot contain child elements")
-            net.add_place(_check_id("place", pid))
+            net.add_place(pid)
         elif elem.tag == "transition":
             tid, src, tgt = _attrs(elem, ("id", "src", "tgt"))
             if len(elem):
                 raise ParseError("element <transition> cannot contain child elements")
-            net.add_transition(_check_id("transition", tid), src.split(), tgt.split())
+            net.add_transition(tid, src.split(), tgt.split())
         else:
             raise ParseError(f"unexpected element <{elem.tag}> inside <petrinet>")
     return net
@@ -213,15 +199,13 @@ def _net_from_json(data: bytes | str) -> PetriNet:
         raise ParseError("'places' must be a list")
     for entry in places:
         (pid,) = _json_object(entry, "place", ("id",))
-        net.add_place(_check_id("place", _string(pid, "place id")))
+        net.add_place(_string(pid, "place id"))
     if not isinstance(transitions, list):
         raise ParseError("'transitions' must be a list")
     for entry in transitions:
         tid, src, tgt = _json_object(entry, "transition", ("id", "src", "tgt"))
         net.add_transition(
-            _check_id("transition", _string(tid, "transition id")),
-            _string_list(src, "'src'"),
-            _string_list(tgt, "'tgt'"),
+            _string(tid, "transition id"), _string_list(src, "'src'"), _string_list(tgt, "'tgt'")
         )
     return net
 
@@ -234,9 +218,9 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
     if violations:
         raise ValidationError(f"net {net.name!r} is not well formed", violations)
     for place in net.places.values():
-        _check_id("place", place.id)
+        check_id("place", place.id)
     for transition in net.transitions.values():
-        _check_id("transition", transition.id)
+        check_id("transition", transition.id)
     if format == "xml":
         lines = [f"<petrinet name={_xml_attr(net.name)}>"]
         for place in net.places.values():
@@ -267,17 +251,61 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
 # -- statecharts -----------------------------------------------------------
 
 
-def parse_chart(data: bytes | str, format: str | None = None) -> StateChart:
-    """Read a chart document; raises on any well-formedness violation."""
-    format = _pick_format(data, format)
-    if format == "xml":
-        chart = _chart_tree_from_xml(data)
-    else:
-        chart = _chart_tree_from_json(data)
+def parse_chart(data: bytes | str) -> StateChart:
+    """Read a chart document in the format `detect_format` finds; raises
+    on any well-formedness violation."""
+    read = _chart_document_from_xml if detect_format(data) == "xml" else _json_document
+    chart = _chart_from_document(read(data))
     violations = validate_chart(chart)
     if violations:
         raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
     return chart
+
+
+def _chart_document_from_xml(data: bytes | str) -> dict:
+    """The object `json.loads` gives for the same chart written as JSON;
+    checks the XML syntax only and leaves the model to the builder."""
+    root = _xml_root(data, "statechart")
+    (name,) = _attrs(root, ("name",))
+    _reject_text(root)
+    children = list(root)
+    if not children or children[0].tag not in ("and", "or", "basic"):
+        raise ParseError("<statechart> must start with its topstate element")
+    for elem in children[1:]:
+        if elem.tag != "hyperedge":
+            raise ParseError(
+                f"unexpected element <{elem.tag}> after the topstate (want <hyperedge>)"
+            )
+
+    top: list[dict] = []
+    # explicit stack: containment can nest deeper than Python's recursion cap
+    stack: list[tuple[ET.Element, list[dict]]] = [(children[0], top)]
+    while stack:
+        elem, siblings = stack.pop()
+        _reject_text(elem)
+        if elem.tag == "basic":
+            node_id, place = _attrs(elem, ("id", "place"))
+            if len(elem):
+                raise ParseError("element <basic> cannot contain child elements")
+            siblings.append({"kind": "basic", "id": node_id, "place": place})
+        elif elem.tag in ("or", "and"):
+            (node_id,) = _attrs(elem, ("id",))
+            state = {"kind": elem.tag, "id": node_id, "children": []}
+            siblings.append(state)
+            stack.extend((child, state["children"]) for child in reversed(elem))
+        else:
+            raise ParseError(f"unexpected element <{elem.tag}> in a state tree")
+
+    hyperedges = []
+    for elem in children[1:]:
+        edge_id, transition, src, tgt = _attrs(elem, ("id", "transition", "src", "tgt"))
+        if len(elem):
+            raise ParseError("element <hyperedge> cannot contain child elements")
+        _reject_text(elem)
+        hyperedges.append(
+            {"id": edge_id, "transition": transition, "src": src.split(), "tgt": tgt.split()}
+        )
+    return {"name": name, "topstate": top[0], "hyperedges": hyperedges}
 
 
 def _resolve_endpoints(edge_id: str, ids: list[str], nodes: dict[str, Node]) -> list[Basic]:
@@ -296,77 +324,15 @@ def _resolve_endpoints(edge_id: str, ids: list[str], nodes: dict[str, Node]) -> 
     return endpoints
 
 
-def _state_node_from_xml(elem: ET.Element) -> Node:
-    if elem.tag == "basic":
-        node_id, place = _attrs(elem, ("id", "place"))
-        if len(elem):
-            raise ParseError("element <basic> cannot contain child elements")
-        return Basic(_check_id("state", node_id), _check_id("place", place))
-    if elem.tag == "or":
-        (node_id,) = _attrs(elem, ("id",))
-        return OrState(_check_id("state", node_id))
-    if elem.tag == "and":
-        (node_id,) = _attrs(elem, ("id",))
-        return AndState(_check_id("state", node_id))
-    raise ParseError(f"unexpected element <{elem.tag}> in a state tree")
-
-
-def _chart_tree_from_xml(data: bytes | str):
-    root = _xml_root(data, "statechart")
-    (name,) = _attrs(root, ("name",))
-    _reject_text(root)
-    children = list(root)
-    if not children or children[0].tag not in ("and", "or", "basic"):
-        raise ParseError("<statechart> must start with its topstate element")
-    top_elem = children[0]
-    edge_elems = children[1:]
-    for elem in edge_elems:
-        if elem.tag != "hyperedge":
-            raise ParseError(
-                f"unexpected element <{elem.tag}> after the topstate (want <hyperedge>)"
-            )
-
-    chart = StateChart(name)
-    nodes: dict[str, Node] = {}
-    root_node: Node | None = None
-    stack: list[tuple[ET.Element, Node | None]] = [(top_elem, None)]
-    while stack:
-        elem, parent = stack.pop()
-        _reject_text(elem)
-        node = _state_node_from_xml(elem)
-        nodes[node.id] = node
-        if parent is None:
-            root_node = node
-        else:
-            parent.attach(node)  # alternation breaches raise TreeError
-        if not isinstance(node, Basic):
-            for child in reversed(list(elem)):
-                stack.append((child, node))
-    chart.topstate = root_node  # type: ignore[assignment]
-
-    for elem in edge_elems:
-        edge_id, transition, src, tgt = _attrs(
-            elem, ("id", "transition", "src", "tgt")
-        )
-        if len(elem):
-            raise ParseError("element <hyperedge> cannot contain child elements")
-        _reject_text(elem)
-        edge = HyperEdge(_check_id("hyperedge", edge_id), _check_id("transition", transition))
-        edge.sources = _resolve_endpoints(edge.id, src.split(), nodes)
-        edge.targets = _resolve_endpoints(edge.id, tgt.split(), nodes)
-        chart.hyperedges.append(edge)
-    return chart
-
-
-def _state_node_from_json(obj) -> tuple[Node, list]:
+def _state_node(obj) -> tuple[Node, list]:
     if not isinstance(obj, dict):
         raise ParseError(f"state must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "basic":
         _, node_id, place = _json_object(obj, "basic state", ("kind", "id", "place"))
         node = Basic(
-            _check_id("state", _string(node_id, "state id")),
-            _check_id("place", _string(place, "'place'")),
+            check_id("state", _string(node_id, "state id")),
+            check_id("place", _string(place, "'place'")),
         )
         return node, []
     if kind in ("or", "and"):
@@ -376,30 +342,27 @@ def _state_node_from_json(obj) -> tuple[Node, list]:
         if not isinstance(children, list):
             raise ParseError("'children' must be a list")
         cls = OrState if kind == "or" else AndState
-        return cls(_check_id("state", _string(node_id, "state id"))), children
+        return cls(check_id("state", _string(node_id, "state id"))), children
     raise ParseError(f"state 'kind' must be 'basic', 'or' or 'and', got {kind!r}")
 
 
-def _chart_tree_from_json(data: bytes | str):
-    obj = _json_document(data)
+def _chart_from_document(obj) -> StateChart:
+    """Build the chart a parsed JSON chart document, or its XML
+    translation, describes; checks ids, tree shape and endpoints."""
     name, topstate, hyperedges = _json_object(
         obj, "chart document", ("name", "topstate", "hyperedges")
     )
     chart = StateChart(_string(name, "chart name"))
-    nodes: dict[str, Node] = {}
-    root_node: Node | None = None
-    stack: list[tuple[object, Node | None]] = [(topstate, None)]
+    chart.topstate, children = _state_node(topstate)  # type: ignore[assignment]
+    nodes: dict[str, Node] = {chart.topstate.id: chart.topstate}
+    stack: list[tuple[object, Node]] = [(child, chart.topstate) for child in reversed(children)]
     while stack:
         entry, parent = stack.pop()
-        node, children = _state_node_from_json(entry)
+        node, children = _state_node(entry)
         nodes[node.id] = node
-        if parent is None:
-            root_node = node
-        else:
-            parent.attach(node)
+        parent.attach(node)  # alternation breaches raise TreeError
         for child in reversed(children):
             stack.append((child, node))
-    chart.topstate = root_node  # type: ignore[assignment]
 
     if not isinstance(hyperedges, list):
         raise ParseError("'hyperedges' must be a list")
@@ -408,8 +371,8 @@ def _chart_tree_from_json(data: bytes | str):
             entry, "hyperedge", ("id", "transition", "src", "tgt")
         )
         edge = HyperEdge(
-            _check_id("hyperedge", _string(edge_id, "hyperedge id")),
-            _check_id("transition", _string(transition, "'transition'")),
+            check_id("hyperedge", _string(edge_id, "hyperedge id")),
+            check_id("transition", _string(transition, "'transition'")),
         )
         edge.sources = _resolve_endpoints(edge.id, _string_list(src, "'src'"), nodes)
         edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), nodes)
@@ -425,12 +388,12 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     if violations:
         raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
     for node in chart.states():
-        _check_id("state", node.id)
+        check_id("state", node.id)
         if isinstance(node, Basic):
-            _check_id("place", node.origin_place)
+            check_id("place", node.origin_place)
     for edge in chart.hyperedges:
-        _check_id("hyperedge", edge.id)
-        _check_id("transition", edge.origin_transition)
+        check_id("hyperedge", edge.id)
+        check_id("transition", edge.origin_transition)
     if format == "xml":
         return _chart_to_xml(chart)
     return _chart_to_json(chart)
@@ -541,8 +504,8 @@ def parse_trace(data: bytes | str) -> list[TraceEntry]:
 def write_trace(entries: Iterable[TraceEntry]) -> bytes:
     """Serialize trace entries as a JSON array sorted by (rule, input)."""
     records = [
-        f'  {{\n    "rule": {_quote(entry.rule)},\n    "input": {_quote(entry.input)},\n'
-        f'    "output": {_quote(entry.output)}\n  }}'
-        for entry in sorted(entries, key=lambda entry: (entry.rule, entry.input))
+        f'  {{\n    "rule": {_quote(rule)},\n    "input": {_quote(input_id)},\n'
+        f'    "output": {_quote(output)}\n  }}'
+        for rule, input_id, output in sorted(entries, key=itemgetter(0, 1))
     ]
     return (_json_records(records, "") + "\n").encode("utf-8")

@@ -4,15 +4,29 @@ Arcs are stored once, on the transitions; a place carries only its id.
 Each side of a transition is a plain dict mapping a place, hashed by
 identity, to None: amortized O(1) membership and a deterministic
 insertion order, which the writers and the reduction rely on.  Nets are
-built with `add_place` and `add_transition`; nothing in the pipeline
-changes them afterwards.
+built with `add_place` and `add_transition`, which refuse ids that no
+document can carry; nothing in the pipeline changes them afterwards.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .errors import DuplicateIdError, MembershipError, PreconditionError
+
+# `\s` matches exactly the characters for which `str.isspace` holds
+_ID = re.compile(r"\S+")
+
+
+def check_id(kind: str, value: str) -> str:
+    """Return `value` if it is an id every document can carry: a nonempty
+    string without whitespace, as XML documents list ids space-separated."""
+    if not isinstance(value, str) or not _ID.fullmatch(value):
+        raise PreconditionError(
+            f"{kind} id {value!r} must be a nonempty string without whitespace"
+        )
+    return value
 
 
 def shared(a: dict, b: dict) -> list:
@@ -86,7 +100,13 @@ class PetriNet:
         self.places: dict[str, Place] = {}
         self.transitions: dict[str, Transition] = {}
 
+    def __repr__(self) -> str:
+        sides = {t.id: ([p.id for p in t.preset], [p.id for p in t.postset])
+                 for t in self.transitions.values()}
+        return f"PetriNet({self.name!r}, places={list(self.places)!r}, transitions={sides!r})"
+
     def add_place(self, id: str) -> Place:
+        check_id("place", id)
         if id in self.places:
             raise DuplicateIdError(f"duplicate place id {id!r}")
         place = Place(id)
@@ -100,6 +120,7 @@ class PetriNet:
         postset: Iterable[Place | str],
     ) -> Transition:
         """Add a transition wired to existing places (given as Place or id)."""
+        check_id("transition", id)
         if id in self.transitions:
             raise DuplicateIdError(f"duplicate transition id {id!r}")
         pre = [self._resolve_place(p) for p in preset]

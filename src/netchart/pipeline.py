@@ -18,8 +18,7 @@ from .errors import PreconditionError, TraceError, ValidationError
 from .net import PetriNet, check_net, shared
 
 
-@dataclass
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One recorded correspondence: rule name, input id, output id."""
 
     rule: str
@@ -37,13 +36,12 @@ class Trace:
     """
 
     def __init__(self) -> None:
-        self.entries: list[tuple[str, str, str]] = []
+        self.entries: list[TraceEntry] = []
         self.ors: dict[str, OrState] = {}
 
     def export(self) -> list[TraceEntry]:
-        """The whole trace as entries sorted by (rule name, input id)."""
-        entries = sorted(self.entries, key=lambda entry: entry[:2])
-        return [TraceEntry(*entry) for entry in entries]
+        """The whole trace, sorted; a pass records each (rule, input) pair once."""
+        return sorted(self.entries)
 
 
 @dataclass
@@ -90,9 +88,9 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         raise PreconditionError("trace already holds a pass; use a fresh Trace per pass")
     record = trace.entries.append
     chart = StateChart(net.name)
-    record(("PetriNet2StateChart", net.name, net.name))
+    record(TraceEntry("PetriNet2StateChart", net.name, net.name))
     top = chart._new_and_shell()
-    record(("PetriNet2TopState", net.name, top.id))
+    record(TraceEntry("PetriNet2TopState", net.name, top.id))
     basics = []
     slot = {}
     for pid, place in net.places.items():
@@ -103,15 +101,15 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         trace.ors[pid] = or_state
         slot[place] = len(basics)
         basics.append(basic)
-        record(("Place2Or", pid, or_state.id))
-        record(("Place2Basic", pid, basic.id))
+        record(TraceEntry("Place2Or", pid, or_state.id))
+        record(TraceEntry("Place2Basic", pid, basic.id))
     chart.set_topstate(top)
     for tid, transition in net.transitions.items():
         edge = chart.new_hyperedge(tid)
         edge.sources = [basics[i] for i in sorted(slot[p] for p in transition.preset)]
         edge.targets = [basics[i] for i in sorted(slot[p] for p in transition.postset)]
         chart.add_hyperedge(edge)
-        record(("Transition2HyperEdge", tid, edge.id))
+        record(TraceEntry("Transition2HyperEdge", tid, edge.id))
     return chart
 
 
@@ -222,7 +220,7 @@ class _Graph:
             state.parent = None
         wrapper = self.chart.new_or([self.chart.new_and(states)])
         self.ors.append(wrapper)
-        self.trace.entries.append(("AndRulePlace2Or", self._merged_id(), wrapper.id))
+        self.trace.entries.append(TraceEntry("AndRulePlace2Or", self._merged_id(), wrapper.id))
         self.live_places += 1 - len(group)
         return fresh
 

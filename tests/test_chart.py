@@ -98,6 +98,9 @@ def test_validate_requires_a_topstate():
     assert validate_chart(chart) == ["chart 'c': no topstate"]
     chart.topstate = chart.new_or([chart.new_basic("p")])  # force a bad root
     assert any("not an AND" in v for v in validate_chart(chart))
+    chart = _tiny_chart()
+    chart.topstate.parent = OrState("s9")  # bypass attach to give the root a parent
+    assert validate_chart(chart) == ["topstate 's2' has a parent"]
 
 
 def test_validate_reports_empty_composites():
@@ -125,6 +128,14 @@ def test_validate_reports_alternation_breaks():
     or_state.children[stray] = None
     stray.parent = or_state
     assert any("is an OR state" in v for v in validate_chart(chart))
+    chart = _tiny_chart()
+    leaf = Basic("s9", "x")
+    chart.topstate.children[leaf] = None
+    leaf.parent = chart.topstate
+    assert validate_chart(chart) == [
+        "and 's2': child 's9' is not an OR state",
+        "basic 's9': parent is not an OR state",
+    ]
 
 
 def test_validate_reports_duplicate_ids():

@@ -19,6 +19,7 @@ from netchart import (
     PetriNet,
     PreconditionError,
     SpSpec,
+    StateChart,
     TraceEntry,
     TreeError,
     ValidationError,
@@ -111,8 +112,6 @@ def test_detect_format():
 
 def test_unknown_format_is_rejected_everywhere():
     with pytest.raises(PreconditionError):
-        parse_net(D1_NET_XML, format="yaml")
-    with pytest.raises(PreconditionError):
         write_net(diamond(), "yaml")
     with pytest.raises(PreconditionError):
         write_chart(transform(diamond()).chart, "yaml")
@@ -169,6 +168,18 @@ def test_parse_net_rejects_foreign_structure():
         parse_net(b'<petrinet name="n">hello</petrinet>')
     with pytest.raises(ParseError, match="child elements"):
         parse_net(b'<petrinet name="n"><place id="p"><x/></place></petrinet>')
+    with pytest.raises(ParseError, match="^unexpected text after <place>$"):
+        parse_net(b'<petrinet name="n"><place id="p"/>tail</petrinet>')
+    with pytest.raises(
+        ParseError, match="^element <transition> cannot contain child elements$"
+    ):
+        parse_net(b'<petrinet name="n"><place id="p"/>'
+                  b'<transition id="t" src="p" tgt="p"><x/></transition></petrinet>')
+    # a str document must encode as UTF-8 for the XML parser
+    with pytest.raises(
+        ParseError, match=r"^xml error: 'utf-8' codec can't encode character '\\ud800'"
+    ):
+        parse_net('<petrinet name="n"><place id="\ud800"/></petrinet>')
 
 
 def test_parse_net_rejects_bad_json_shapes():
@@ -182,6 +193,11 @@ def test_parse_net_rejects_bad_json_shapes():
         parse_net(b'{"name": "n", "places": [{"id": 3}], "transitions": []}')
     with pytest.raises(ParseError, match="must be an object"):
         parse_net(b'["not", "a", "net"]')
+    with pytest.raises(ParseError, match="^'transitions' must be a list$"):
+        parse_net(b'{"name": "n", "places": [], "transitions": {}}')
+    with pytest.raises(ParseError, match="^'src' must be a list, got str$"):
+        parse_net(b'{"name": "n", "places": [{"id": "p"}],'
+                  b' "transitions": [{"id": "t", "src": "p", "tgt": ["p"]}]}')
 
 
 def test_parse_net_rejects_invalid_utf8_json():
@@ -301,14 +317,22 @@ def test_documents_round_trip_byte_stable_on_general_nets(net):
 
 @pytest.mark.parametrize("format", ["xml", "json"])
 def test_write_chart_refuses_origin_ids_its_reader_refuses(format):
+    # a chart built by hand: nets refuse such ids before any chart exists
     for place, transition, kind in (("a b", "t", "place"), ("p", "t\t1", "transition")):
-        net = PetriNet("n")
-        net.add_place("q")
-        net.add_place(place)
-        net.add_transition(transition, ["q"], [place])
-        chart = transform(net).chart
+        chart = StateChart("n")
+        q, p = chart.new_basic("q"), chart.new_basic(place)
+        chart.set_topstate(chart.new_and([chart.new_or([q]), chart.new_or([p])]))
+        edge = chart.new_hyperedge(transition)
+        edge.sources, edge.targets = [q], [p]
+        chart.add_hyperedge(edge)
         with pytest.raises(PreconditionError, match=f"^{kind} id .* without whitespace$"):
             write_chart(chart, format)
+
+
+@pytest.mark.parametrize("parse", [parse_net, parse_chart])
+def test_xml_readers_refuse_an_unknown_declared_encoding(parse):
+    with pytest.raises(ParseError, match="^xml error: unknown encoding: bogus$"):
+        parse(b'<?xml version="1.0" encoding="bogus"?><x/>')
 
 
 def test_parse_chart_rejects_foreign_structure():
@@ -324,6 +348,24 @@ def test_parse_chart_rejects_foreign_structure():
     with pytest.raises(ParseError, match="child elements"):
         parse_chart(b'<statechart name="c"><and id="s0"><or id="s1">'
                     b'<basic id="s2" place="p"><x/></basic></or></and></statechart>')
+    head = (b'<statechart name="c"><and id="s0"><or id="s1">'
+            b'<basic id="s2" place="p"/></or></and>')
+    for doc, where in (
+        (b'<statechart name="c">x<and id="s0"/></statechart>', "inside <statechart>"),
+        (b'<statechart name="c"><and id="s0">x<or id="s1"/></and></statechart>',
+         "inside <and>"),
+        (b'<statechart name="c"><and id="s0"><or id="s1"/>x</and></statechart>',
+         "after <or>"),
+        (head + b'<hyperedge id="h0" transition="t" src="s2" tgt="s2">x</hyperedge>'
+         b'</statechart>', "inside <hyperedge>"),
+    ):
+        with pytest.raises(ParseError, match=f"^unexpected text {where}$"):
+            parse_chart(doc)
+    with pytest.raises(
+        ParseError, match="^element <hyperedge> cannot contain child elements$"
+    ):
+        parse_chart(head + b'<hyperedge id="h0" transition="t" src="s2" tgt="s2">'
+                    b'<x/></hyperedge></statechart>')
 
 
 def test_parse_chart_rejects_alternation_breaks():
@@ -377,6 +419,17 @@ def test_parse_chart_rejects_bad_json_kinds():
     with pytest.raises(ParseError, match="bad keys"):
         parse_chart(b'{"name": "c", "topstate": {"kind": "and", "id": "s0"},'
                     b' "hyperedges": []}')
+    with pytest.raises(ParseError, match="^state must be an object, got int$"):
+        parse_chart(b'{"name": "c", "topstate": 3, "hyperedges": []}')
+    with pytest.raises(ParseError, match="^state must be an object, got list$"):
+        parse_chart(b'{"name": "c", "topstate": {"kind": "and", "id": "s0",'
+                    b' "children": [[]]}, "hyperedges": []}')
+    with pytest.raises(ParseError, match="^'children' must be a list$"):
+        parse_chart(b'{"name": "c", "topstate": {"kind": "and", "id": "s0",'
+                    b' "children": {}}, "hyperedges": []}')
+    with pytest.raises(ParseError, match="^'hyperedges' must be a list$"):
+        parse_chart(b'{"name": "c", "topstate": {"kind": "and", "id": "s0",'
+                    b' "children": []}, "hyperedges": {}}')
 
 
 def test_write_chart_refuses_invalid_charts():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from netchart import (
@@ -23,6 +25,28 @@ def test_add_place_and_transition():
     assert [x.id for x in t.preset] == ["p"]
     assert [x.id for x in t.postset] == ["q"]
     assert check_net(net) == []
+
+
+def test_ids_no_document_can_carry_are_rejected():
+    net = PetriNet("n")
+    for bad in ("a b", "", "\u3000"):
+        message = f"^place id {re.escape(repr(bad))} must be a nonempty string"
+        with pytest.raises(PreconditionError, match=message):
+            net.add_place(bad)
+    net.add_place("p")
+    with pytest.raises(
+        PreconditionError,
+        match=r"^transition id 't\\t1' must be a nonempty string without whitespace$",
+    ):
+        net.add_transition("t\t1", ["p"], ["p"])
+    assert list(net.places) == ["p"] and not net.transitions
+
+
+def test_repr_names_places_and_transition_sides():
+    assert repr(diamond()) == (
+        "PetriNet('D1', places=['q', 'a', 'b', 'r'], "
+        "transitions={'t1': (['q'], ['a', 'b']), 't2': (['a', 'b'], ['r'])})"
+    )
 
 
 def test_duplicate_ids_rejected():
@@ -58,12 +82,29 @@ def test_check_net_reports_nonmember_references():
     net.transitions["t1"].postset[stray] = None
     violations = check_net(net)
     assert any("'x'" in v for v in violations)
+    net = diamond()
+    net.transitions["t2"].preset[stray] = None
+    assert check_net(net) == ["transition 't2': preset place 'x' is not a member of the net"]
 
 
 def test_check_net_reports_empty_sides():
     net = diamond()
     net.transitions["t1"].preset.clear()
     assert any("empty preset" in v for v in check_net(net))
+    net = diamond()
+    net.transitions["t2"].postset.clear()
+    assert check_net(net) == ["transition 't2': empty postset"]
+
+
+def test_check_net_reports_ids_that_differ_from_their_keys():
+    net = diamond()
+    net.places["q"].id = "z"
+    net.transitions["t2"].id = "t9"
+    assert check_net(net) == [
+        "place 'q': stored under key 'q' but has id 'z'",
+        "transition 't1': preset place 'z' is not a member of the net",
+        "transition 't2': stored under key 't2' but has id 't9'",
+    ]
 
 
 def test_self_loops_are_warnings_not_violations():

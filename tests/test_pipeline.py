@@ -514,6 +514,12 @@ def test_transform_trace_names_every_rule_once_per_input():
     assert len({(e.rule, e.input) for e in trace}) == len(trace)
 
 
+def test_trace_keeps_naming_or_states_a_later_fusion_emptied():
+    chart, _, trace = transform(diamond())
+    ors = {e.output for e in trace if e.rule in ("Place2Or", "AndRulePlace2Or")}
+    assert ors - {node.id for node in chart.states()} == {"s7", "s10"}
+
+
 def test_transform_charts_are_valid_across_the_corpus():
     nets = [diamond(), three_cycle(), two_chain(), single_place()]
     nets += [generate_sp(SpSpec(places=n, seed=n)) for n in (5, 17, 33)]
