@@ -13,6 +13,7 @@ times.
 from __future__ import annotations
 
 import gc
+import json
 import statistics
 import tempfile
 import time
@@ -63,12 +64,46 @@ def _median(values: list[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
+def _spread(values: list[float]) -> dict[str, float]:
+    """Median, minimum and interquartile range of one phase, in ms."""
+    if not values:
+        return {"median_ms": 0.0, "min_ms": 0.0, "iqr_ms": 0.0}
+    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {
+        "median_ms": round(statistics.median(values), 3),
+        "min_ms": round(min(values), 3),
+        "iqr_ms": round(quartiles[2] - quartiles[0], 3),
+    }
+
+
+def _revision() -> str | None:
+    """The git revision of the checkout this package runs from, with
+    "-dirty" when it has uncommitted changes; None outside a checkout."""
+    import subprocess  # only the JSON report pays for it, not every import
+
+    try:
+        proc = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+        )
+    except OSError:
+        return None
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
+
+
 _COLUMNS = ("Reading input", "Transformation", "Writing output")
+_PHASES = ("reading", "transformation", "writing")
 
 
 @dataclass
 class BenchReport:
     rows: list[BenchRow]
+    sizes: list[int] = field(default_factory=list)
+    seed: int | None = None
 
     def render_table(self) -> str:
         case_width = max([4] + [len(row.case) for row in self.rows])
@@ -112,6 +147,37 @@ class BenchReport:
                 f",{row.transformation_ms:.2f},{row.writing_ms:.2f}"
             )
         return "\n".join(lines)
+
+    def render_json(self) -> str:
+        """Every case's phases as median, minimum and interquartile range,
+        with the seed, the sizes and the Python version, platform and git
+        revision that produced them."""
+        import platform  # only the JSON report pays for it, not every import
+
+        cases = []
+        for row in self.rows:
+            samples = row.measured()
+            cases.append({
+                "case": row.case,
+                "error": row.error,
+                "samples": len(samples),
+                "discarded": row.discarded,
+                "phases": {
+                    phase: _spread([getattr(s, f"{phase}_ms") for s in samples])
+                    for phase in _PHASES
+                },
+            })
+        return json.dumps(
+            {
+                "python": platform.python_version(),
+                "platform": platform.platform(),
+                "revision": _revision(),
+                "seed": self.seed,
+                "sizes": self.sizes,
+                "cases": cases,
+            },
+            indent=2,
+        )
 
 
 def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
@@ -168,4 +234,4 @@ def bench(
     if reps < 1:
         raise PreconditionError(f"reps must be >= 1, got {reps}")
     rows = [_run_case(size, reps, seed, discard_first) for size in sizes]
-    return BenchReport(rows=rows)
+    return BenchReport(rows=rows, sizes=list(sizes), seed=seed)

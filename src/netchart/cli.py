@@ -107,7 +107,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--reps", type=int, required=True, help="repetitions per case")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
     p.add_argument(
-        "--report", choices=("table", "csv"), default="table", help="output style"
+        "--report", choices=("table", "csv", "json"), default="table", help="output style"
     )
     p.add_argument(
         "--discard-first",
@@ -185,6 +185,8 @@ def _cmd_bench(args) -> int:
             print(f"warning: {row.case}: {row.error}", file=sys.stderr)
     if args.report == "csv":
         print(report.render_csv())
+    elif args.report == "json":
+        print(report.render_json())
     else:
         print(report.render_table())
     return 0

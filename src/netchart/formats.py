@@ -48,12 +48,12 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 
 def detect_format(data: bytes | str) -> str:
     """Guess the document format from the first non-whitespace character;
-    bytes may start with a UTF-8 byte-order mark, as both parsers accept."""
+    a document may start with a byte-order mark, as every parser accepts."""
     if isinstance(data, bytes):
         data = data.removeprefix(b"\xef\xbb\xbf")
         head = data.lstrip()[:1].decode("utf-8", "replace")
     else:
-        head = data.lstrip()[:1]
+        head = data.removeprefix("\ufeff").lstrip()[:1]
     if head == "<":
         return "xml"
     if head in ("{", "["):
@@ -113,6 +113,9 @@ def _reject_text(elem: ET.Element) -> None:
 
 
 def _json_document(data: bytes | str):
+    if isinstance(data, str):
+        # what reading a file with a byte-order mark as UTF-8 text gives
+        data = data.removeprefix("\ufeff")
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .chart import OrState, StateChart
 from .errors import PreconditionError, TraceError, ValidationError
-from .net import PetriNet, check_net, shared
+from .net import PetriNet, check_net
 
 
 class TraceEntry(NamedTuple):
@@ -113,70 +113,171 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     return chart
 
 
+def _settle(state: OrState) -> OrState:
+    """Turn a deque of children that `reduce` collected for *state* back
+    into a dict, and point each of them at it."""
+    children = state.children
+    if type(children) is not dict:
+        state.children = dict.fromkeys(children)
+        for child in children:
+            child.parent = state
+    return state
+
+
 class _Graph:
     """The net as integer-indexed adjacency, private to one `reduce` call.
 
-    Place slots follow the net's order and merged places are appended, so
-    slot order is declaration order. `pre[i]` and `post[i]` map transition
-    indices to None in the net's insertion order; `tpre[j]` and `tpost[j]`
-    are the place slots of transition j. `ors[i]` is the OR state of slot
-    i. A dead slot holds None in all three, and a dead transition in both
-    of its sides.
+    `pre[i]` and `post[i]` map the transitions around place slot i to
+    order keys; `tpre[j]` and `tpost[j]` are the place slots of transition
+    j. `ors[i]` is the OR state slot i stands for and `rank[i]` its
+    declaration rank: places rank in the net's order, merged places after
+    them. A dead slot holds None in `pre`, `post` and `ors`, and a dead
+    transition in both of its sides.
+
+    The OR rule fuses p into q, but the place with more arcs keeps its
+    slot and takes on q's OR state and rank, so only the other place's
+    arcs are renamed. Merged adjacency keeps q's entries first, then p's
+    new ones. An appended entry holds key 0 and iterates in insertion
+    order; entries put in front of a larger dict get fresh negative keys
+    and put the slot in `mixed`, whose dicts are read sorted by key.
+    `idle[i]` bounds from above how many transitions around slot i are off
+    the worklist; while it is 0, `reduce` skips the re-enqueue scan.
+
+    OR children also merge small into large: the fused OR's children dict
+    takes p's children unless there are more than twice as many, and
+    otherwise p's children, turned into a deque, take q's in front. Such a
+    deque stays in the OR state's `children` until `_settle` turns it back
+    into a dict and sets the parent links once, when the AND rule wraps
+    the OR or when `reduce` ends.
     """
 
-    __slots__ = ("net", "chart", "trace", "pre", "post", "tpre", "tpost", "ors",
-                 "live_places", "live_transitions", "merges")
+    __slots__ = ("net", "chart", "trace", "pre", "post", "tpre", "tpost", "ors", "rank",
+                 "idle", "mixed", "first_key", "merges")
 
     def __init__(self, net: PetriNet, chart: StateChart, trace: Trace, ors: list):
-        slot = {place: i for i, place in enumerate(net.places.values())}
+        places, transitions = net.places.values(), net.transitions.values()
+        slot = dict(zip(places, range(len(places)))).__getitem__
         self.net, self.chart, self.trace, self.ors = net, chart, trace, ors
-        self.pre, self.post = [{} for _ in slot], [{} for _ in slot]
-        self.tpre = [{slot[p] for p in t.preset} for t in net.transitions.values()]
-        self.tpost = [{slot[p] for p in t.postset} for t in net.transitions.values()]
+        self.pre = pre = [{} for _ in places]
+        self.post = post = [{} for _ in places]
+        self.tpre = [set(map(slot, t.preset)) for t in transitions]
+        self.tpost = [set(map(slot, t.postset)) for t in transitions]
         for j, (src, tgt) in enumerate(zip(self.tpre, self.tpost)):
             for i in src:
-                self.post[i][j] = None
+                post[i][j] = 0
             for i in tgt:
-                self.pre[i][j] = None
-        self.live_places = len(slot)
-        self.live_transitions = len(self.tpre)
+                pre[i][j] = 0
+        self.rank = list(range(len(places)))
+        self.idle = [0] * len(places)
+        self.mixed: set[int] = set()
+        self.first_key = 0
         self.merges = 0
 
+    def adjacent(self, i: int) -> list[int]:
+        """The transitions around slot i in logical order, preset side first."""
+        pre, post = self.pre[i], self.post[i]
+        if i in self.mixed:
+            return sorted(pre, key=pre.__getitem__) + sorted(post, key=post.__getitem__)
+        return list(pre) + list(post)
+
+    def _ordered(self, i: int, side: dict):
+        """Slot i's adjacency dict *side* in its logical order."""
+        return sorted(side, key=side.__getitem__) if i in self.mixed else side
+
+    def _append(self, side: list, q: int, p: int) -> None:
+        """Add p's entries of *side* that q lacks after q's, with key 0."""
+        into = side[q]
+        for u in self._ordered(p, side[p]):
+            if u not in into:
+                into[u] = 0
+
+    def _put_in_front(self, side: list, q: int, p: int) -> None:
+        """Give q's entries of *side* the lowest keys in p's dict."""
+        front = side[q]
+        if front:
+            back = side[p]
+            first = self.first_key - len(front)
+            for key, u in enumerate(self._ordered(q, front), first):
+                back[u] = key
+            self.first_key = first
+            self.mixed.add(p)
+
     def or_rule(self, t: int) -> int | None:
-        """Fuse p into q for a sequential step q -> t -> p, appending or(p)'s
-        children to or(q). Returns q, or None when t does not qualify."""
-        src, tgt = self.tpre[t], self.tpost[t]
+        """Fuse p into q for a sequential step q -> t -> p, putting or(p)'s
+        children after or(q)'s. Returns the surviving slot, or None when t
+        does not qualify."""
+        tpre, tpost = self.tpre, self.tpost
+        src, tgt = tpre[t], tpost[t]
         if len(src) != 1 or len(tgt) != 1:
             return None
         (q,), (p,) = src, tgt
         if q == p:
             return None
         pre, post = self.pre, self.post
-        # a second q->p transition would become a self-loop on the fused place
-        if len(shared(post[q], pre[p])) > 1 or shared(post[p], pre[q]):
+        pre_q, post_q, pre_p, post_p = pre[q], post[q], pre[p], post[p]
+        # a second q->p transition would become a self-loop on the fused place,
+        # and so would a p->q one; t alone is cheap to rule out
+        if len(post_q) > 1 and len(pre_p) > 1 and len(post_q.keys() & pre_p.keys()) > 1:
             return None
-        del post[q][t], pre[p][t]
-        self.tpre[t] = self.tpost[t] = None
-        for u in pre[p]:
-            side = self.tpost[u]
-            side.discard(p)
-            side.add(q)
-            pre[q][u] = None
-        for u in post[p]:
-            side = self.tpre[u]
-            side.discard(p)
-            side.add(q)
-            post[q][u] = None
-        pre[p] = post[p] = None
-        keep, drop = self.ors[q], self.ors[p]
-        for child in drop.children:
-            child.parent = keep
-            keep.children[child] = None
-        drop.children.clear()
-        drop.parent = self.ors[p] = None
-        self.live_places -= 1
-        self.live_transitions -= 1
-        return q
+        if post_p and pre_q and not post_p.keys().isdisjoint(pre_q.keys()):
+            return None
+        del post_q[t], pre_p[t]
+        tpre[t] = tpost[t] = None
+        ors = self.ors
+        keep, drop = ors[q], ors[p]
+        if len(pre_q) + len(post_q) >= len(pre_p) + len(post_p):
+            survivor, gone = q, p
+            for u in pre_p:
+                side = tpost[u]
+                side.discard(p)
+                side.add(q)
+            for u in post_p:
+                side = tpre[u]
+                side.discard(p)
+                side.add(q)
+            if self.mixed and (p in self.mixed or q in self.mixed):
+                self._append(pre, q, p)
+                self._append(post, q, p)
+            else:  # every key is 0, so rewriting one keeps its place
+                if pre_p:
+                    pre_q.update(pre_p)
+                if post_p:
+                    post_q.update(post_p)
+        else:
+            survivor, gone = p, q
+            for u in pre_q:
+                side = tpost[u]
+                side.discard(q)
+                side.add(p)
+            for u in post_q:
+                side = tpre[u]
+                side.discard(q)
+                side.add(p)
+            self._put_in_front(pre, q, p)
+            self._put_in_front(post, q, p)
+            self.rank[p] = self.rank[q]
+            ors[p] = keep
+        pre[gone] = post[gone] = ors[gone] = None
+        idle = self.idle
+        idle[survivor] += idle[gone]
+
+        # or(q)'s children, then or(p)'s; or(p)'s move unless there are
+        # more than twice as many, so a move costs at most twice the shorter
+        front, back = keep.children, drop.children
+        if 2 * len(front) < len(back):
+            if type(back) is dict:
+                back = deque(back)
+            back.extendleft(reversed(front))
+            keep.children = back
+        elif type(front) is dict:
+            for child in back:
+                child.parent = keep
+                front[child] = None
+        else:
+            front.extend(back)
+        drop.children = {}
+        drop.parent = None
+        return survivor
 
     def and_rule(self, t: int) -> int | None:
         """Replace a group of interchangeable parallel places around t by one
@@ -184,44 +285,48 @@ class _Graph:
         fresh slot, or None when no group qualifies.
 
         The group is the whole preset when it has two or more places, else
-        the whole postset. Every member must share both adjacency sets
-        exactly and stay off self-loops.
+        the whole postset, in declaration order. Every member must share
+        both adjacency sets exactly and stay off self-loops.
         """
-        src, tgt = self.tpre[t], self.tpost[t]
-        group = sorted(src if len(src) >= 2 else tgt if len(tgt) >= 2 else ())
-        if not group:
+        tpre, tpost = self.tpre, self.tpost
+        src, tgt = tpre[t], tpost[t]
+        group = src if len(src) >= 2 else tgt if len(tgt) >= 2 else None
+        if group is None:
             return None
+        group = sorted(group, key=self.rank.__getitem__)
         pre, post = self.pre, self.post
         first = group[0]
+        pre_keys, post_keys = pre[first].keys(), post[first].keys()
         for member in group[1:]:
-            if pre[member] != pre[first] or post[member] != post[first]:
+            if pre[member].keys() != pre_keys or post[member].keys() != post_keys:
                 return None
-        if shared(pre[first], post[first]):
+        if not pre_keys.isdisjoint(post_keys):
             return None
 
-        fresh = len(pre)
-        members = set(group)
-        for u in pre[first]:
-            side = self.tpost[u]
+        fresh, members = len(pre), set(group)
+        for u in pre_keys:
+            side = tpost[u]
             side -= members
             side.add(fresh)
-        for u in post[first]:
-            side = self.tpre[u]
+        for u in post_keys:
+            side = tpre[u]
             side -= members
             side.add(fresh)
         pre.append(pre[first])
         post.append(post[first])
+        if first in self.mixed:
+            self.mixed.add(fresh)
+        ors = self.ors
         states = []
         for member in group:
-            pre[member] = post[member] = None
-            states.append(self.ors[member])
-            self.ors[member] = None
-        for state in states:
-            state.parent = None
+            state = _settle(ors[member])
+            pre[member] = post[member] = ors[member] = state.parent = None
+            states.append(state)
         wrapper = self.chart.new_or([self.chart.new_and(states)])
-        self.ors.append(wrapper)
+        ors.append(wrapper)
+        self.rank.append(fresh)
+        self.idle.append(1)  # t itself is off the worklist
         self.trace.entries.append(TraceEntry("AndRulePlace2Or", self._merged_id(), wrapper.id))
-        self.live_places += 1 - len(group)
         return fresh
 
     def _merged_id(self) -> str:
@@ -247,8 +352,10 @@ def reduce(
     worklist starts with every transition in insertion order and is
     consumed first-in first-out; passing *rng* switches to random picks,
     which exercises confluence without changing the result's shape. After
-    a successful application the transitions around the surviving place go
-    back on the list.
+    a successful application the transitions around the surviving place
+    that are off the worklist go back on it, in adjacency order. Each
+    rule application costs time in the smaller of the two places it
+    fuses, so hubs and long chains reduce in near-linear time.
 
     Raises
     ------
@@ -258,15 +365,17 @@ def reduce(
         net, or one that was already reduced.
     """
     top = chart.topstate
-    ors = [trace.ors.get(pid) for pid in net.places]
+    ors = list(map(trace.ors.get, net.places))
     if top is None or list(top.children) != ors:
         raise TraceError(
             f"chart {chart.name!r} is not the flat chart traced for net {net.name!r}"
         )
     graph = _Graph(net, chart, trace, ors)
-    queue: deque[int] = deque(range(graph.live_transitions))
-    queued = [True] * graph.live_transitions
-    report = ReductionReport()
+    or_rule, and_rule = graph.or_rule, graph.and_rule
+    tpre, tpost, idle = graph.tpre, graph.tpost, graph.idle
+    queue: deque[int] = deque(range(len(tpre)))
+    queued = [True] * len(tpre)
+    or_applications = and_applications = 0
     while queue:
         if rng is None:
             transition = queue.popleft()
@@ -276,28 +385,39 @@ def reduce(
             del queue[index]
         queued[transition] = False
 
-        survivor = graph.or_rule(transition)
+        survivor = or_rule(transition)
         if survivor is not None:
-            report.or_applications += 1
+            or_applications += 1
         else:
-            survivor = graph.and_rule(transition)
-            if survivor is not None:
-                report.and_applications += 1
-        if survivor is None:
-            continue
-        for adjacent in list(graph.pre[survivor]) + list(graph.post[survivor]):
-            if not queued[adjacent]:
-                queue.append(adjacent)
-                queued[adjacent] = True
+            survivor = and_rule(transition)
+            if survivor is None:  # off the worklist now: count it at its places
+                for place in tpre[transition]:
+                    idle[place] += 1
+                for place in tpost[transition]:
+                    idle[place] += 1
+                continue
+            and_applications += 1
+        if idle[survivor]:
+            idle[survivor] = 0
+            for adjacent in graph.adjacent(survivor):
+                if not queued[adjacent]:
+                    queue.append(adjacent)
+                    queued[adjacent] = True
 
+    live = [i for i, state in enumerate(ors) if state is not None]
+    live.sort(key=graph.rank.__getitem__)
     top.children = {}
-    for state in ors:
-        if state is not None:
-            state.parent = top
-            top.children[state] = None
-    report.remaining_places = graph.live_places
-    report.remaining_transitions = graph.live_transitions
-    return report
+    for i in live:
+        state = _settle(ors[i])
+        state.parent = top
+        top.children[state] = None
+    # each OR application consumes one transition, and nothing else does
+    return ReductionReport(
+        and_applications=and_applications,
+        or_applications=or_applications,
+        remaining_places=len(live),
+        remaining_transitions=len(tpre) - or_applications,
+    )
 
 
 def transform(

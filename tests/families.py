@@ -1,0 +1,116 @@
+"""The net shapes of ROADMAP item 4, several of which `reduce` once took
+quadratic time on.
+
+Each builder takes a size k (places or branches) and returns a net made
+with `add_place` and `add_transition`, so declaration order is exactly
+the order described.  The golden family digest and the scaling test
+reduce the same nets.  This module imports only netchart, so a child
+interpreter can time it without the test dependencies.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import statistics
+import time
+
+from netchart import PetriNet, Trace, initialize, reduce
+
+
+def chain(k: int, order: str) -> PetriNet:
+    """c0 -> c1 -> ... -> c<k-1>, transitions listed "forward",
+    "reversed" or "shuffled" (a fixed shuffle seeded by k)."""
+    net = PetriNet(f"{order}-chain{k}")
+    for i in range(k):
+        net.add_place(f"c{i}")
+    steps = list(range(k - 1))
+    if order == "reversed":
+        steps.reverse()
+    elif order == "shuffled":
+        random.Random(k).shuffle(steps)
+    for i in steps:
+        net.add_transition(f"t{i}", [f"c{i}"], [f"c{i + 1}"])
+    return net
+
+
+def hub(k: int, fan_in: bool, fed: bool = False) -> PetriNet:
+    """One hub h with k leaves x_i, each joined to it by one transition
+    (x_i -> h for a fan-in hub, h -> x_i for a fan-out hub).  A *fed*
+    fan-in hub also gives every leaf an incoming arc y_i -> x_i, listed
+    after the hub's arcs, so both places of a fusion have predecessors."""
+    net = PetriNet(f"{'fed' if fed else ''}{'in' if fan_in else 'out'}hub{k}")
+    net.add_place("h")
+    for i in range(k):
+        net.add_place(f"x{i}")
+        if fed:
+            net.add_place(f"y{i}")
+    for i in range(k):
+        src, tgt = (f"x{i}", "h") if fan_in else ("h", f"x{i}")
+        net.add_transition(f"t{i}", [src], [tgt])
+    if fed:
+        for i in range(k):
+            net.add_transition(f"u{i}", [f"y{i}"], [f"x{i}"])
+    return net
+
+
+def fork_join(k: int) -> PetriNet:
+    """s -> fork -> {x_0 .. x_<k-1>} -> join -> e: one AND of k branches."""
+    net = PetriNet(f"forkjoin{k}")
+    net.add_place("s")
+    branches = [net.add_place(f"x{i}").id for i in range(k)]
+    net.add_place("e")
+    net.add_transition("fork", ["s"], branches)
+    net.add_transition("join", branches, ["e"])
+    return net
+
+
+def choice(k: int) -> PetriNet:
+    """a -> x_i -> z for k branches; the parallel a->z paths block every
+    rule, so nothing reduces."""
+    net = PetriNet(f"choice{k}")
+    net.add_place("a")
+    for i in range(k):
+        net.add_place(f"x{i}")
+    net.add_place("z")
+    for i in range(k):
+        net.add_transition(f"in{i}", ["a"], [f"x{i}"])
+        net.add_transition(f"out{i}", [f"x{i}"], ["z"])
+    return net
+
+
+FAMILIES = {
+    "chain": lambda k: chain(k, "forward"),
+    "reversed chain": lambda k: chain(k, "reversed"),
+    "shuffled chain": lambda k: chain(k, "shuffled"),
+    "fan-in hub": lambda k: hub(k, fan_in=True),
+    "fan-out hub": lambda k: hub(k, fan_in=False),
+    "fed fan-in hub": lambda k: hub(k, fan_in=True, fed=True),
+    "fork/join": fork_join,
+    "k-way choice": choice,
+}
+
+
+def reduce_seconds(net: PetriNet) -> float:
+    """Wall time of `reduce` alone on a fresh flat chart of *net*, with
+    automatic garbage collection paused."""
+    trace = Trace()
+    chart = initialize(net, trace)
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        reduce(net, chart, trace)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def scaling_ratio(name: str, small: int, large: int, reps: int = 3) -> float:
+    """How many times longer `reduce` takes on family *name* at size
+    *large* than at *small*: the median of *reps* runs at each size, the
+    two sizes taking turns so that both see the same machine load."""
+    nets = FAMILIES[name](small), FAMILIES[name](large)
+    runs = [[reduce_seconds(net) for net in nets] for _ in range(reps)]
+    at_small, at_large = (statistics.median(column) for column in zip(*runs))
+    return at_large / at_small

@@ -143,6 +143,40 @@ def test_criterion_4_scaling_envelope():
     assert ratio <= 20.0, f"transformation scaled at x{ratio:.1f} for x10 places"
 
 
+def test_item4_families_scale_near_linearly():
+    # ROADMAP item 4's families, reduce alone at 16 times the size, in a
+    # fresh interpreter as criterion 4 runs; a linear family reads about
+    # 16-20x here and a quadratic one about 256x.  The first large net a
+    # process reduces runs slow, so one goes first untimed, and a family
+    # past the bound is measured again, up to three times, because a busy
+    # machine can push a single median of 3 past it
+    script = (
+        "import json\n"
+        "from families import FAMILIES, reduce_seconds, scaling_ratio\n"
+        "reduce_seconds(FAMILIES['chain'](16000))\n"
+        "ratios = {}\n"
+        "for name in json.loads(input()):\n"
+        "    tries = ratios[name] = [scaling_ratio(name, 1000, 16000)]\n"
+        "    while tries[-1] > 25.0 and len(tries) < 3:\n"
+        "        tries.append(scaling_ratio(name, 1000, 16000))\n"
+        "print(json.dumps(ratios))\n"
+    )
+    table = ["chain", "reversed chain", "fan-in hub", "fan-out hub", "fork/join", "k-way choice"]
+    env = _child_env()
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(table),
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ratios = json.loads(proc.stdout)
+    assert list(ratios) == table
+    assert all(min(tries) <= 25.0 for tries in ratios.values()), ratios
+
+
 def test_criterion_5_memoization_counters():
     # every rule fires at most once per input, and a pass cannot be re-run
     net = diamond()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -109,3 +110,33 @@ def test_render_handles_synthetic_rows():
     report = BenchReport(rows=[row])
     assert "1.25 ms" in report.render_table()
     assert report.render_csv().splitlines()[1] == "sp7,1.25,2.50,0.12"
+
+
+def test_render_json_keys():
+    report = bench([5, 0], reps=3, seed=3, discard_first=True)
+    doc = json.loads(report.render_json())
+    assert set(doc) == {"python", "platform", "revision", "seed", "sizes", "cases"}
+    assert (doc["seed"], doc["sizes"]) == (3, [5, 0])
+    assert doc["python"].count(".") == 2
+    assert doc["revision"] is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", doc["revision"])
+    good, bad = doc["cases"]
+    assert set(good) == {"case", "error", "samples", "discarded", "phases"}
+    assert (good["case"], good["error"], good["samples"], good["discarded"]) == ("sp5", None, 2, 1)
+    assert list(good["phases"]) == ["reading", "transformation", "writing"]
+    for spread in good["phases"].values():
+        assert set(spread) == {"median_ms", "min_ms", "iqr_ms"}
+        assert 0.0 <= spread["min_ms"] <= spread["median_ms"]
+        assert spread["iqr_ms"] >= 0.0
+    assert bad["error"] is not None and bad["samples"] == 0
+
+
+def test_render_json_spread_of_synthetic_rows():
+    row = BenchRow(case="sp7")
+    row.samples = [_sample(9.0, t, 1.0) for t in (4.0, 1.0, 3.0, 2.0, 100.0)]
+    phases = json.loads(BenchReport(rows=[row]).render_json())["cases"][0]["phases"]
+    # quartiles of 1, 2, 3, 4, 100 by the exclusive method: 1.5 and 52.0
+    assert phases["transformation"] == {"median_ms": 3.0, "min_ms": 1.0, "iqr_ms": 50.5}
+    assert phases["writing"] == {"median_ms": 1.0, "min_ms": 1.0, "iqr_ms": 0.0}
+    row.samples = row.samples[:1]
+    single = json.loads(BenchReport(rows=[row]).render_json())["cases"][0]["phases"]
+    assert single["reading"] == {"median_ms": 9.0, "min_ms": 9.0, "iqr_ms": 0.0}

@@ -240,6 +240,13 @@ def test_bench_csv_output(capsys):
     assert lines[1].startswith("sp5,")
 
 
+def test_bench_json_output(capsys):
+    assert main(["bench", "--sizes", "5", "--reps", "2", "--seed", "1",
+                 "--report", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sizes"] == [5] and doc["cases"][0]["case"] == "sp5"
+
+
 def test_bench_reports_case_failures_on_stderr(capsys):
     assert main(["bench", "--sizes", "5,0", "--reps", "1", "--seed", "1"]) == 0
     captured = capsys.readouterr()

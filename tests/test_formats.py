@@ -219,6 +219,22 @@ def test_parsers_accept_a_utf8_byte_order_mark(format):
     assert write_chart(parse_chart(b"\xef\xbb\xbf" + blob), format) == blob
 
 
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_parsers_accept_a_byte_order_mark_on_text(format):
+    # what reading a file that starts with a byte-order mark as UTF-8 text gives
+    blob = write_net(diamond(), format)
+    assert write_net(parse_net("﻿" + blob.decode()), format) == blob
+    blob = write_chart(transform(diamond()).chart, format)
+    assert write_chart(parse_chart("﻿" + blob.decode()), format) == blob
+    assert detect_format("﻿" + blob.decode()) == format
+
+
+def test_parse_trace_accepts_a_byte_order_mark():
+    blob = write_trace(transform(diamond()).trace)
+    assert write_trace(parse_trace("﻿" + blob.decode())) == blob
+    assert write_trace(parse_trace(b"\xef\xbb\xbf" + blob)) == blob
+
+
 def test_parse_net_enforces_model_rules():
     with pytest.raises(MembershipError, match="'ghost'"):
         parse_net(b'<petrinet name="n"><place id="p"/>'

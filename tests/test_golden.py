@@ -2,9 +2,10 @@
 
 One SHA-256 over the net, chart and trace bytes, the reduction counters,
 `check_net` and the self-loop warnings of a seeded corpus, each net
-reduced first-in first-out and in one seeded random order.  A change that
-is meant to keep every output byte-identical must leave the digest as it
-is; a change that alters outputs on purpose updates it and says why.
+reduced first-in first-out and in one seeded random order; a second
+digest covers the larger nets of `families.py`.  A change that is meant
+to keep every output byte-identical must leave both digests as they are;
+a change that alters outputs on purpose updates them and says why.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from netchart import (
     write_net,
     write_trace,
 )
+from families import FAMILIES
 from support import chart_identical, fork_join_nest, round_trip_corpus
 
 GOLDEN_DIGEST = "9c50673d36a876399036fd93c0bbc55e48c11e116117450db265e7fcacb1c7ab"
+FAMILY_DIGEST = "ecb2d45f46be694c7f544c7a380eddf800c205f87b2135641878148bdb45c996"
 
 
 def _general_net(rng: random.Random, index: int) -> PetriNet:
@@ -125,3 +128,25 @@ def test_both_chart_readers_agree_on_the_golden_corpus():
             assert chart_identical(via_xml, chart)
             read += 1
     assert read == 886  # all but the empty net's chart, in both orders
+
+
+def family_digest() -> str:
+    """The same documents over the families of `families.py` at two sizes,
+    each reduced first-in first-out and in one seeded random order."""
+    digest = hashlib.sha256()
+    for k in (300, 1000):
+        for build in FAMILIES.values():
+            net = build(k)
+            for rng in (None, random.Random(1)):
+                chart, report, trace = transform(net, rng=rng)
+                digest.update(repr(report).encode())
+                for format in ("xml", "json"):
+                    digest.update(_outcome(write_chart, chart, format))
+                digest.update(write_trace(trace))
+    return digest.hexdigest()
+
+
+def test_item4_families_match_their_digest():
+    """Hubs, chains in three listing orders, a wide fork/join and a k-way
+    choice: the shapes on which reduction order and slot reuse matter."""
+    assert family_digest() == FAMILY_DIGEST
