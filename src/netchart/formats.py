@@ -27,7 +27,6 @@ import xml.etree.ElementTree as ET
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Iterable
-from xml.sax.saxutils import quoteattr
 
 from .chart import AndState, Basic, HyperEdge, Node, OrState, StateChart, validate_chart
 from .errors import (
@@ -44,6 +43,9 @@ FORMATS = ("xml", "json")
 
 # the characters XML 1.0's Char production leaves out
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# what `_xml_attr` cannot copy verbatim: what `_NOT_XML_CHAR` refuses, the
+# tab, line feed and carriage return a reader would turn into spaces, & < > "
+_XML_ATTR_SPECIAL = re.compile('[\x00-\x1f&<>"\ud800-\udfff\ufffe\uffff]')
 
 
 def detect_format(data: bytes | str) -> str:
@@ -89,19 +91,34 @@ def _key_mismatch(got: Iterable[str], need: tuple[str, ...]) -> str:
 
 
 def _attrs(elem: ET.Element, required: tuple[str, ...]) -> list[str]:
-    if elem.attrib.keys() != set(required):
-        detail = _key_mismatch(elem.attrib, required)
-        raise ParseError(f"element <{elem.tag}>: bad attributes ({detail})")
-    return [elem.attrib[name] for name in required]
+    attrib = elem.attrib
+    if len(attrib) == len(required):
+        try:
+            return [attrib[name] for name in required]
+        except KeyError:
+            pass
+    detail = _key_mismatch(attrib, required)
+    raise ParseError(f"element <{elem.tag}>: bad attributes ({detail})")
 
 
 def _xml_attr(value: str) -> str:
-    """`value` as a quoted XML attribute; refuses any character XML 1.0
-    cannot carry, which no XML reader, netchart's own included, accepts."""
+    """`value` as a quoted XML attribute, the text the standard library's
+    `saxutils.quoteattr` gives; refuses any character XML 1.0 cannot
+    carry, which no XML reader, netchart's own included, accepts."""
+    if not _XML_ATTR_SPECIAL.search(value):
+        return '"' + value + '"'
     bad = _NOT_XML_CHAR.search(value)
     if bad:
         raise ModelError(f"cannot write {value!r} as XML: it holds {bad.group()!r}")
-    return quoteattr(value)
+    value = (
+        value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+        .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    )
+    if '"' not in value:
+        return '"' + value + '"'
+    if "'" not in value:
+        return "'" + value + "'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 def _reject_text(elem: ET.Element) -> None:

@@ -29,17 +29,6 @@ def check_id(kind: str, value: str) -> str:
     return value
 
 
-def shared(a: dict, b: dict) -> list:
-    """Keys of both dicts, in the insertion order of the smaller one.
-
-    Scans only the smaller side, so a hub's large adjacency costs nothing
-    extra; unlike `a.keys() & b.keys()` the order stays deterministic.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    return [key for key in a if key in b]
-
-
 class Place:
     """A place of a Petri net.
 
@@ -123,8 +112,11 @@ class PetriNet:
         check_id("transition", id)
         if id in self.transitions:
             raise DuplicateIdError(f"duplicate transition id {id!r}")
-        pre = [self._resolve_place(p) for p in preset]
-        post = [self._resolve_place(p) for p in postset]
+        # a known id resolves by one lookup; a Place or an unknown id goes
+        # through `_resolve_place`, in one pass, so any iterable works
+        get, resolve = self.places.get, self._resolve_place
+        pre = [get(p) or resolve(p) for p in preset]
+        post = [get(p) or resolve(p) for p in postset]
         if not pre or not post:
             raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
         transition = Transition(id)
@@ -174,7 +166,13 @@ def find_self_loops(net: PetriNet) -> list[str]:
     fire on them, so the net around them cannot collapse.
     """
     order = {place: i for i, place in enumerate(net.places.values())}
-    loops = [(p, t) for t in net.transitions.values() for p in shared(t.preset, t.postset)]
+    loops = []
+    for t in net.transitions.values():
+        # scan the smaller side, so a hub's large side costs nothing extra
+        small, large = t.preset, t.postset
+        if len(small) > len(large):
+            small, large = large, small
+        loops.extend((p, t) for p in small if p in large)
     return [
         f"place {p.id!r} is on a self-loop through transition {t.id!r}"
         for p, t in sorted(loops, key=lambda loop: order[loop[0]])

@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 from hypothesis import strategies as st
 
+import netchart
 from netchart import AndState, Basic, Node, PetriNet, SpSpec, StateChart, generate_sp
+
+
+def child_env(**extra) -> dict[str, str]:
+    """Environment for a child interpreter that imports this netchart.
+
+    The directory above the imported package goes first on PYTHONPATH,
+    as an absolute path, so the child runs the same netchart as this
+    process whatever its working directory, and never an older copy
+    installed elsewhere.
+    """
+    init = os.path.abspath(netchart.__file__)
+    path = [os.path.dirname(os.path.dirname(init))]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
 
 
 def diamond() -> PetriNet:

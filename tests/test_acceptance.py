@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-import netchart
 from netchart import (
     Basic,
     OrState,
@@ -39,6 +38,7 @@ from netchart import (
 from oracle import oracle_reduce
 from support import (
     and_arities,
+    child_env,
     chart_identical,
     chart_signature,
     diamond,
@@ -47,21 +47,6 @@ from support import (
     net_to_plain,
     round_trip_corpus,
 )
-
-
-def _child_env(**extra):
-    """Environment for a child interpreter that imports this netchart.
-
-    The directory above the imported package goes first on PYTHONPATH,
-    as an absolute path, so the child runs the same netchart as this
-    process whatever its working directory, and never an older copy
-    installed elsewhere.
-    """
-    init = os.path.abspath(netchart.__file__)
-    path = [os.path.dirname(os.path.dirname(init))]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -128,7 +113,7 @@ def test_criterion_4_scaling_envelope():
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env=_child_env(),
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -162,7 +147,7 @@ def test_item4_families_scale_near_linearly():
         "print(json.dumps(ratios))\n"
     )
     table = ["chain", "reversed chain", "fan-in hub", "fan-out hub", "fork/join", "k-way choice"]
-    env = _child_env()
+    env = child_env()
     env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -205,7 +190,7 @@ def test_criterion_5_memoization_counters():
 def _run_cli(args, hash_seed, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "netchart", *args],
-        env=_child_env(PYTHONHASHSEED=hash_seed),
+        env=child_env(PYTHONHASHSEED=hash_seed),
         cwd=tmp_path,
         capture_output=True,
         text=True,

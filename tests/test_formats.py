@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
+from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +36,10 @@ from netchart import (
     write_net,
     write_trace,
 )
+from netchart.formats import _NOT_XML_CHAR, _xml_attr
 from support import (
     chart_identical,
+    child_env,
     diamond,
     fork_join_nest,
     general_nets,
@@ -283,6 +288,42 @@ def test_xml_writers_keep_every_character_xml_can_carry():
     assert parse_net(write_net(net, "xml")).name == name
     chart = transform(net).chart
     assert parse_chart(write_chart(chart, "xml")).name == name
+
+
+# what quoteattr escapes or picks its quote by, what XML 1.0 cannot carry
+# and astral characters, against a background of any other character
+_ATTR_CHARS = st.one_of(
+    st.sampled_from(
+        "&<>\"'\t\n\r\x00\x01\x08\x0b\x0c\x1f\ud800\udbff\udc00\udfff"
+        "\ufffe\uffff\U00010000\U0001f600\U0010ffff"
+    ),
+    st.characters(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_ATTR_CHARS, max_size=12))
+def test_xml_attr_quotes_byte_for_byte_like_quoteattr(value):
+    bad = _NOT_XML_CHAR.search(value)
+    if bad:
+        with pytest.raises(ModelError, match=re.escape(repr(bad.group()))):
+            _xml_attr(value)
+    else:
+        assert _xml_attr(value) == quoteattr(value)
+    # the same text without what XML cannot carry, so every example
+    # also exercises the quoting
+    kept = _NOT_XML_CHAR.sub("", value)
+    assert _xml_attr(kept) == quoteattr(kept)
+
+
+def test_importing_netchart_loads_no_network_modules():
+    heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+    code = f"import sys, netchart; print(*[m for m in {heavy!r} if m in sys.modules])"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
 
 
 def test_write_chart_xml_golden():

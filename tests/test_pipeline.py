@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchart import (
     AndState,
@@ -368,6 +369,21 @@ def test_randomized_reduce_matches_the_fifo_result():
             chart, report, _ = transform(net, rng=random.Random(seed))
             assert chart_signature(chart) == chart_signature(baseline_chart)
             assert report == baseline_report
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    places=st.integers(1, 200),
+    net_seed=st.integers(0, 2**32 - 1),
+    max_branch=st.integers(2, 9),
+    pick_seed=st.integers(0, 2**32 - 1),
+)
+def test_random_orders_are_confluent_on_sp_nets(places, net_seed, max_branch, pick_seed):
+    net = generate_sp(SpSpec(places=places, seed=net_seed, max_branch=max_branch))
+    fifo = transform(net)
+    picked = transform(net, rng=random.Random(pick_seed))
+    assert picked.report.fully_reduced and fifo.report.fully_reduced
+    assert chart_signature(picked.chart) == chart_signature(fifo.chart)
 
 
 def test_random_order_is_not_confluent_on_general_nets():
