@@ -47,30 +47,24 @@ class BenchRow:
     def measured(self) -> list[PhaseSample]:
         return self.samples[self.discarded :]
 
-    @property
-    def reading_ms(self) -> float:
-        return _median([s.reading_ms for s in self.measured()])
+    def times(self, phase: str) -> list[float]:
+        """The measured milliseconds of *phase*, one of `_PHASES`."""
+        return [getattr(s, f"{phase}_ms") for s in self.measured()]
 
-    @property
-    def transformation_ms(self) -> float:
-        return _median([s.transformation_ms for s in self.measured()])
-
-    @property
-    def writing_ms(self) -> float:
-        return _median([s.writing_ms for s in self.measured()])
+    def median(self, phase: str) -> float:
+        """The median milliseconds of *phase*; 0.0 without samples."""
+        times = self.times(phase)
+        return statistics.median(times) if times else 0.0
 
 
-def _median(values: list[float]) -> float:
-    return statistics.median(values) if values else 0.0
-
-
-def _spread(values: list[float]) -> dict[str, float]:
+def _spread(row: BenchRow, phase: str) -> dict[str, float]:
     """Median, minimum and interquartile range of one phase, in ms."""
+    values = row.times(phase)
     if not values:
         return {"median_ms": 0.0, "min_ms": 0.0, "iqr_ms": 0.0}
     quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {
-        "median_ms": round(statistics.median(values), 3),
+        "median_ms": round(row.median(phase), 3),
         "min_ms": round(min(values), 3),
         "iqr_ms": round(quartiles[2] - quartiles[0], 3),
     }
@@ -112,13 +106,7 @@ class BenchReport:
             if row.error is not None:
                 cells.append(None)
             else:
-                cells.append(
-                    [
-                        f"{row.reading_ms:.2f} ms",
-                        f"{row.transformation_ms:.2f} ms",
-                        f"{row.writing_ms:.2f} ms",
-                    ]
-                )
+                cells.append([f"{row.median(phase):.2f} ms" for phase in _PHASES])
         widths = [
             max([len(title)] + [len(c[i]) for c in cells if c is not None])
             for i, title in enumerate(_COLUMNS)
@@ -142,10 +130,7 @@ class BenchReport:
         for row in self.rows:
             if row.error is not None:
                 continue
-            lines.append(
-                f"{row.case},{row.reading_ms:.2f}"
-                f",{row.transformation_ms:.2f},{row.writing_ms:.2f}"
-            )
+            lines.append(",".join([row.case] + [f"{row.median(phase):.2f}" for phase in _PHASES]))
         return "\n".join(lines)
 
     def render_json(self) -> str:
@@ -156,16 +141,12 @@ class BenchReport:
 
         cases = []
         for row in self.rows:
-            samples = row.measured()
             cases.append({
                 "case": row.case,
                 "error": row.error,
-                "samples": len(samples),
+                "samples": len(row.measured()),
                 "discarded": row.discarded,
-                "phases": {
-                    phase: _spread([getattr(s, f"{phase}_ms") for s in samples])
-                    for phase in _PHASES
-                },
+                "phases": {phase: _spread(row, phase) for phase in _PHASES},
             })
         return json.dumps(
             {

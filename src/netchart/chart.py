@@ -124,7 +124,7 @@ class StateChart:
     def new_or(self, children: list[Basic | AndState]) -> OrState:
         if not children:
             raise PreconditionError("an OR state needs at least one child")
-        node = self._new_or_shell()
+        node = OrState(self._node_id())
         for child in children:
             node.attach(child)
         return node
@@ -132,18 +132,10 @@ class StateChart:
     def new_and(self, children: list[OrState]) -> AndState:
         if not children:
             raise PreconditionError("an AND state needs at least one child")
-        node = self._new_and_shell()
+        node = AndState(self._node_id())
         for child in children:
             node.attach(child)
         return node
-
-    def _new_or_shell(self) -> OrState:
-        # initialization numbers an OR state before the basic it wraps;
-        # the final validation enforces nonemptiness
-        return OrState(self._node_id())
-
-    def _new_and_shell(self) -> AndState:
-        return AndState(self._node_id())
 
     def new_hyperedge(self, origin_transition: str) -> HyperEdge:
         edge = HyperEdge(f"h{self._next_edge}", origin_transition)
@@ -180,64 +172,104 @@ def validate_chart(chart: StateChart) -> list[str]:
     Checked: a single-rooted containment tree with correct parent links,
     the AND/OR/Basic alternation, nonempty child lists (non-root AND states
     need at least two children), unique node ids, and hyperedge endpoints
-    that are Basic states present in the tree.
+    that are Basic states present in the tree.  Each node is visited once,
+    so an id seen before belongs to another node; a composite's children
+    are checked in one pass, and its two per-child reports are made only
+    when that pass finds a fault.
     """
-    violations = []
-    if chart.topstate is None:
+    top = chart.topstate
+    if top is None:
         return [f"chart {chart.name!r}: no topstate"]
-    if not isinstance(chart.topstate, AndState):
-        violations.append(f"topstate {chart.topstate.id!r} is not an AND state")
-        return violations
-    if chart.topstate.parent is not None:
-        violations.append(f"topstate {chart.topstate.id!r} has a parent")
+    if not isinstance(top, AndState):
+        return [f"topstate {top.id!r} is not an AND state"]
+    violations = []
+    report = violations.append
+    if top.parent is not None:
+        report(f"topstate {top.id!r} has a parent")
 
-    seen: dict[str, Node] = {}
-    members: set[int] = set()
-    stack: list[Node] = [chart.topstate]
+    ids: set[str] = set()
+    members: set[Node] = set()  # nodes hash by identity
+    basics: set[Basic] = set()
+    stack: list[Node] = [top]
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = stack.pop()
-        if id(node) in members:
-            violations.append(f"node {node.id!r}: reached twice (containment is not a tree)")
+        node = pop()
+        if node in members:
+            report(f"node {node.id!r}: reached twice (containment is not a tree)")
             continue
-        members.add(id(node))
-        if node.id in seen and seen[node.id] is not node:
-            violations.append(f"duplicate node id {node.id!r}")
-        seen[node.id] = node
+        members.add(node)
+        if node.id in ids:
+            report(f"duplicate node id {node.id!r}")
+        else:
+            ids.add(node.id)
 
         if isinstance(node, Basic):
+            basics.add(node)
             if not isinstance(node.parent, OrState):
-                violations.append(f"basic {node.id!r}: parent is not an OR state")
+                report(f"basic {node.id!r}: parent is not an OR state")
             continue
+        children = node.children
         if isinstance(node, AndState):
-            minimum = 1 if node is chart.topstate else 2
-            if len(node.children) < minimum:
-                violations.append(f"and {node.id!r}: fewer than {minimum} children")
-            for child in node.children:
-                if not isinstance(child, OrState):
-                    violations.append(f"and {node.id!r}: child {child.id!r} is not an OR state")
+            minimum = 1 if node is top else 2
+            if len(children) < minimum:
+                report(f"and {node.id!r}: fewer than {minimum} children")
+            for child in children:
+                if child.parent is not node or not isinstance(child, OrState):
+                    _child_faults(node, report)
+                    break
         else:
-            if not node.children:
-                violations.append(f"or {node.id!r}: no children")
-            for child in node.children:
-                if isinstance(child, OrState):
-                    violations.append(f"or {node.id!r}: child {child.id!r} is an OR state")
-        for child in node.children:
-            if child.parent is not node:
-                violations.append(f"node {child.id!r}: parent link does not point at {node.id!r}")
-            stack.append(child)
+            if not children:
+                report(f"or {node.id!r}: no children")
+            for child in children:
+                if child.parent is not node or isinstance(child, OrState):
+                    _child_faults(node, report)
+                    break
+        push(children)
 
     edge_ids: set[str] = set()
     for edge in chart.hyperedges:
         if edge.id in edge_ids:
-            violations.append(f"duplicate hyperedge id {edge.id!r}")
+            report(f"duplicate hyperedge id {edge.id!r}")
         edge_ids.add(edge.id)
-        if not edge.sources:
-            violations.append(f"hyperedge {edge.id!r}: no sources")
-        if not edge.targets:
-            violations.append(f"hyperedge {edge.id!r}: no targets")
-        for endpoint in list(edge.sources) + list(edge.targets):
-            if not isinstance(endpoint, Basic):
-                violations.append(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not a basic state")
-            elif id(endpoint) not in members:
-                violations.append(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")
+        sources, targets = edge.sources, edge.targets
+        if not sources:
+            report(f"hyperedge {edge.id!r}: no sources")
+        if not targets:
+            report(f"hyperedge {edge.id!r}: no targets")
+        try:
+            reached = basics.issuperset(sources) and basics.issuperset(targets)
+        except TypeError:  # an unhashable endpoint: report it below
+            reached = False
+        if not reached:
+            _endpoint_faults(edge, members, report)
     return violations
+
+
+def _child_faults(node: AndState | OrState, report) -> None:
+    """Report what is wrong with *node*'s children: their kinds, then
+    their parent links."""
+    if isinstance(node, AndState):
+        for child in node.children:
+            if not isinstance(child, OrState):
+                report(f"and {node.id!r}: child {child.id!r} is not an OR state")
+    else:
+        for child in node.children:
+            if isinstance(child, OrState):
+                report(f"or {node.id!r}: child {child.id!r} is an OR state")
+    for child in node.children:
+        if child.parent is not node:
+            report(f"node {child.id!r}: parent link does not point at {node.id!r}")
+
+
+def _endpoint_faults(edge: HyperEdge, members: set[Node], report) -> None:
+    """Report each endpoint of *edge* that is no Basic state of the tree."""
+    for endpoint in list(edge.sources) + list(edge.targets):
+        if not isinstance(endpoint, Basic):
+            report(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not a basic state")
+            continue
+        try:
+            reached = endpoint in members
+        except TypeError:  # unhashable, so no node of the tree
+            reached = False
+        if not reached:
+            report(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")

@@ -15,7 +15,8 @@ in JSON, and one builder makes the chart from either.
 
 Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; the readers refuse other ids and the
-writers check the ids they print.
+writers check each id as they print it.  An id the check refuses outranks
+any other fault of the document, such as a character XML cannot carry.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from json.encoder import encode_basestring_ascii as _quote
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -36,7 +38,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .net import PetriNet, check_id, check_net
+from .net import _ID, PetriNet, check_id, check_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
@@ -46,6 +48,11 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 # what `_xml_attr` cannot copy verbatim: what `_NOT_XML_CHAR` refuses, the
 # tab, line feed and carriage return a reader would turn into spaces, & < > "
 _XML_ATTR_SPECIAL = re.compile('[\x00-\x1f&<>"\ud800-\udfff\ufffe\uffff]')
+# an id `_xml_id` prints verbatim: nonempty, free of whitespace and of what
+# `_XML_ATTR_SPECIAL` finds.  An alphanumeric id, the usual kind, is such an
+# id without a search: no letter or digit is whitespace, markup or a
+# character XML cannot carry.
+_XML_PLAIN_ID = re.compile('[^\\s&<>"\x00-\x1f\ud800-\udfff\ufffe\uffff]+')
 
 
 def detect_format(data: bytes | str) -> str:
@@ -121,6 +128,21 @@ def _xml_attr(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
+def _xml_id(kind: str, value: str) -> str:
+    """`value` quoted as `_xml_attr` quotes it, after `check_id` for a
+    value it cannot print verbatim."""
+    if str.isalnum(value) or _XML_PLAIN_ID.fullmatch(value):
+        return '"' + value + '"'
+    return _xml_attr(check_id(kind, value))
+
+
+def _json_id(kind: str, value: str) -> str:
+    """`value` as a JSON string, refused as `check_id` refuses it."""
+    if str.isalnum(value) or _ID.fullmatch(value):
+        return _quote(value)
+    return _quote(check_id(kind, value))
+
+
 def _reject_text(elem: ET.Element) -> None:
     if elem.text and elem.text.strip():
         raise ParseError(f"unexpected text inside <{elem.tag}>")
@@ -147,12 +169,17 @@ def _json_document(data: bytes | str):
         raise ParseError("json document is nested too deeply") from None
 
 
-def _json_object(obj, what: str, keys: tuple[str, ...]) -> list:
+def _json_object(obj, what: str, keys: tuple[str, ...]):
+    """The values of the object *obj* under exactly *keys*, as
+    `itemgetter(*keys)` gives them: a tuple, or the bare value of one key."""
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object, got {type(obj).__name__}")
-    if obj.keys() != set(keys):
-        raise ParseError(f"{what}: bad keys ({_key_mismatch(obj, keys)})")
-    return [obj[key] for key in keys]
+    if len(obj) == len(keys):
+        try:
+            return itemgetter(*keys)(obj)
+        except KeyError:
+            pass
+    raise ParseError(f"{what}: bad keys ({_key_mismatch(obj, keys)})")
 
 
 def _string(value, what: str) -> str:
@@ -162,9 +189,21 @@ def _string(value, what: str) -> str:
 
 
 def _string_list(value, what: str) -> list[str]:
+    """`value` itself, once it is checked to be a list of strings."""
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list, got {type(value).__name__}")
-    return [_string(item, f"{what} entry") for item in value]
+    for item in value:
+        if not isinstance(item, str):
+            _string(item, f"{what} entry")
+    return value
+
+
+def _document_id(value, kind: str, what: str) -> str:
+    """`value` if it is a string `check_id` accepts; else the error
+    `_string` or `check_id` raises."""
+    if isinstance(value, str) and (value.isalnum() or _ID.fullmatch(value)):
+        return value
+    return check_id(kind, _string(value, what))
 
 
 def _json_strings(values: Iterable[str], pad: str) -> str:
@@ -218,7 +257,7 @@ def _net_from_json(data: bytes | str) -> PetriNet:
     if not isinstance(places, list):
         raise ParseError("'places' must be a list")
     for entry in places:
-        (pid,) = _json_object(entry, "place", ("id",))
+        pid = _json_object(entry, "place", ("id",))
         net.add_place(_string(pid, "place id"))
     if not isinstance(transitions, list):
         raise ParseError("'transitions' must be a list")
@@ -237,26 +276,39 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
     violations = check_net(net)
     if violations:
         raise ValidationError(f"net {net.name!r} is not well formed", violations)
-    for place in net.places.values():
-        check_id("place", place.id)
-    for transition in net.transitions.values():
-        check_id("transition", transition.id)
-    if format == "xml":
-        lines = [f"<petrinet name={_xml_attr(net.name)}>"]
+    try:
+        return _net_to_xml(net) if format == "xml" else _net_to_json(net)
+    except (ModelError, TypeError):
+        # an id `check_id` refuses, or one that is no string (TypeError),
+        # outranks any other fault: raise the first such id in document order
         for place in net.places.values():
-            lines.append(f"  <place id={_xml_attr(place.id)}/>")
-        for t in net.transitions.values():
-            src = " ".join(p.id for p in t.preset)
-            tgt = " ".join(p.id for p in t.postset)
-            lines.append(
-                f"  <transition id={_xml_attr(t.id)} src={_xml_attr(src)}"
-                f" tgt={_xml_attr(tgt)}/>"
-            )
-        lines.append("</petrinet>")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    places = [f'    {{\n      "id": {_quote(p.id)}\n    }}' for p in net.places.values()]
+            check_id("place", place.id)
+        for transition in net.transitions.values():
+            check_id("transition", transition.id)
+        raise
+
+
+def _net_to_xml(net: PetriNet) -> bytes:
+    lines = [f"<petrinet name={_xml_attr(net.name)}>"]
+    for place in net.places.values():
+        lines.append(f"  <place id={_xml_id('place', place.id)}/>")
+    for t in net.transitions.values():
+        src = " ".join(p.id for p in t.preset)
+        tgt = " ".join(p.id for p in t.postset)
+        lines.append(
+            f"  <transition id={_xml_id('transition', t.id)} src={_xml_attr(src)}"
+            f" tgt={_xml_attr(tgt)}/>"
+        )
+    lines.append("</petrinet>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _net_to_json(net: PetriNet) -> bytes:
+    places = [
+        f'    {{\n      "id": {_json_id("place", p.id)}\n    }}' for p in net.places.values()
+    ]
     transitions = [
-        f'    {{\n      "id": {_quote(t.id)},\n'
+        f'    {{\n      "id": {_json_id("transition", t.id)},\n'
         f'      "src": {_json_strings((p.id for p in t.preset), "      ")},\n'
         f'      "tgt": {_json_strings((p.id for p in t.postset), "      ")}\n    }}'
         for t in net.transitions.values()
@@ -328,42 +380,21 @@ def _chart_document_from_xml(data: bytes | str) -> dict:
     return {"name": name, "topstate": top[0], "hyperedges": hyperedges}
 
 
-def _resolve_endpoints(edge_id: str, ids: list[str], nodes: dict[str, Node]) -> list[Basic]:
-    endpoints = []
-    for node_id in ids:
-        node = nodes.get(node_id)
-        if node is None:
-            raise MembershipError(
-                f"hyperedge {edge_id!r}: unknown state {node_id!r}"
-            )
-        if not isinstance(node, Basic):
-            raise PreconditionError(
-                f"hyperedge {edge_id!r}: endpoint {node_id!r} is not a basic state"
-            )
-        endpoints.append(node)
+def _resolve_endpoints(
+    edge_id: str, ids: list[str], basics: dict[str, Basic | None]
+) -> list[Basic]:
+    """The states *ids* name; *basics* maps the id of every state read to
+    that state when it is basic, else to None."""
+    endpoints = list(map(basics.get, ids))
+    if None in endpoints:
+        for node_id, node in zip(ids, endpoints):
+            if node is None:
+                if node_id in basics:
+                    raise PreconditionError(
+                        f"hyperedge {edge_id!r}: endpoint {node_id!r} is not a basic state"
+                    )
+                raise MembershipError(f"hyperedge {edge_id!r}: unknown state {node_id!r}")
     return endpoints
-
-
-def _state_node(obj) -> tuple[Node, list]:
-    if not isinstance(obj, dict):
-        raise ParseError(f"state must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind == "basic":
-        _, node_id, place = _json_object(obj, "basic state", ("kind", "id", "place"))
-        node = Basic(
-            check_id("state", _string(node_id, "state id")),
-            check_id("place", _string(place, "'place'")),
-        )
-        return node, []
-    if kind in ("or", "and"):
-        _, node_id, children = _json_object(
-            obj, f"{kind} state", ("kind", "id", "children")
-        )
-        if not isinstance(children, list):
-            raise ParseError("'children' must be a list")
-        cls = OrState if kind == "or" else AndState
-        return cls(check_id("state", _string(node_id, "state id"))), children
-    raise ParseError(f"state 'kind' must be 'basic', 'or' or 'and', got {kind!r}")
 
 
 def _chart_from_document(obj) -> StateChart:
@@ -373,16 +404,39 @@ def _chart_from_document(obj) -> StateChart:
         obj, "chart document", ("name", "topstate", "hyperedges")
     )
     chart = StateChart(_string(name, "chart name"))
-    chart.topstate, children = _state_node(topstate)  # type: ignore[assignment]
-    nodes: dict[str, Node] = {chart.topstate.id: chart.topstate}
-    stack: list[tuple[object, Node]] = [(child, chart.topstate) for child in reversed(children)]
+    # each id read, mapped to its last state when that is basic, else None
+    basics: dict[str, Basic | None] = {}
+    # explicit stack of (state object, parent); the topstate has none
+    stack: list[tuple[object, Node | None]] = [(topstate, None)]
     while stack:
         entry, parent = stack.pop()
-        node, children = _state_node(entry)
-        nodes[node.id] = node
-        parent.attach(node)  # alternation breaches raise TreeError
-        for child in reversed(children):
-            stack.append((child, node))
+        if not isinstance(entry, dict):
+            raise ParseError(f"state must be an object, got {type(entry).__name__}")
+        kind = entry.get("kind")
+        if kind == "basic":
+            _, node_id, place = _json_object(entry, "basic state", ("kind", "id", "place"))
+            node = Basic(
+                _document_id(node_id, "state", "state id"),
+                _document_id(place, "place", "'place'"),
+            )
+            basics[node.id] = node
+        else:
+            if kind == "or":
+                cls, what = OrState, "or state"
+            elif kind == "and":
+                cls, what = AndState, "and state"
+            else:
+                raise ParseError(f"state 'kind' must be 'basic', 'or' or 'and', got {kind!r}")
+            _, node_id, children = _json_object(entry, what, ("kind", "id", "children"))
+            if not isinstance(children, list):
+                raise ParseError("'children' must be a list")
+            node = cls(_document_id(node_id, "state", "state id"))
+            basics[node.id] = None
+            stack.extend(zip(reversed(children), repeat(node)))
+        if parent is None:
+            chart.topstate = node  # type: ignore[assignment]
+        else:
+            parent.attach(node)  # alternation breaches raise TreeError
 
     if not isinstance(hyperedges, list):
         raise ParseError("'hyperedges' must be a list")
@@ -391,11 +445,11 @@ def _chart_from_document(obj) -> StateChart:
             entry, "hyperedge", ("id", "transition", "src", "tgt")
         )
         edge = HyperEdge(
-            check_id("hyperedge", _string(edge_id, "hyperedge id")),
-            check_id("transition", _string(transition, "'transition'")),
+            _document_id(edge_id, "hyperedge", "hyperedge id"),
+            _document_id(transition, "transition", "'transition'"),
         )
-        edge.sources = _resolve_endpoints(edge.id, _string_list(src, "'src'"), nodes)
-        edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), nodes)
+        edge.sources = _resolve_endpoints(edge.id, _string_list(src, "'src'"), basics)
+        edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), basics)
         chart.hyperedges.append(edge)
     return chart
 
@@ -407,16 +461,19 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     violations = validate_chart(chart)
     if violations:
         raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
-    for node in chart.states():
-        check_id("state", node.id)
-        if isinstance(node, Basic):
-            check_id("place", node.origin_place)
-    for edge in chart.hyperedges:
-        check_id("hyperedge", edge.id)
-        check_id("transition", edge.origin_transition)
-    if format == "xml":
-        return _chart_to_xml(chart)
-    return _chart_to_json(chart)
+    try:
+        return _chart_to_xml(chart) if format == "xml" else _chart_to_json(chart)
+    except (ModelError, TypeError):
+        # an id `check_id` refuses, or one that is no string (TypeError),
+        # outranks any other fault: raise the first such id in document order
+        for node in chart.states():
+            check_id("state", node.id)
+            if isinstance(node, Basic):
+                check_id("place", node.origin_place)
+        for edge in chart.hyperedges:
+            check_id("hyperedge", edge.id)
+            check_id("transition", edge.origin_transition)
+        raise
 
 
 def _chart_to_xml(chart: StateChart) -> bytes:
@@ -431,12 +488,12 @@ def _chart_to_xml(chart: StateChart) -> bytes:
             continue
         if isinstance(node, Basic):
             lines.append(
-                f"{pad}<basic id={_xml_attr(node.id)}"
-                f" place={_xml_attr(node.origin_place)}/>"
+                f"{pad}<basic id={_xml_id('state', node.id)}"
+                f" place={_xml_id('place', node.origin_place)}/>"
             )
             continue
         tag = "and" if isinstance(node, AndState) else "or"
-        lines.append(f"{pad}<{tag} id={_xml_attr(node.id)}>")
+        lines.append(f"{pad}<{tag} id={_xml_id('state', node.id)}>")
         stack.append((node, depth, True))
         for child in reversed(node.children):
             stack.append((child, depth + 1, False))
@@ -444,8 +501,8 @@ def _chart_to_xml(chart: StateChart) -> bytes:
         src = " ".join(b.id for b in edge.sources)
         tgt = " ".join(b.id for b in edge.targets)
         lines.append(
-            f"  <hyperedge id={_xml_attr(edge.id)}"
-            f" transition={_xml_attr(edge.origin_transition)}"
+            f"  <hyperedge id={_xml_id('hyperedge', edge.id)}"
+            f" transition={_xml_id('transition', edge.origin_transition)}"
             f" src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
         )
     lines.append("</statechart>")
@@ -470,13 +527,13 @@ def _chart_to_json(chart: StateChart) -> bytes:
         pad = "  " * level
         if isinstance(node, Basic):
             emit(
-                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_quote(node.id)},\n'
-                f'{pad}  "place": {_quote(node.origin_place)}\n{pad}}}'.encode()
+                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_json_id("state", node.id)},\n'
+                f'{pad}  "place": {_json_id("place", node.origin_place)}\n{pad}}}'.encode()
             )
             continue
         kind = "and" if isinstance(node, AndState) else "or"
         emit(
-            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(node.id)},\n'
+            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_json_id("state", node.id)},\n'
             f'{pad}  "children": [\n{pad}    '.encode()
         )
         stack.append(f"\n{pad}  ]\n{pad}}}".encode())
@@ -487,8 +544,8 @@ def _chart_to_json(chart: StateChart) -> bytes:
             stack.append(separator)
         stack.append((children[0], level + 2))
     edges = [
-        f'    {{\n      "id": {_quote(edge.id)},\n'
-        f'      "transition": {_quote(edge.origin_transition)},\n'
+        f'    {{\n      "id": {_json_id("hyperedge", edge.id)},\n'
+        f'      "transition": {_json_id("transition", edge.origin_transition)},\n'
         f'      "src": {_json_strings((b.id for b in edge.sources), "      ")},\n'
         f'      "tgt": {_json_strings((b.id for b in edge.targets), "      ")}\n'
         "    }"
@@ -522,10 +579,12 @@ def parse_trace(data: bytes | str) -> list[TraceEntry]:
 
 
 def write_trace(entries: Iterable[TraceEntry]) -> bytes:
-    """Serialize trace entries as a JSON array sorted by (rule, input)."""
+    """Serialize trace entries as a JSON array sorted by (rule, input);
+    entries equal in both follow output order, though no pass records such
+    a pair."""
     records = [
         f'  {{\n    "rule": {_quote(rule)},\n    "input": {_quote(input_id)},\n'
         f'    "output": {_quote(output)}\n  }}'
-        for rule, input_id, output in sorted(entries, key=itemgetter(0, 1))
+        for rule, input_id, output in sorted(entries)
     ]
     return (_json_records(records, "") + "\n").encode("utf-8")

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chart import OrState, StateChart
+from .chart import AndState, Basic, HyperEdge, OrState, StateChart
 from .errors import PreconditionError, TraceError, ValidationError
 from .net import PetriNet, check_net
 
@@ -87,29 +87,51 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     if trace.entries:
         raise PreconditionError("trace already holds a pass; use a fresh Trace per pass")
     record = trace.entries.append
-    chart = StateChart(net.name)
-    record(TraceEntry("PetriNet2StateChart", net.name, net.name))
-    top = chart._new_and_shell()
-    record(TraceEntry("PetriNet2TopState", net.name, top.id))
+    entry = tuple.__new__  # TraceEntry's own __new__ only adds a Python call
+    name = net.name
+    chart = StateChart(name)
+    record(entry(TraceEntry, ("PetriNet2StateChart", name, name)))
+    # the nodes are fresh, so they are linked directly; ids come from the
+    # chart's counters, read once and written back
+    serial = chart._next_node
+    top = AndState(f"s{serial}")
+    serial += 1
+    record(entry(TraceEntry, ("PetriNet2TopState", name, top.id)))
+    top_children, ors = top.children, trace.ors
     basics = []
-    slot = {}
-    for pid, place in net.places.items():
-        or_state = chart._new_or_shell()
-        basic = chart.new_basic(pid)
-        or_state.attach(basic)
-        top.attach(or_state)
-        trace.ors[pid] = or_state
-        slot[place] = len(basics)
+    for pid in net.places:
+        or_state = OrState(f"s{serial}")
+        basic = Basic(f"s{serial + 1}", pid)
+        serial += 2
+        basic.parent = or_state
+        or_state.children[basic] = None
+        or_state.parent = top
+        top_children[or_state] = None
+        ors[pid] = or_state
         basics.append(basic)
-        record(TraceEntry("Place2Or", pid, or_state.id))
-        record(TraceEntry("Place2Basic", pid, basic.id))
-    chart.set_topstate(top)
+        record(entry(TraceEntry, ("Place2Or", pid, or_state.id)))
+        record(entry(TraceEntry, ("Place2Basic", pid, basic.id)))
+    chart._next_node = serial
+    chart.topstate = top
+
+    slot = dict(zip(net.places.values(), range(len(basics)))).__getitem__
+    basic_at = basics.__getitem__
+    edge_serial = chart._next_edge
+    edges = chart.hyperedges
     for tid, transition in net.transitions.items():
-        edge = chart.new_hyperedge(tid)
-        edge.sources = [basics[i] for i in sorted(slot[p] for p in transition.preset)]
-        edge.targets = [basics[i] for i in sorted(slot[p] for p in transition.postset)]
-        chart.add_hyperedge(edge)
-        record(TraceEntry("Transition2HyperEdge", tid, edge.id))
+        edge = HyperEdge(f"h{edge_serial}", tid)
+        edge_serial += 1
+        src = list(map(slot, transition.preset))
+        if len(src) > 1:
+            src.sort()
+        tgt = list(map(slot, transition.postset))
+        if len(tgt) > 1:
+            tgt.sort()
+        edge.sources = list(map(basic_at, src))
+        edge.targets = list(map(basic_at, tgt))
+        edges.append(edge)
+        record(entry(TraceEntry, ("Transition2HyperEdge", tid, edge.id)))
+    chart._next_edge = edge_serial
     return chart
 
 

@@ -1,16 +1,22 @@
-"""Brute-force reference reducer used to cross-check the pipeline.
+"""Reference implementations used to cross-check the package.
 
-Implements the same two reduction rules over plain sets and dicts:
-every round it re-derives adjacency from scratch and tries both rules
-at every transition, in the net's transition order, until nothing
-fires.  No worklist, no trace, no
+`oracle_reduce` is a brute-force reducer implementing the same two
+reduction rules over plain sets and dicts: every round it re-derives
+adjacency from scratch and tries both rules at every transition, in the
+net's transition order, until nothing fires.  No worklist, no trace, no
 code shared with the package under test; the only common vocabulary is
 the canonical signature grammar from `support`.
+
+`reference_validate_chart` is the straightforward form of
+`validate_chart`: one dict entry per id, one loop per check, every
+endpoint looked up on its own.  It shares only the node classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from netchart import AndState, Basic, OrState
 
 
 @dataclass
@@ -119,3 +125,67 @@ def oracle_reduce(
         and_applications=and_count,
         or_applications=or_count,
     )
+
+
+def reference_validate_chart(chart) -> list[str]:
+    """Every well-formedness violation of *chart*, in the order
+    `validate_chart` must report them."""
+    violations = []
+    if chart.topstate is None:
+        return [f"chart {chart.name!r}: no topstate"]
+    if not isinstance(chart.topstate, AndState):
+        violations.append(f"topstate {chart.topstate.id!r} is not an AND state")
+        return violations
+    if chart.topstate.parent is not None:
+        violations.append(f"topstate {chart.topstate.id!r} has a parent")
+
+    seen = {}
+    members: set[int] = set()
+    stack = [chart.topstate]
+    while stack:
+        node = stack.pop()
+        if id(node) in members:
+            violations.append(f"node {node.id!r}: reached twice (containment is not a tree)")
+            continue
+        members.add(id(node))
+        if node.id in seen and seen[node.id] is not node:
+            violations.append(f"duplicate node id {node.id!r}")
+        seen[node.id] = node
+
+        if isinstance(node, Basic):
+            if not isinstance(node.parent, OrState):
+                violations.append(f"basic {node.id!r}: parent is not an OR state")
+            continue
+        if isinstance(node, AndState):
+            minimum = 1 if node is chart.topstate else 2
+            if len(node.children) < minimum:
+                violations.append(f"and {node.id!r}: fewer than {minimum} children")
+            for child in node.children:
+                if not isinstance(child, OrState):
+                    violations.append(f"and {node.id!r}: child {child.id!r} is not an OR state")
+        else:
+            if not node.children:
+                violations.append(f"or {node.id!r}: no children")
+            for child in node.children:
+                if isinstance(child, OrState):
+                    violations.append(f"or {node.id!r}: child {child.id!r} is an OR state")
+        for child in node.children:
+            if child.parent is not node:
+                violations.append(f"node {child.id!r}: parent link does not point at {node.id!r}")
+            stack.append(child)
+
+    edge_ids: set[str] = set()
+    for edge in chart.hyperedges:
+        if edge.id in edge_ids:
+            violations.append(f"duplicate hyperedge id {edge.id!r}")
+        edge_ids.add(edge.id)
+        if not edge.sources:
+            violations.append(f"hyperedge {edge.id!r}: no sources")
+        if not edge.targets:
+            violations.append(f"hyperedge {edge.id!r}: no targets")
+        for endpoint in list(edge.sources) + list(edge.targets):
+            if not isinstance(endpoint, Basic):
+                violations.append(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not a basic state")
+            elif id(endpoint) not in members:
+                violations.append(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")
+    return violations

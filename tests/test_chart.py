@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchart import (
+    AndState,
     Basic,
     OrState,
     PreconditionError,
+    SpSpec,
     StateChart,
     TreeError,
+    generate_sp,
+    transform,
     validate_chart,
 )
+from oracle import reference_validate_chart
+from support import general_nets
 
 
 def _tiny_chart() -> StateChart:
@@ -192,3 +202,115 @@ def test_validate_reports_duplicate_hyperedge_ids():
         chart.add_hyperedge(edge)
     chart.hyperedges[1].id = chart.hyperedges[0].id
     assert any("duplicate hyperedge id" in v for v in validate_chart(chart))
+
+
+def test_validate_reports_foreign_and_unhashable_endpoints():
+    class Unhashable(Basic):
+        __slots__ = ()
+        __eq__ = object.__eq__  # defining __eq__ drops __hash__
+
+    chart = _tiny_chart()
+    basic = list(list(chart.topstate.children)[0].children)[0]
+    edge = chart.new_hyperedge("t")
+    edge.sources[:] = [SimpleNamespace(id="x"), basic]
+    edge.targets[:] = [Unhashable("y", "p")]
+    chart.add_hyperedge(edge)
+    assert validate_chart(chart) == [
+        "hyperedge 'h0': endpoint 'x' is not a basic state",
+        "hyperedge 'h0': endpoint 'y' is not in the chart",
+    ]
+
+
+def _nodes(chart: StateChart) -> list:
+    """Every node reachable from the topstate once, cycles included."""
+    found, seen, stack = [], set(), [chart.topstate]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        found.append(node)
+        if not isinstance(node, Basic):
+            stack.extend(node.children)
+    return found
+
+
+def _pick(items: list, k: int):
+    return items[k % len(items)] if items else None
+
+
+def _mutate(chart: StateChart, kind: str, k: int, j: int) -> None:
+    """Break *chart* in one of the ways `validate_chart` must report."""
+    nodes = _nodes(chart)
+    below = nodes[1:]
+    composites = [n for n in nodes if not isinstance(n, Basic)]
+    edges = chart.hyperedges
+    node, other = _pick(below, k), _pick(nodes, j)
+    if kind == "cut parent" and node:
+        node.parent = None
+    elif kind == "misdirect parent" and node:
+        node.parent = other
+    elif kind == "duplicate node id" and node:
+        node.id = other.id
+    elif kind == "duplicate edge id" and len(edges) > 1:
+        _pick(edges, k).id = _pick(edges, j).id
+    elif kind == "reach twice" and node:
+        _pick(composites, j).children[node] = None
+    elif kind == "empty composite":
+        _pick(composites, k).children = {}
+    elif kind == "lone inner and":
+        ors = [n for n in nodes if isinstance(n, OrState)]
+        if ors:
+            inner, leaf = AndState(f"x{k}"), Basic(f"y{k}", "p")
+            wrapper = OrState(f"z{k}")
+            wrapper.children[leaf], leaf.parent = None, wrapper
+            inner.children[wrapper], wrapper.parent = None, inner
+            host = _pick(ors, j)
+            host.children[inner], inner.parent = None, host
+    elif kind == "basic under and":
+        ands = [n for n in nodes if isinstance(n, AndState)]
+        leaf = _pick([n for n in nodes if isinstance(n, Basic)], k)
+        _pick(ands, j).children[leaf] = None
+    elif kind == "composite endpoint" and edges:
+        _pick(edges, k).sources.append(_pick(composites, j))
+    elif kind == "outside endpoint" and edges:
+        _pick(edges, k).targets.insert(0, Basic(f"w{j}", "p"))
+    elif kind == "foreign endpoint" and edges:
+        _pick(edges, k).targets.append(SimpleNamespace(id=f"v{j}"))
+    elif kind == "empty side" and edges:
+        edge = _pick(edges, k)
+        if j % 2:
+            edge.sources = []
+        else:
+            edge.targets = []
+
+
+_MUTATIONS = (
+    "cut parent", "misdirect parent", "duplicate node id", "duplicate edge id",
+    "reach twice", "empty composite", "lone inner and", "basic under and",
+    "composite endpoint", "outside endpoint", "foreign endpoint", "empty side",
+)
+
+_SMALL_NETS = st.one_of(
+    general_nets(),
+    st.builds(
+        lambda places, seed: generate_sp(SpSpec(places=places, seed=seed)),
+        st.integers(1, 40),
+        st.integers(0, 10_000),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _SMALL_NETS,
+    st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 999), st.integers(0, 999)),
+        max_size=4,
+    ),
+)
+def test_validate_matches_the_reference_on_mutated_charts(net, mutations):
+    chart = transform(net).chart
+    for kind, k, j in mutations:
+        _mutate(chart, kind, k, j)
+    assert validate_chart(chart) == reference_validate_chart(chart)

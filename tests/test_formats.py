@@ -18,8 +18,10 @@ from netchart import (
     DuplicateIdError,
     MembershipError,
     ModelError,
+    NetchartError,
     ParseError,
     PetriNet,
+    Place,
     PreconditionError,
     SpSpec,
     StateChart,
@@ -36,7 +38,8 @@ from netchart import (
     write_net,
     write_trace,
 )
-from netchart.formats import _NOT_XML_CHAR, _xml_attr
+from netchart.formats import _NOT_XML_CHAR, _XML_PLAIN_ID, _xml_attr
+from netchart.net import _ID
 from support import (
     chart_identical,
     child_env,
@@ -316,6 +319,16 @@ def test_xml_attr_quotes_byte_for_byte_like_quoteattr(value):
     assert _xml_attr(kept) == quoteattr(kept)
 
 
+def test_alphanumeric_ids_need_no_search():
+    # the writers and the chart reader pass an alphanumeric id without a
+    # regex search, so no letter or digit may be one the searches refuse
+    refused = [
+        c for c in map(chr, range(0x110000))
+        if c.isalnum() and not (_ID.fullmatch(c) and _XML_PLAIN_ID.fullmatch(c))
+    ]
+    assert refused == []
+
+
 def test_importing_netchart_loads_no_network_modules():
     heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
     code = f"import sys, netchart; print(*[m for m in {heavy!r} if m in sys.modules])"
@@ -384,6 +397,22 @@ def test_write_chart_refuses_origin_ids_its_reader_refuses(format):
         chart.add_hyperedge(edge)
         with pytest.raises(PreconditionError, match=f"^{kind} id .* without whitespace$"):
             write_chart(chart, format)
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_writers_report_a_refused_id_before_a_character_xml_cannot_carry(format):
+    # built by hand: the model constructors refuse the spaced id
+    net = PetriNet("n")
+    net.add_place("a\x01")
+    net.places["b c"] = Place("b c")
+    net.add_transition("t", ["a\x01"], ["b c"])
+    with pytest.raises(PreconditionError, match="^place id 'b c' must be"):
+        write_net(net, format)
+    chart = StateChart("n")
+    early, late = Basic("a\x01", "p"), Basic("b c", "q")
+    chart.set_topstate(chart.new_and([chart.new_or([early]), chart.new_or([late])]))
+    with pytest.raises(PreconditionError, match="^state id 'b c' must be"):
+        write_chart(chart, format)
 
 
 @pytest.mark.parametrize("parse", [parse_net, parse_chart])
@@ -509,10 +538,13 @@ def test_write_trace_sorts_entries():
         TraceEntry(rule="Z", input="a", output="1"),
         TraceEntry(rule="A", input="b", output="2"),
         TraceEntry(rule="A", input="a", output="3"),
+        TraceEntry(rule="A", input="b", output="0"),
     ]
     blob = write_trace(entries)
-    assert [e.rule for e in parse_trace(blob)] == ["A", "A", "Z"]
+    assert [e.rule for e in parse_trace(blob)] == ["A", "A", "A", "Z"]
     assert parse_trace(blob)[0].input == "a"
+    # entries equal in rule and input, which no pass records, follow output order
+    assert [e.output for e in parse_trace(blob)[1:3]] == ["0", "2"]
 
 
 def test_write_trace_empty():
@@ -671,3 +703,68 @@ def test_nests_of_depth_200_round_trip_through_json():
     back = parse_chart(blob)
     assert chart_identical(chart, back)
     assert write_chart(back, "json") == blob
+
+
+def _valid_documents() -> list[bytes]:
+    chart, _, trace = transform(diamond())
+    docs = [write_trace(trace)]
+    for format in ("xml", "json"):
+        docs += [write_net(diamond(), format), write_chart(chart, format)]
+    return docs
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid net, chart or trace document with a few bytes deleted,
+    inserted, replaced or repeated."""
+    doc = bytearray(draw(st.sampled_from(_valid_documents())))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(doc)))
+        span = draw(st.integers(0, 12))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "repeat"]))
+        if op == "delete":
+            del doc[at : at + span]
+        elif op == "repeat":
+            doc[at:at] = doc[at : at + span]
+        else:
+            junk = draw(st.one_of(
+                st.binary(min_size=1, max_size=span + 1),
+                st.sampled_from([b'"', b"<", b">", b"{", b"}", b"[", b"]", b",", b":",
+                                 b" ", b"/", b"=", b"\xff", b"\x01", b"null", b"0",
+                                 b'"and"', b'"or"', b'"basic"', b"<or id='x'>"]),
+            ))
+            doc[at : at + (span if op == "replace" else 0)] = junk
+    return bytes(doc)
+
+
+@st.composite
+def _deep_documents(draw):
+    """Adversarial nesting: brackets, objects, state trees and elements."""
+    depth = draw(st.integers(1, 3000))
+    shape = draw(st.sampled_from(["array", "object", "state", "xml", "xml state"]))
+    if shape == "array":
+        return b"[" * depth + b"]" * draw(st.integers(0, depth))
+    if shape == "object":
+        return b'{"name": ' * depth + b"1" + b"}" * depth
+    if shape == "state":
+        state = b'{"kind": "or", "id": "s", "children": ['
+        return (b'{"name": "n", "topstate": ' + state * depth + b"]}" * depth
+                + b', "hyperedges": []}')
+    if shape == "xml":
+        return b"<petrinet name='n'>" + b"<place id='p'>" * depth
+    return b"<statechart name='n'>" + b"<and id='a'><or id='o'>" * depth + b"</statechart>"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.text(max_size=32),
+    _mutated_documents(),
+    _deep_documents(),
+))
+def test_readers_raise_only_netchart_errors(data):
+    for parse in (parse_net, parse_chart, parse_trace):
+        try:
+            parse(data)
+        except NetchartError:
+            pass
