@@ -17,6 +17,10 @@ from typing import Iterator
 
 from .errors import PreconditionError, TreeError
 
+# the id of the node, or hyperedge, a chart hands out n-th
+_NODE_ID = "s{}".format
+_EDGE_ID = "h{}".format
+
 
 class Basic:
     """Leaf state created from exactly one place of the input net."""
@@ -101,7 +105,8 @@ class StateChart:
     Nodes are created through `new_basic` / `new_or` / `new_and`, which
     assign ids "s0", "s1", ... in creation order; hyperedges get "h0",
     "h1", ...  Freshly created nodes are detached: the caller attaches
-    them.
+    them.  `node_ids` and `edge_ids` hand out a block of the same ids to
+    a caller that builds the objects itself.
     """
 
     def __init__(self, name: str):
@@ -114,9 +119,21 @@ class StateChart:
     # -- node factories ----------------------------------------------------
 
     def _node_id(self) -> str:
-        id = f"s{self._next_node}"
+        id = _NODE_ID(self._next_node)
         self._next_node += 1
         return id
+
+    def node_ids(self, count: int) -> Iterator[str]:
+        """The ids of the next *count* nodes, in creation order."""
+        first = self._next_node
+        self._next_node += count
+        return map(_NODE_ID, range(first, first + count))
+
+    def edge_ids(self, count: int) -> Iterator[str]:
+        """The ids of the next *count* hyperedges, in creation order."""
+        first = self._next_edge
+        self._next_edge += count
+        return map(_EDGE_ID, range(first, first + count))
 
     def new_basic(self, origin_place: str) -> Basic:
         return Basic(self._node_id(), origin_place)
@@ -138,7 +155,7 @@ class StateChart:
         return node
 
     def new_hyperedge(self, origin_transition: str) -> HyperEdge:
-        edge = HyperEdge(f"h{self._next_edge}", origin_transition)
+        edge = HyperEdge(_EDGE_ID(self._next_edge), origin_transition)
         self._next_edge += 1
         return edge
 
@@ -173,9 +190,7 @@ def validate_chart(chart: StateChart) -> list[str]:
     the AND/OR/Basic alternation, nonempty child lists (non-root AND states
     need at least two children), unique node ids, and hyperedge endpoints
     that are Basic states present in the tree.  Each node is visited once,
-    so an id seen before belongs to another node; a composite's children
-    are checked in one pass, and its two per-child reports are made only
-    when that pass finds a fault.
+    so an id seen before belongs to another node.
     """
     top = chart.topstate
     if top is None:
@@ -214,16 +229,17 @@ def validate_chart(chart: StateChart) -> list[str]:
             if len(children) < minimum:
                 report(f"and {node.id!r}: fewer than {minimum} children")
             for child in children:
-                if child.parent is not node or not isinstance(child, OrState):
-                    _child_faults(node, report)
-                    break
+                if not isinstance(child, OrState):
+                    report(f"and {node.id!r}: child {child.id!r} is not an OR state")
         else:
             if not children:
                 report(f"or {node.id!r}: no children")
             for child in children:
-                if child.parent is not node or isinstance(child, OrState):
-                    _child_faults(node, report)
-                    break
+                if isinstance(child, OrState):
+                    report(f"or {node.id!r}: child {child.id!r} is an OR state")
+        for child in children:
+            if child.parent is not node:
+                report(f"node {child.id!r}: parent link does not point at {node.id!r}")
         push(children)
 
     edge_ids: set[str] = set()
@@ -243,22 +259,6 @@ def validate_chart(chart: StateChart) -> list[str]:
         if not reached:
             _endpoint_faults(edge, members, report)
     return violations
-
-
-def _child_faults(node: AndState | OrState, report) -> None:
-    """Report what is wrong with *node*'s children: their kinds, then
-    their parent links."""
-    if isinstance(node, AndState):
-        for child in node.children:
-            if not isinstance(child, OrState):
-                report(f"and {node.id!r}: child {child.id!r} is not an OR state")
-    else:
-        for child in node.children:
-            if isinstance(child, OrState):
-                report(f"or {node.id!r}: child {child.id!r} is an OR state")
-    for child in node.children:
-        if child.parent is not node:
-            report(f"node {child.id!r}: parent link does not point at {node.id!r}")
 
 
 def _endpoint_faults(edge: HyperEdge, members: set[Node], report) -> None:

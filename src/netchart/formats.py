@@ -38,7 +38,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .net import _ID, PetriNet, check_id, check_net
+from .net import PetriNet, check_id, check_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
@@ -49,9 +49,7 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 # tab, line feed and carriage return a reader would turn into spaces, & < > "
 _XML_ATTR_SPECIAL = re.compile('[\x00-\x1f&<>"\ud800-\udfff\ufffe\uffff]')
 # an id `_xml_id` prints verbatim: nonempty, free of whitespace and of what
-# `_XML_ATTR_SPECIAL` finds.  An alphanumeric id, the usual kind, is such an
-# id without a search: no letter or digit is whitespace, markup or a
-# character XML cannot carry.
+# `_XML_ATTR_SPECIAL` finds
 _XML_PLAIN_ID = re.compile('[^\\s&<>"\x00-\x1f\ud800-\udfff\ufffe\uffff]+')
 
 
@@ -131,16 +129,9 @@ def _xml_attr(value: str) -> str:
 def _xml_id(kind: str, value: str) -> str:
     """`value` quoted as `_xml_attr` quotes it, after `check_id` for a
     value it cannot print verbatim."""
-    if str.isalnum(value) or _XML_PLAIN_ID.fullmatch(value):
+    if _XML_PLAIN_ID.fullmatch(value):
         return '"' + value + '"'
     return _xml_attr(check_id(kind, value))
-
-
-def _json_id(kind: str, value: str) -> str:
-    """`value` as a JSON string, refused as `check_id` refuses it."""
-    if str.isalnum(value) or _ID.fullmatch(value):
-        return _quote(value)
-    return _quote(check_id(kind, value))
 
 
 def _reject_text(elem: ET.Element) -> None:
@@ -196,14 +187,6 @@ def _string_list(value, what: str) -> list[str]:
         if not isinstance(item, str):
             _string(item, f"{what} entry")
     return value
-
-
-def _document_id(value, kind: str, what: str) -> str:
-    """`value` if it is a string `check_id` accepts; else the error
-    `_string` or `check_id` raises."""
-    if isinstance(value, str) and (value.isalnum() or _ID.fullmatch(value)):
-        return value
-    return check_id(kind, _string(value, what))
 
 
 def _json_strings(values: Iterable[str], pad: str) -> str:
@@ -305,10 +288,10 @@ def _net_to_xml(net: PetriNet) -> bytes:
 
 def _net_to_json(net: PetriNet) -> bytes:
     places = [
-        f'    {{\n      "id": {_json_id("place", p.id)}\n    }}' for p in net.places.values()
+        f'    {{\n      "id": {_quote(check_id("place", p.id))}\n    }}' for p in net.places.values()
     ]
     transitions = [
-        f'    {{\n      "id": {_json_id("transition", t.id)},\n'
+        f'    {{\n      "id": {_quote(check_id("transition", t.id))},\n'
         f'      "src": {_json_strings((p.id for p in t.preset), "      ")},\n'
         f'      "tgt": {_json_strings((p.id for p in t.postset), "      ")}\n    }}'
         for t in net.transitions.values()
@@ -416,8 +399,8 @@ def _chart_from_document(obj) -> StateChart:
         if kind == "basic":
             _, node_id, place = _json_object(entry, "basic state", ("kind", "id", "place"))
             node = Basic(
-                _document_id(node_id, "state", "state id"),
-                _document_id(place, "place", "'place'"),
+                check_id("state", _string(node_id, "state id")),
+                check_id("place", _string(place, "'place'")),
             )
             basics[node.id] = node
         else:
@@ -430,7 +413,7 @@ def _chart_from_document(obj) -> StateChart:
             _, node_id, children = _json_object(entry, what, ("kind", "id", "children"))
             if not isinstance(children, list):
                 raise ParseError("'children' must be a list")
-            node = cls(_document_id(node_id, "state", "state id"))
+            node = cls(check_id("state", _string(node_id, "state id")))
             basics[node.id] = None
             stack.extend(zip(reversed(children), repeat(node)))
         if parent is None:
@@ -445,8 +428,8 @@ def _chart_from_document(obj) -> StateChart:
             entry, "hyperedge", ("id", "transition", "src", "tgt")
         )
         edge = HyperEdge(
-            _document_id(edge_id, "hyperedge", "hyperedge id"),
-            _document_id(transition, "transition", "'transition'"),
+            check_id("hyperedge", _string(edge_id, "hyperedge id")),
+            check_id("transition", _string(transition, "'transition'")),
         )
         edge.sources = _resolve_endpoints(edge.id, _string_list(src, "'src'"), basics)
         edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), basics)
@@ -527,13 +510,13 @@ def _chart_to_json(chart: StateChart) -> bytes:
         pad = "  " * level
         if isinstance(node, Basic):
             emit(
-                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_json_id("state", node.id)},\n'
-                f'{pad}  "place": {_json_id("place", node.origin_place)}\n{pad}}}'.encode()
+                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
+                f'{pad}  "place": {_quote(check_id("place", node.origin_place))}\n{pad}}}'.encode()
             )
             continue
         kind = "and" if isinstance(node, AndState) else "or"
         emit(
-            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_json_id("state", node.id)},\n'
+            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
             f'{pad}  "children": [\n{pad}    '.encode()
         )
         stack.append(f"\n{pad}  ]\n{pad}}}".encode())
@@ -544,8 +527,8 @@ def _chart_to_json(chart: StateChart) -> bytes:
             stack.append(separator)
         stack.append((children[0], level + 2))
     edges = [
-        f'    {{\n      "id": {_json_id("hyperedge", edge.id)},\n'
-        f'      "transition": {_json_id("transition", edge.origin_transition)},\n'
+        f'    {{\n      "id": {_quote(check_id("hyperedge", edge.id))},\n'
+        f'      "transition": {_quote(check_id("transition", edge.origin_transition))},\n'
         f'      "src": {_json_strings((b.id for b in edge.sources), "      ")},\n'
         f'      "tgt": {_json_strings((b.id for b in edge.targets), "      ")}\n'
         "    }"

@@ -91,36 +91,33 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     name = net.name
     chart = StateChart(name)
     record(entry(TraceEntry, ("PetriNet2StateChart", name, name)))
-    # the nodes are fresh, so they are linked directly; ids come from the
-    # chart's counters, read once and written back
-    serial = chart._next_node
-    top = AndState(f"s{serial}")
-    serial += 1
+    # the nodes are fresh, so they are linked directly, under ids the chart
+    # hands out in one block: the topstate's, then an OR's and its basic's
+    # for each place, which `zip` draws in turn from the one iterator
+    ids = chart.node_ids(1 + 2 * len(net.places))
+    top = AndState(next(ids))
     record(entry(TraceEntry, ("PetriNet2TopState", name, top.id)))
     top_children, ors = top.children, trace.ors
     basics = []
-    for pid in net.places:
-        or_state = OrState(f"s{serial}")
-        basic = Basic(f"s{serial + 1}", pid)
-        serial += 2
+    for pid, or_id, basic_id in zip(net.places, ids, ids):
+        or_state = OrState(or_id)
+        basic = Basic(basic_id, pid)
         basic.parent = or_state
         or_state.children[basic] = None
         or_state.parent = top
         top_children[or_state] = None
         ors[pid] = or_state
         basics.append(basic)
-        record(entry(TraceEntry, ("Place2Or", pid, or_state.id)))
-        record(entry(TraceEntry, ("Place2Basic", pid, basic.id)))
-    chart._next_node = serial
+        record(entry(TraceEntry, ("Place2Or", pid, or_id)))
+        record(entry(TraceEntry, ("Place2Basic", pid, basic_id)))
     chart.topstate = top
 
     slot = dict(zip(net.places.values(), range(len(basics)))).__getitem__
     basic_at = basics.__getitem__
-    edge_serial = chart._next_edge
     edges = chart.hyperedges
-    for tid, transition in net.transitions.items():
-        edge = HyperEdge(f"h{edge_serial}", tid)
-        edge_serial += 1
+    transitions = net.transitions
+    for (tid, transition), edge_id in zip(transitions.items(), chart.edge_ids(len(transitions))):
+        edge = HyperEdge(edge_id, tid)
         src = list(map(slot, transition.preset))
         if len(src) > 1:
             src.sort()
@@ -130,8 +127,7 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         edge.sources = list(map(basic_at, src))
         edge.targets = list(map(basic_at, tgt))
         edges.append(edge)
-        record(entry(TraceEntry, ("Transition2HyperEdge", tid, edge.id)))
-    chart._next_edge = edge_serial
+        record(entry(TraceEntry, ("Transition2HyperEdge", tid, edge_id)))
     return chart
 
 

@@ -38,8 +38,7 @@ from netchart import (
     write_net,
     write_trace,
 )
-from netchart.formats import _NOT_XML_CHAR, _XML_PLAIN_ID, _xml_attr
-from netchart.net import _ID
+from netchart.formats import _NOT_XML_CHAR, _xml_attr
 from support import (
     chart_identical,
     child_env,
@@ -317,16 +316,6 @@ def test_xml_attr_quotes_byte_for_byte_like_quoteattr(value):
     # also exercises the quoting
     kept = _NOT_XML_CHAR.sub("", value)
     assert _xml_attr(kept) == quoteattr(kept)
-
-
-def test_alphanumeric_ids_need_no_search():
-    # the writers and the chart reader pass an alphanumeric id without a
-    # regex search, so no letter or digit may be one the searches refuse
-    refused = [
-        c for c in map(chr, range(0x110000))
-        if c.isalnum() and not (_ID.fullmatch(c) and _XML_PLAIN_ID.fullmatch(c))
-    ]
-    assert refused == []
 
 
 def test_importing_netchart_loads_no_network_modules():
