@@ -40,6 +40,11 @@ def test_factories_number_nodes_in_creation_order():
     assert (basic.id, or_state.id, and_state.id) == ("s0", "s1", "s2")
     assert chart.new_hyperedge("t").id == "h0"
     assert chart.new_hyperedge("t").id == "h1"
+    # a block of ids continues the same sequence, and the factories go on after it
+    assert list(chart.node_ids(2)) == ["s3", "s4"]
+    assert list(chart.edge_ids(2)) == ["h2", "h3"]
+    assert chart.new_basic("q").id == "s5"
+    assert chart.new_hyperedge("t").id == "h4"
 
 
 def test_new_or_requires_children():
