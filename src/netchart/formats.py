@@ -288,7 +288,8 @@ def _net_to_xml(net: PetriNet) -> bytes:
 
 def _net_to_json(net: PetriNet) -> bytes:
     places = [
-        f'    {{\n      "id": {_quote(check_id("place", p.id))}\n    }}' for p in net.places.values()
+        f'    {{\n      "id": {_quote(check_id("place", p.id))}\n    }}'
+        for p in net.places.values()
     ]
     transitions = [
         f'    {{\n      "id": {_quote(check_id("transition", t.id))},\n'

@@ -275,7 +275,8 @@ def _mutate(chart: StateChart, kind: str, k: int, j: int) -> None:
     elif kind == "basic under and":
         ands = [n for n in nodes if isinstance(n, AndState)]
         leaf = _pick([n for n in nodes if isinstance(n, Basic)], k)
-        _pick(ands, j).children[leaf] = None
+        if leaf:  # an emptied composite can leave no basic to move
+            _pick(ands, j).children[leaf] = None
     elif kind == "composite endpoint" and edges:
         _pick(edges, k).sources.append(_pick(composites, j))
     elif kind == "outside endpoint" and edges:
