@@ -3,8 +3,11 @@
 Each case is generated once and written to a temp file; every
 repetition then measures three disjoint intervals with a monotonic
 clock: reading (load + parse), transformation (the full pipeline run)
-and writing (serialize + store the chart).  A repetition builds its
-trace from scratch inside `transform`, so no state carries over.
+and writing (serialize + store the chart).  Four layers are timed too:
+parse (the parse inside reading), and initialize, reduce and export,
+from a second run of the pipeline's steps after writing, so that
+transformation stays one whole `transform` call.  A repetition builds
+its traces from scratch, so no state carries over.
 Automatic garbage collection is paused inside the timed region, as
 `timeit` does, so collector scheduling does not leak into the phase
 times.
@@ -23,16 +26,21 @@ from pathlib import Path
 from .errors import NetchartError, PreconditionError
 from .formats import parse_net, write_chart, write_net
 from .generator import SpSpec, generate_sp
-from .pipeline import transform
+from .pipeline import Trace, initialize, reduce, transform
 
 
 @dataclass
 class PhaseSample:
-    """Milliseconds spent in each phase of one repetition."""
+    """Milliseconds spent in each phase, and in each layer, of one
+    repetition."""
 
     reading_ms: float
     transformation_ms: float
     writing_ms: float
+    parse_ms: float
+    initialize_ms: float
+    reduce_ms: float
+    export_ms: float
 
 
 @dataclass
@@ -48,7 +56,7 @@ class BenchRow:
         return self.samples[self.discarded :]
 
     def times(self, phase: str) -> list[float]:
-        """The measured milliseconds of *phase*, one of `_PHASES`."""
+        """The measured milliseconds of *phase*, one of `_PHASES` or `_LAYERS`."""
         return [getattr(s, f"{phase}_ms") for s in self.measured()]
 
     def median(self, phase: str) -> float:
@@ -91,6 +99,7 @@ def _revision() -> str | None:
 
 _COLUMNS = ("Reading input", "Transformation", "Writing output")
 _PHASES = ("reading", "transformation", "writing")
+_LAYERS = ("parse", "initialize", "reduce", "export")
 
 
 @dataclass
@@ -134,9 +143,9 @@ class BenchReport:
         return "\n".join(lines)
 
     def render_json(self) -> str:
-        """Every case's phases as median, minimum and interquartile range,
-        with the seed, the sizes and the Python version, platform and git
-        revision that produced them."""
+        """Every case's phases and layers as median, minimum and
+        interquartile range, with the seed, the sizes and the Python
+        version, platform and git revision that produced them."""
         import platform  # only the JSON report pays for it, not every import
 
         cases = []
@@ -147,6 +156,7 @@ class BenchReport:
                 "samples": len(row.measured()),
                 "discarded": row.discarded,
                 "phases": {phase: _spread(row, phase) for phase in _PHASES},
+                "layers": {layer: _spread(row, layer) for layer in _LAYERS},
             })
         return json.dumps(
             {
@@ -179,12 +189,22 @@ def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
                 gc.disable()
                 try:
                     t0 = time.perf_counter()
-                    parsed = parse_net(in_path.read_bytes())
+                    document = in_path.read_bytes()
+                    t_parse = time.perf_counter()
+                    parsed = parse_net(document)
                     t1 = time.perf_counter()
                     result = transform(parsed)
                     t2 = time.perf_counter()
                     out_path.write_bytes(write_chart(result.chart, "xml"))
                     t3 = time.perf_counter()
+                    trace = Trace()
+                    t4 = time.perf_counter()
+                    chart = initialize(parsed, trace)
+                    t5 = time.perf_counter()
+                    reduce(parsed, chart, trace)
+                    t6 = time.perf_counter()
+                    trace.export()
+                    t7 = time.perf_counter()
                 finally:
                     if was_enabled:
                         gc.enable()
@@ -193,6 +213,10 @@ def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
                         reading_ms=(t1 - t0) * 1e3,
                         transformation_ms=(t2 - t1) * 1e3,
                         writing_ms=(t3 - t2) * 1e3,
+                        parse_ms=(t1 - t_parse) * 1e3,
+                        initialize_ms=(t5 - t4) * 1e3,
+                        reduce_ms=(t6 - t5) * 1e3,
+                        export_ms=(t7 - t6) * 1e3,
                     )
                 )
         if discard_first and len(row.samples) > 1:

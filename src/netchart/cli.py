@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 unreadable or unparseable input (including
-usage errors), 2 semantic/validation failure, 3 reduction left material
-behind while --require-full-reduction was given.
+usage errors, and input too large or too deep for the interpreter),
+2 semantic/validation failure, 3 reduction left material behind while
+--require-full-reduction was given.
 """
 
 from __future__ import annotations
@@ -211,6 +212,12 @@ def main(argv=None) -> int:
     except NetchartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply (Python's recursion limit)", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

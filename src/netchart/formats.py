@@ -203,6 +203,10 @@ def _json_records(records: list[str], pad: str) -> str:
 # -- Petri nets ------------------------------------------------------------
 
 
+_PLACE_KEYS = {"id"}
+_TRANSITION_KEYS = {"id", "src", "tgt"}
+
+
 def parse_net(data: bytes | str) -> PetriNet:
     """Read a net document in the format `detect_format` finds."""
     if detect_format(data) == "xml":
@@ -215,19 +219,25 @@ def _net_from_xml(data: bytes | str) -> PetriNet:
     (name,) = _attrs(root, ("name",))
     _reject_text(root)
     net = PetriNet(name)
+    add_place, add_transition = net.add_place, net.add_transition
+    # an element's attributes are read directly once their names fit;
+    # `_attrs` runs only to raise its message
     for elem in root:
-        if elem.tag == "place":
-            (pid,) = _attrs(elem, ("id",))
+        tag, attrib = elem.tag, elem.attrib
+        if tag == "place":
+            if attrib.keys() != _PLACE_KEYS:
+                _attrs(elem, ("id",))
             if len(elem):
                 raise ParseError("element <place> cannot contain child elements")
-            net.add_place(pid)
-        elif elem.tag == "transition":
-            tid, src, tgt = _attrs(elem, ("id", "src", "tgt"))
+            add_place(attrib["id"])
+        elif tag == "transition":
+            if attrib.keys() != _TRANSITION_KEYS:
+                _attrs(elem, ("id", "src", "tgt"))
             if len(elem):
                 raise ParseError("element <transition> cannot contain child elements")
-            net.add_transition(tid, src.split(), tgt.split())
+            add_transition(attrib["id"], attrib["src"].split(), attrib["tgt"].split())
         else:
-            raise ParseError(f"unexpected element <{elem.tag}> inside <petrinet>")
+            raise ParseError(f"unexpected element <{tag}> inside <petrinet>")
     return net
 
 

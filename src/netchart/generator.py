@@ -84,8 +84,8 @@ def generate_sp(spec: SpSpec) -> PetriNet:
         if parent >= 0:
             nodes[parent][1][slot] = index
 
-    # build pass: each entry of `ends` is the (entry, exit) place pair of
-    # the finished sub-net
+    # build pass: each entry of `ends` is the (entry, exit) place id pair
+    # of the finished sub-net; `add_transition` resolves ids in one lookup
     net = PetriNet(f"sp{spec.places}-mt19937-seed{spec.seed}")
     ends: list[tuple | None] = [None] * len(nodes)
     next_place = 0
@@ -93,7 +93,7 @@ def generate_sp(spec: SpSpec) -> PetriNet:
     for index in range(len(nodes) - 1, -1, -1):
         kind, children = nodes[index]
         if kind == _ATOM:
-            place = net.add_place(f"p{next_place}")
+            place = net.add_place(f"p{next_place}").id
             next_place += 1
             ends[index] = (place, place)
         elif kind == _SERIES:
@@ -104,8 +104,8 @@ def generate_sp(spec: SpSpec) -> PetriNet:
             next_transition += 1
             ends[index] = (ends[left][0], ends[right][1])
         else:
-            entry = net.add_place(f"p{next_place}")
-            exit_ = net.add_place(f"p{next_place + 1}")
+            entry = net.add_place(f"p{next_place}").id
+            exit_ = net.add_place(f"p{next_place + 1}").id
             next_place += 2
             net.add_transition(
                 f"t{next_transition}", [entry], [ends[child][0] for child in children]

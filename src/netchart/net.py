@@ -95,11 +95,13 @@ class PetriNet:
         return f"PetriNet({self.name!r}, places={list(self.places)!r}, transitions={sides!r})"
 
     def add_place(self, id: str) -> Place:
-        check_id("place", id)
-        if id in self.places:
+        # `check_id` runs only to raise, so a valid id costs no extra call
+        if not (isinstance(id, str) and _ID.fullmatch(id)):
+            check_id("place", id)
+        places = self.places
+        if id in places:
             raise DuplicateIdError(f"duplicate place id {id!r}")
-        place = Place(id)
-        self.places[id] = place
+        place = places[id] = Place(id)
         return place
 
     def add_transition(
@@ -109,14 +111,24 @@ class PetriNet:
         postset: Iterable[Place | str],
     ) -> Transition:
         """Add a transition wired to existing places (given as Place or id)."""
-        check_id("transition", id)
+        if not (isinstance(id, str) and _ID.fullmatch(id)):
+            check_id("transition", id)
         if id in self.transitions:
             raise DuplicateIdError(f"duplicate transition id {id!r}")
-        # a known id resolves by one lookup; a Place or an unknown id goes
-        # through `_resolve_place`, in one pass, so any iterable works
-        get, resolve = self.places.get, self._resolve_place
-        pre = [get(p) or resolve(p) for p in preset]
-        post = [get(p) or resolve(p) for p in postset]
+        # a list of known ids resolves in one `map`; anything else, or a
+        # list holding a Place, an unknown id or an unhashable entry, goes
+        # entry by entry through `_resolve_place`, in one pass, so the first
+        # fault raises and any iterable works
+        get = self.places.get
+        try:
+            pre = list(map(get, preset)) if type(preset) is list else [None]
+            post = list(map(get, postset)) if type(postset) is list else [None]
+        except TypeError:  # an unhashable entry
+            pre = [None]
+        if None in pre or None in post:
+            resolve = self._resolve_place
+            pre = [get(p) or resolve(p) for p in preset]
+            post = [get(p) or resolve(p) for p in postset]
         if not pre or not post:
             raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
         transition = Transition(id)

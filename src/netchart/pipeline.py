@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .chart import AndState, Basic, HyperEdge, OrState, StateChart
@@ -33,6 +34,9 @@ class Trace:
     of the case (PetriNet2StateChart, PetriNet2TopState, Place2Or,
     Place2Basic, Transition2HyperEdge, AndRulePlace2Or), and maps every
     place id of the input net to the OR state `initialize` built for it.
+    `entries` holds the records in the order the pass made them, which
+    `initialize` does rule by rule; only the order `export` gives is a
+    contract.
     """
 
     def __init__(self) -> None:
@@ -70,9 +74,11 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     """Build the flat chart for *net*: one OR-wrapped basic per place under a
     fresh AND topstate, one hyperedge per transition.
 
-    Nodes are created topstate first, then each place's OR state followed
+    Ids are handed out topstate first, then each place's OR state followed
     by its basic, then the hyperedges, so ids follow net order. Each
     hyperedge lists its sources and targets in place-declaration order.
+    The trace records are appended rule by rule, each rule's in net
+    order; only `Trace.export` fixes their order.
 
     Raises
     ------
@@ -86,48 +92,56 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         raise ValidationError(f"net {net.name!r} is not well formed", violations)
     if trace.entries:
         raise PreconditionError("trace already holds a pass; use a fresh Trace per pass")
-    record = trace.entries.append
-    entry = tuple.__new__  # TraceEntry's own __new__ only adds a Python call
-    name = net.name
+    name, places, transitions = net.name, net.places, net.transitions
     chart = StateChart(name)
-    record(entry(TraceEntry, ("PetriNet2StateChart", name, name)))
-    # the nodes are fresh, so they are linked directly, under ids the chart
-    # hands out in one block: the topstate's, then an OR's and its basic's
-    # for each place, which `zip` draws in turn from the one iterator
-    ids = chart.node_ids(1 + 2 * len(net.places))
-    top = AndState(next(ids))
-    record(entry(TraceEntry, ("PetriNet2TopState", name, top.id)))
-    top_children, ors = top.children, trace.ors
-    basics = []
-    for pid, or_id, basic_id in zip(net.places, ids, ids):
-        or_state = OrState(or_id)
-        basic = Basic(basic_id, pid)
+    # the nodes are fresh, so they are built and linked directly, under
+    # ids the chart hands out in one block: the topstate's, then an OR's
+    # and its basic's for each place
+    ids = list(chart.node_ids(1 + 2 * len(places)))
+    top = AndState(ids[0])
+    or_ids, basic_ids = ids[1::2], ids[2::2]
+    ors = list(map(OrState, or_ids))
+    basics = list(map(Basic, basic_ids, places))
+    for or_state, basic in zip(ors, basics):
         basic.parent = or_state
         or_state.children[basic] = None
         or_state.parent = top
-        top_children[or_state] = None
-        ors[pid] = or_state
-        basics.append(basic)
-        record(entry(TraceEntry, ("Place2Or", pid, or_id)))
-        record(entry(TraceEntry, ("Place2Basic", pid, basic_id)))
+    top.children = dict.fromkeys(ors)
+    trace.ors.update(zip(places, ors))
     chart.topstate = top
 
-    slot = dict(zip(net.places.values(), range(len(basics)))).__getitem__
-    basic_at = basics.__getitem__
+    edge_ids = list(chart.edge_ids(len(transitions)))
     edges = chart.hyperedges
-    transitions = net.transitions
-    for (tid, transition), edge_id in zip(transitions.items(), chart.edge_ids(len(transitions))):
-        edge = HyperEdge(edge_id, tid)
-        src = list(map(slot, transition.preset))
-        if len(src) > 1:
-            src.sort()
-        tgt = list(map(slot, transition.postset))
-        if len(tgt) > 1:
-            tgt.sort()
-        edge.sources = list(map(basic_at, src))
-        edge.targets = list(map(basic_at, tgt))
-        edges.append(edge)
-        record(entry(TraceEntry, ("Transition2HyperEdge", tid, edge_id)))
+    edges.extend(map(HyperEdge, edge_ids, transitions))
+    # a one-place side maps straight to its basic; a longer one is put in
+    # place-declaration order by slot
+    basic_of = dict(zip(places.values(), basics))
+    slot = dict(zip(places.values(), range(len(basics)))).__getitem__
+    basic_at = basics.__getitem__
+    for edge, transition in zip(edges, transitions.values()):
+        src, tgt = transition.preset, transition.postset
+        if len(src) == 1:
+            (place,) = src
+            edge.sources = [basic_of[place]]
+        else:
+            edge.sources = list(map(basic_at, sorted(map(slot, src))))
+        if len(tgt) == 1:
+            (place,) = tgt
+            edge.targets = [basic_of[place]]
+        else:
+            edge.targets = list(map(basic_at, sorted(map(slot, tgt))))
+
+    # the trace, rule by rule; the bulk rules skip TraceEntry's own
+    # __new__, which only adds a Python call per record
+    entries = trace.entries
+    entries.append(TraceEntry("PetriNet2StateChart", name, name))
+    entries.append(TraceEntry("PetriNet2TopState", name, top.id))
+    for rule, inputs, outputs in (
+        ("Place2Or", places, or_ids),
+        ("Place2Basic", places, basic_ids),
+        ("Transition2HyperEdge", transitions, edge_ids),
+    ):
+        entries.extend(map(tuple.__new__, repeat(TraceEntry), zip(repeat(rule), inputs, outputs)))
     return chart
 
 

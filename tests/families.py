@@ -1,11 +1,13 @@
-"""The net shapes of ROADMAP item 4, several of which `reduce` once took
-quadratic time on.
+"""Fixed net families: the shapes of ROADMAP item 4, several of which
+`reduce` once took quadratic time on, and the non-confluent corpus.
 
-Each builder takes a size k (places or branches) and returns a net made
-with `add_place` and `add_transition`, so declaration order is exactly
-the order described.  The golden family digest and the scaling test
-reduce the same nets.  This module imports only netchart, so a child
-interpreter can time it without the test dependencies.
+Each builder of `FAMILIES` takes a size k (places or branches) and
+returns a net made with `add_place` and `add_transition`, so declaration
+order is exactly the order described.  The golden family digest and the
+scaling test reduce the same nets.  `NON_CONFLUENT` holds the small nets
+whose reduced shape depends on the order the rules are tried in.  This
+module imports only netchart, so a child interpreter can time it without
+the test dependencies.
 """
 
 from __future__ import annotations
@@ -88,6 +90,74 @@ FAMILIES = {
     "fed fan-in hub": lambda k: hub(k, fan_in=True, fed=True),
     "fork/join": fork_join,
     "k-way choice": choice,
+}
+
+
+def four_place() -> PetriNet:
+    """p4 -> t0 -> {p0, p1}, p5 -> t1 -> p0, p4 -> t2 -> p5: t0 blocks
+    whichever OR fusion comes second, t1 (p5 into p0) or t2 (p5 into p4)."""
+    net = PetriNet("cx")
+    for pid in ("p0", "p1", "p4", "p5"):
+        net.add_place(pid)
+    net.add_transition("t0", ["p4"], ["p0", "p1"])
+    net.add_transition("t1", ["p5"], ["p0"])
+    net.add_transition("t2", ["p4"], ["p5"])
+    return net
+
+
+def two_way_choice() -> PetriNet:
+    """The 2-way exclusive choice a->x0->z, a->x1->z, transitions listed
+    as u0 v0 u1 v1: their sorted order u0 u1 v0 v1 differs."""
+    net = PetriNet("choice")
+    for pid in ("a", "x0", "x1", "z"):
+        net.add_place(pid)
+    net.add_transition("u0", ["a"], ["x0"])
+    net.add_transition("v0", ["x0"], ["z"])
+    net.add_transition("u1", ["a"], ["x1"])
+    net.add_transition("v1", ["x1"], ["z"])
+    return net
+
+
+def descending_ids() -> PetriNet:
+    """Three transitions declared with descending ids t02 t01 t00."""
+    net = PetriNet("descending")
+    for pid in ("p0", "p1", "p2"):
+        net.add_place(pid)
+    net.add_transition("t02", ["p1"], ["p0"])
+    net.add_transition("t01", ["p0"], ["p2"])
+    net.add_transition("t00", ["p2"], ["p2", "p1"])
+    return net
+
+
+# the non-confluent corpus: per net, its builder, the chart signature that
+# first-in first-out picks give, and every signature that seeded random
+# picks (`random.Random(seed)`, seeds 0-39) reach
+NON_CONFLUENT = {
+    "four_place": (
+        four_place,
+        "and(or(b[p0],b[p5]),or(b[p1]),or(b[p4]))",
+        {
+            "and(or(b[p0],b[p5]),or(b[p1]),or(b[p4]))",
+            "and(or(b[p0]),or(b[p1]),or(b[p4],b[p5]))",
+        },
+    ),
+    "choice": (
+        two_way_choice,
+        "and(or(b[a],b[x0],b[z]),or(b[x1]))",
+        {
+            "and(or(b[a],b[x0],b[z]),or(b[x1]))",
+            "and(or(b[a],b[x1],b[z]),or(b[x0]))",
+            "and(or(b[a]),or(b[x0],b[x1],b[z]))",
+            "and(or(b[a],b[x0],b[x1]),or(b[z]))",
+            "and(or(b[a],b[x0]),or(b[x1],b[z]))",
+            "and(or(b[a],b[x1]),or(b[x0],b[z]))",
+        },
+    ),
+    "descending_ids": (
+        descending_ids,
+        "and(or(b[p0],b[p1]),or(b[p2]))",
+        {"and(or(b[p0],b[p1]),or(b[p2]))", "and(or(b[p0],b[p2]),or(b[p1]))"},
+    ),
 }
 
 

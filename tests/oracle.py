@@ -10,13 +10,31 @@ the canonical signature grammar from `support`.
 `reference_validate_chart` is the straightforward form of
 `validate_chart`: one dict entry per id, one loop per check, every
 endpoint looked up on its own.  It shares only the node classes.
+
+`reference_add_place`, `reference_add_transition`,
+`reference_net_from_xml` and `reference_net_from_json` build nets the
+straightforward way: `check_id` on every id, one lookup per side entry,
+`_attrs` on every element.  They share the model classes and the
+readers' small helpers, and fix the nets, exceptions and messages, in
+their precedence, that the package's builders and readers must give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from netchart import AndState, Basic, OrState
+from netchart import AndState, Basic, OrState, PetriNet, Transition
+from netchart.errors import DuplicateIdError, ParseError, PreconditionError
+from netchart.formats import (
+    _attrs,
+    _json_document,
+    _json_object,
+    _reject_text,
+    _string,
+    _string_list,
+    _xml_root,
+)
+from netchart.net import Place, check_id
 
 
 @dataclass
@@ -189,3 +207,72 @@ def reference_validate_chart(chart) -> list[str]:
             elif id(endpoint) not in members:
                 violations.append(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")
     return violations
+
+
+def reference_add_place(net: PetriNet, id) -> Place:
+    check_id("place", id)
+    if id in net.places:
+        raise DuplicateIdError(f"duplicate place id {id!r}")
+    place = Place(id)
+    net.places[id] = place
+    return place
+
+
+def reference_add_transition(net: PetriNet, id, preset, postset) -> Transition:
+    check_id("transition", id)
+    if id in net.transitions:
+        raise DuplicateIdError(f"duplicate transition id {id!r}")
+    get, resolve = net.places.get, net._resolve_place
+    pre = [get(p) or resolve(p) for p in preset]
+    post = [get(p) or resolve(p) for p in postset]
+    if not pre or not post:
+        raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
+    transition = Transition(id)
+    transition.preset, transition.postset = dict.fromkeys(pre), dict.fromkeys(post)
+    net.transitions[id] = transition
+    return transition
+
+
+def reference_net_from_xml(data) -> PetriNet:
+    root = _xml_root(data, "petrinet")
+    (name,) = _attrs(root, ("name",))
+    _reject_text(root)
+    net = PetriNet(name)
+    for elem in root:
+        if elem.tag == "place":
+            (pid,) = _attrs(elem, ("id",))
+            if len(elem):
+                raise ParseError("element <place> cannot contain child elements")
+            reference_add_place(net, pid)
+        elif elem.tag == "transition":
+            tid, src, tgt = _attrs(elem, ("id", "src", "tgt"))
+            if len(elem):
+                raise ParseError("element <transition> cannot contain child elements")
+            reference_add_transition(net, tid, src.split(), tgt.split())
+        else:
+            raise ParseError(f"unexpected element <{elem.tag}> inside <petrinet>")
+    return net
+
+
+def reference_net_from_json(data) -> PetriNet:
+    obj = _json_document(data)
+    name, places, transitions = _json_object(
+        obj, "net document", ("name", "places", "transitions")
+    )
+    net = PetriNet(_string(name, "net name"))
+    if not isinstance(places, list):
+        raise ParseError("'places' must be a list")
+    for entry in places:
+        pid = _json_object(entry, "place", ("id",))
+        reference_add_place(net, _string(pid, "place id"))
+    if not isinstance(transitions, list):
+        raise ParseError("'transitions' must be a list")
+    for entry in transitions:
+        tid, src, tgt = _json_object(entry, "transition", ("id", "src", "tgt"))
+        reference_add_transition(
+            net,
+            _string(tid, "transition id"),
+            _string_list(src, "'src'"),
+            _string_list(tgt, "'tgt'"),
+        )
+    return net

@@ -17,7 +17,10 @@ from netchart import (
 
 
 def _sample(r: float, t: float, w: float) -> PhaseSample:
-    return PhaseSample(reading_ms=r, transformation_ms=t, writing_ms=w)
+    return PhaseSample(
+        reading_ms=r, transformation_ms=t, writing_ms=w,
+        parse_ms=r, initialize_ms=t, reduce_ms=0.0, export_ms=0.0,
+    )
 
 
 def test_row_averages():
@@ -120,10 +123,12 @@ def test_render_json_keys():
     assert doc["python"].count(".") == 2
     assert doc["revision"] is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", doc["revision"])
     good, bad = doc["cases"]
-    assert set(good) == {"case", "error", "samples", "discarded", "phases"}
+    assert set(good) == {"case", "error", "samples", "discarded", "phases", "layers"}
     assert (good["case"], good["error"], good["samples"], good["discarded"]) == ("sp5", None, 2, 1)
     assert list(good["phases"]) == ["reading", "transformation", "writing"]
-    for spread in good["phases"].values():
+    assert list(good["layers"]) == ["parse", "initialize", "reduce", "export"]
+    assert good["layers"]["parse"]["min_ms"] <= good["phases"]["reading"]["median_ms"]
+    for spread in [*good["phases"].values(), *good["layers"].values()]:
         assert set(spread) == {"median_ms", "min_ms", "iqr_ms"}
         assert 0.0 <= spread["min_ms"] <= spread["median_ms"]
         assert spread["iqr_ms"] >= 0.0
@@ -140,3 +145,10 @@ def test_render_json_spread_of_synthetic_rows():
     row.samples = row.samples[:1]
     single = json.loads(BenchReport(rows=[row]).render_json())["cases"][0]["phases"]
     assert single["reading"] == {"median_ms": 9.0, "min_ms": 9.0, "iqr_ms": 0.0}
+
+
+def test_bench_times_the_layers():
+    (row,) = bench([40], reps=2, seed=3).rows
+    for sample in row.samples:
+        assert 0.0 < sample.parse_ms <= sample.reading_ms
+        assert min(sample.initialize_ms, sample.reduce_ms, sample.export_ms) > 0.0

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from netchart import parse_chart, parse_net, parse_trace, write_net
+from netchart import cli, parse_chart, parse_net, parse_trace, write_net
 from netchart.cli import main
 from support import chart_signature, diamond, three_cycle
 
@@ -106,6 +106,28 @@ def test_undecodable_json_exits_1(tmp_path, capsys, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: json document ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(RecursionError, "input nested too deeply"), (MemoryError, "out of memory")],
+)
+@pytest.mark.parametrize("command", ["transform", "validate"])
+def test_interpreter_limits_exit_1_without_a_traceback(
+    tmp_path, capsys, monkeypatch, command, error, message
+):
+    def handler(args):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", handler)
+    inp = _net_file(tmp_path, diamond())
+    argv = (["transform", "--input", str(inp), "--output", str(tmp_path / "c.xml")]
+            if command == "transform" else ["validate", "--net", str(inp)])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
     assert len(captured.err.splitlines()) == 1
 
 

@@ -757,3 +757,120 @@ def test_readers_raise_only_netchart_errors(data):
             parse(data)
         except NetchartError:
             pass
+
+
+_NET_FAULTS = ["missing", "extra", "renamed", "child", "text", "tag",
+               "odd id", "repeated id", "unknown place", "empty side"]
+
+
+@st.composite
+def _net_elements(draw):
+    """A net as [tag, attributes, has a child, has text] records, places
+    first, with up to two faults: an attribute lost, added or renamed, a
+    child element, text, a foreign tag, an id that is empty, holds
+    whitespace, is made of it or repeats, an unknown place, an empty side."""
+    pids = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
+    side = st.lists(st.sampled_from(pids), min_size=1, max_size=3, unique=True).map(" ".join)
+    records = [["place", {"id": pid}, False, False] for pid in pids]
+    records += [
+        ["transition", {"id": f"t{j}", "src": draw(side), "tgt": draw(side)}, False, False]
+        for j in range(draw(st.integers(0, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        record = draw(st.sampled_from(records))
+        attrs = record[1]
+        fault = draw(st.sampled_from(_NET_FAULTS))
+        name = draw(st.sampled_from(sorted(attrs) or ["id"]))
+        if fault == "missing":
+            attrs.pop(name, None)
+        elif fault == "extra":
+            attrs["extra"] = "1"
+        elif fault == "renamed":
+            attrs[name.upper()] = attrs.pop(name, "p0")
+        elif fault == "child":
+            record[2] = True
+        elif fault == "text":
+            record[3] = True
+        elif fault == "tag":
+            record[0] = "arc"
+        elif fault == "odd id":
+            attrs["id"] = draw(st.sampled_from(["", " ", "a b", "p0\t", "\u3000"]))
+        elif fault == "repeated id":
+            attrs["id"] = draw(st.sampled_from(pids + ["t0"]))
+        elif fault == "unknown place" and record[0] == "transition":
+            attrs[draw(st.sampled_from(["src", "tgt"]))] += " zz"
+        elif fault == "empty side" and record[0] == "transition":
+            attrs[draw(st.sampled_from(["src", "tgt"]))] = draw(st.sampled_from(["", " "]))
+    return records
+
+
+def _xml_net(records, syntax_fault: bool) -> str:
+    lines = ['<petrinet name="n">']
+    for tag, attrs, child, text in records:
+        quoted = "".join(f" {key}={quoteattr(value)}" for key, value in attrs.items())
+        inner = "<x/>" if child else "stray" if text else ""
+        lines.append(f"  <{tag}{quoted}>{inner}</{tag}>" if inner else f"  <{tag}{quoted}/>")
+    lines.append("</petrinet>")
+    text = "\n".join(lines)
+    return text[:-3] if syntax_fault else text
+
+
+def _json_net(records, syntax_fault: bool, bad) -> str:
+    """The records as a JSON net, side strings split into lists; *bad*,
+    a (value, index) pair, replaces the first entry of a side, or else
+    the id, of the index-th record."""
+    places, transitions = [], []
+    for tag, attrs, child, _ in records:
+        obj = {key: value.split() if key in ("src", "tgt") else value
+               for key, value in attrs.items()}
+        if child:
+            obj["children"] = []
+        (places if tag == "place" else transitions).append(obj)
+    if bad is not None:
+        value, index = bad
+        obj = (places + transitions)[index % len(records)]
+        side = obj.get("src") or obj.get("tgt")
+        if side:
+            side[0] = value
+        else:
+            obj["id"] = value
+    text = json.dumps({"name": "n", "places": places, "transitions": transitions})
+    return text[:-2] if syntax_fault else text
+
+
+def _net_outcome(read, data):
+    """The net *read* builds from *data*, as ids in declaration order, or
+    the type and message of what it raises."""
+    try:
+        net = read(data)
+    except Exception as exc:  # the reference fixes the type as well
+        return type(exc), str(exc)
+    for pid, place in net.places.items():
+        assert place.id == pid
+    sides = [
+        (tid, t.id, [p.id for p in t.preset], [p.id for p in t.postset])
+        for tid, t in net.transitions.items()
+    ]
+    for _, t in net.transitions.items():
+        assert all(net.places[p.id] is p for p in [*t.preset, *t.postset])
+    return net.name, list(net.places), sides
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _net_elements(),
+    st.sampled_from([False] * 5 + [True]),
+    st.one_of(
+        st.none(), st.none(), st.none(),
+        st.tuples(st.sampled_from([7, None, [], {}, 1.5]), st.integers(0, 8)),
+    ),
+)
+def test_net_readers_match_the_reference(records, syntax_fault, bad):
+    from netchart.formats import _net_from_json, _net_from_xml
+    from oracle import reference_net_from_json, reference_net_from_xml
+
+    text = _xml_net(records, syntax_fault)
+    for data in (text, text.encode()):
+        assert _net_outcome(_net_from_xml, data) == _net_outcome(reference_net_from_xml, data)
+    text = _json_net(records, syntax_fault, bad)
+    assert _net_outcome(_net_from_json, text) == _net_outcome(reference_net_from_json, text)

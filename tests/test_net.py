@@ -5,15 +5,19 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchart import (
     DuplicateIdError,
     MembershipError,
     PetriNet,
+    Place,
     PreconditionError,
     check_net,
     find_self_loops,
 )
+from oracle import reference_add_place, reference_add_transition
 from support import diamond
 
 
@@ -117,3 +121,73 @@ def test_self_loops_are_warnings_not_violations():
     assert len(warnings) == 1
     assert "'p'" in warnings[0] and "'t'" in warnings[0]
     assert find_self_loops(diamond()) == []
+
+
+# ids for the builders: known ones, unknown ones, ids no document can
+# carry, and values that are no string at all
+_BUILD_IDS = st.sampled_from(["p0", "p1", "p2", "t0", "", " ", "a\tb", 5, None, b"p0"])
+# side entries: an id, the net's own Place of that id, a Place of another
+# net under that id, an unhashable list, or a number
+_ENTRIES = st.one_of(
+    st.tuples(st.sampled_from(["id", "own", "foreign"]), _BUILD_IDS),
+    st.just(("unhashable", None)),
+    st.just(("number", 3)),
+)
+_SIDES = st.tuples(st.sampled_from(["list", "tuple", "generator"]), st.lists(_ENTRIES, max_size=3))
+
+
+def _side(net: PetriNet, foreign: dict, spec):
+    """The side *spec* describes, built for *net*."""
+    how, entries = spec
+    items = []
+    for kind, value in entries:
+        if kind == "own":
+            # a known id gives the net's own Place, an unknown one a fresh Place
+            items.append(net.places.get(value) or foreign.setdefault(value, Place(value)))
+        elif kind == "foreign":
+            items.append(foreign.setdefault(value, Place(value)))
+        elif kind == "unhashable":
+            items.append([])
+        else:
+            items.append(value)
+    if how == "tuple":
+        return tuple(items)
+    return (item for item in items) if how == "generator" else items
+
+
+def _build_outcome(build):
+    """What *build* returns, as place ids and the sides' ids, or the type
+    and message of what it raises."""
+    try:
+        result = build()
+    except Exception as exc:  # the reference fixes the type as well
+        return type(exc), str(exc)
+    if isinstance(result, Place):
+        return result.id
+    return result.id, [p.id for p in result.preset], [p.id for p in result.postset]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.one_of(st.tuples(st.just("place"), _BUILD_IDS),
+              st.tuples(st.just("transition"), _BUILD_IDS, _SIDES, _SIDES)),
+    min_size=1,
+    max_size=10,
+))
+def test_builders_match_the_reference(steps):
+    net, reference = PetriNet("n"), PetriNet("n")
+    foreign = {}  # one Place of another net per id, shared by both nets
+    for kind, id, *sides in steps:
+        if kind == "place":
+            got = _build_outcome(lambda: net.add_place(id))
+            want = _build_outcome(lambda: reference_add_place(reference, id))
+        else:
+            got = _build_outcome(
+                lambda: net.add_transition(id, *(_side(net, foreign, s) for s in sides))
+            )
+            want = _build_outcome(lambda: reference_add_transition(
+                reference, id, *(_side(reference, foreign, s) for s in sides)
+            ))
+        assert got == want
+    assert repr(net) == repr(reference)
+    assert check_net(net) == []

@@ -28,6 +28,7 @@ from netchart import (
     write_chart,
     write_net,
 )
+from families import NON_CONFLUENT, two_way_choice
 from oracle import oracle_reduce
 from support import (
     chart_signature,
@@ -186,7 +187,7 @@ def test_or_rule_ignores_removed_transitions():
     # the OR rule consumes its transition and the AND rule none, so a
     # transition that came back onto the worklist after its removal would
     # show up as an extra OR application (or fail outright)
-    nets = [diamond(), three_cycle(), _choice_net(), generate_sp(SpSpec(places=40, seed=5))]
+    nets = [diamond(), three_cycle(), two_way_choice(), generate_sp(SpSpec(places=40, seed=5))]
     for net in nets:
         for rng in [None] + [random.Random(seed) for seed in range(10)]:
             _, report, _ = _reduced(net, rng)
@@ -387,26 +388,14 @@ def test_random_orders_are_confluent_on_sp_nets(places, net_seed, max_branch, pi
 
 
 def test_random_order_is_not_confluent_on_general_nets():
-    # t0 blocks whichever OR fusion comes second, t1 (p5 into p0) or
-    # t2 (p5 into p4), so random picks can reach two different shapes
-    def counterexample():
-        net = PetriNet("cx")
-        for pid in ("p0", "p1", "p4", "p5"):
-            net.add_place(pid)
-        net.add_transition("t0", ["p4"], ["p0", "p1"])
-        net.add_transition("t1", ["p5"], ["p0"])
-        net.add_transition("t2", ["p4"], ["p5"])
-        return net
-
-    fifo = "and(or(b[p0],b[p5]),or(b[p1]),or(b[p4]))"
-    other = "and(or(b[p0]),or(b[p1]),or(b[p4],b[p5]))"
-    assert chart_signature(transform(counterexample()).chart) == fifo
-    assert oracle_reduce(*net_to_plain(counterexample())).signature == fifo
-    shapes = {
-        chart_signature(transform(counterexample(), rng=random.Random(seed)).chart)
-        for seed in range(40)
-    }
-    assert shapes == {fifo, other}
+    for build, fifo, shapes in NON_CONFLUENT.values():
+        assert chart_signature(transform(build()).chart) == fifo
+        assert oracle_reduce(*net_to_plain(build())).signature == fifo
+        reached = {
+            chart_signature(transform(build(), rng=random.Random(seed)).chart)
+            for seed in range(40)
+        }
+        assert reached == shapes
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,39 +437,9 @@ def test_conservation_invariants_hold_on_general_nets(net):
             assert endpoints == [basic_of[place.id] for place in expected]
 
 
-def _choice_net():
-    """The 2-way exclusive choice a->x0->z, a->x1->z, transitions listed
-    as u0 v0 u1 v1: their sorted order u0 u1 v0 v1 differs."""
-    net = PetriNet("choice")
-    for pid in ("a", "x0", "x1", "z"):
-        net.add_place(pid)
-    net.add_transition("u0", ["a"], ["x0"])
-    net.add_transition("v0", ["x0"], ["z"])
-    net.add_transition("u1", ["a"], ["x1"])
-    net.add_transition("v1", ["x1"], ["z"])
-    return net
-
-
-def _descending_ids_net():
-    """Three transitions declared with descending ids t02 t01 t00."""
-    net = PetriNet("descending")
-    for pid in ("p0", "p1", "p2"):
-        net.add_place(pid)
-    net.add_transition("t02", ["p1"], ["p0"])
-    net.add_transition("t01", ["p0"], ["p2"])
-    net.add_transition("t00", ["p2"], ["p2", "p1"])
-    return net
-
-
-@pytest.mark.parametrize(
-    "build, signature",
-    [
-        (_choice_net, "and(or(b[a],b[x0],b[z]),or(b[x1]))"),
-        (_descending_ids_net, "and(or(b[p0],b[p1]),or(b[p2]))"),
-    ],
-    ids=["choice", "descending_ids"],
-)
-def test_fifo_follows_declaration_order_not_id_order(build, signature):
+@pytest.mark.parametrize("name", ["choice", "descending_ids"])
+def test_fifo_follows_declaration_order_not_id_order(name):
+    build, signature, _ = NON_CONFLUENT[name]
     chart, report, _ = transform(build())
     expected = oracle_reduce(*net_to_plain(build()))
     assert chart_signature(chart) == expected.signature == signature
