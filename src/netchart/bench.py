@@ -198,13 +198,12 @@ def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
                     out_path.write_bytes(write_chart(result.chart, "xml"))
                     t3 = time.perf_counter()
                     trace = Trace()
-                    t4 = time.perf_counter()
                     chart = initialize(parsed, trace)
-                    t5 = time.perf_counter()
+                    t4 = time.perf_counter()
                     reduce(parsed, chart, trace)
-                    t6 = time.perf_counter()
+                    t5 = time.perf_counter()
                     trace.export()
-                    t7 = time.perf_counter()
+                    t6 = time.perf_counter()
                 finally:
                     if was_enabled:
                         gc.enable()
@@ -214,9 +213,9 @@ def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
                         transformation_ms=(t2 - t1) * 1e3,
                         writing_ms=(t3 - t2) * 1e3,
                         parse_ms=(t1 - t_parse) * 1e3,
-                        initialize_ms=(t5 - t4) * 1e3,
-                        reduce_ms=(t6 - t5) * 1e3,
-                        export_ms=(t7 - t6) * 1e3,
+                        initialize_ms=(t4 - t3) * 1e3,
+                        reduce_ms=(t5 - t4) * 1e3,
+                        export_ms=(t6 - t5) * 1e3,
                     )
                 )
         if discard_first and len(row.samples) > 1:

@@ -38,7 +38,8 @@ from netchart import (
     write_net,
     write_trace,
 )
-from netchart.formats import _NOT_XML_CHAR, _xml_attr
+from netchart.formats import _NOT_XML_CHAR, _net_from_json, _net_from_xml, _xml_attr
+from oracle import reference_net_from_json, reference_net_from_xml
 from support import (
     chart_identical,
     child_env,
@@ -759,21 +760,22 @@ def test_readers_raise_only_netchart_errors(data):
             pass
 
 
-_NET_FAULTS = ["missing", "extra", "renamed", "child", "text", "tag",
+_NET_FAULTS = ["missing", "extra", "renamed", "child", "text inside", "text after", "tag",
                "odd id", "repeated id", "unknown place", "empty side"]
 
 
 @st.composite
 def _net_elements(draw):
-    """A net as [tag, attributes, has a child, has text] records, places
+    """A net as [tag, attributes, has a child, stray text] records, places
     first, with up to two faults: an attribute lost, added or renamed, a
-    child element, text, a foreign tag, an id that is empty, holds
-    whitespace, is made of it or repeats, an unknown place, an empty side."""
+    child element, text inside or after the element, a foreign tag, an id
+    that is empty, holds whitespace, is made of it or repeats, an unknown
+    place, an empty side."""
     pids = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
     side = st.lists(st.sampled_from(pids), min_size=1, max_size=3, unique=True).map(" ".join)
-    records = [["place", {"id": pid}, False, False] for pid in pids]
+    records = [["place", {"id": pid}, False, None] for pid in pids]
     records += [
-        ["transition", {"id": f"t{j}", "src": draw(side), "tgt": draw(side)}, False, False]
+        ["transition", {"id": f"t{j}", "src": draw(side), "tgt": draw(side)}, False, None]
         for j in range(draw(st.integers(0, 4)))
     ]
     for _ in range(draw(st.integers(0, 2))):
@@ -789,8 +791,8 @@ def _net_elements(draw):
             attrs[name.upper()] = attrs.pop(name, "p0")
         elif fault == "child":
             record[2] = True
-        elif fault == "text":
-            record[3] = True
+        elif fault.startswith("text"):
+            record[3] = fault
         elif fault == "tag":
             record[0] = "arc"
         elif fault == "odd id":
@@ -805,11 +807,14 @@ def _net_elements(draw):
 
 
 def _xml_net(records, syntax_fault: bool) -> str:
+    """The records as an XML net; a syntax fault cuts the closing tag."""
     lines = ['<petrinet name="n">']
     for tag, attrs, child, text in records:
         quoted = "".join(f" {key}={quoteattr(value)}" for key, value in attrs.items())
-        inner = "<x/>" if child else "stray" if text else ""
-        lines.append(f"  <{tag}{quoted}>{inner}</{tag}>" if inner else f"  <{tag}{quoted}/>")
+        inner = "<x/>" if child else "stray" if text == "text inside" else ""
+        after = "stray" if text == "text after" else ""
+        lines.append(f"  <{tag}{quoted}>{inner}</{tag}>{after}" if inner
+                     else f"  <{tag}{quoted}/>{after}")
     lines.append("</petrinet>")
     text = "\n".join(lines)
     return text[:-3] if syntax_fault else text
@@ -851,7 +856,7 @@ def _net_outcome(read, data):
         (tid, t.id, [p.id for p in t.preset], [p.id for p in t.postset])
         for tid, t in net.transitions.items()
     ]
-    for _, t in net.transitions.items():
+    for t in net.transitions.values():
         assert all(net.places[p.id] is p for p in [*t.preset, *t.postset])
     return net.name, list(net.places), sides
 
@@ -866,9 +871,6 @@ def _net_outcome(read, data):
     ),
 )
 def test_net_readers_match_the_reference(records, syntax_fault, bad):
-    from netchart.formats import _net_from_json, _net_from_xml
-    from oracle import reference_net_from_json, reference_net_from_xml
-
     text = _xml_net(records, syntax_fault)
     for data in (text, text.encode()):
         assert _net_outcome(_net_from_xml, data) == _net_outcome(reference_net_from_xml, data)
