@@ -145,17 +145,6 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     return chart
 
 
-def _settle(state: OrState) -> OrState:
-    """Turn a deque of children that `reduce` collected for *state* back
-    into a dict, and point each of them at it."""
-    children = state.children
-    if type(children) is not dict:
-        state.children = dict.fromkeys(children)
-        for child in children:
-            child.parent = state
-    return state
-
-
 class _Graph:
     """The net as integer-indexed adjacency, private to one `reduce` call.
 
@@ -175,16 +164,14 @@ class _Graph:
     `idle[i]` bounds from above how many transitions around slot i are off
     the worklist; while it is 0, `reduce` skips the re-enqueue scan.
 
-    OR children also merge small into large: the fused OR's children dict
-    takes p's children unless there are more than twice as many, and
-    otherwise p's children, turned into a deque, take q's in front. Such a
-    deque stays in the OR state's `children` until `_settle` turns it back
-    into a dict and sets the parent links once, when the AND rule wraps
-    the OR or when `reduce` ends.
+    Fused OR states form a chain headed by `ors[i]`: `after` maps each
+    chained state to the next and `tail[i]` is the last. `_gather` moves
+    their children into the head once, when the AND rule nests the head
+    or when `reduce` ends.
     """
 
     __slots__ = ("net", "chart", "trace", "pre", "post", "tpre", "tpost", "ors", "rank",
-                 "idle", "mixed", "first_key", "merges")
+                 "idle", "mixed", "first_key", "merges", "after", "tail")
 
     def __init__(self, net: PetriNet, chart: StateChart, trace: Trace, ors: list):
         places, transitions = net.places.values(), net.transitions.values()
@@ -204,6 +191,8 @@ class _Graph:
         self.mixed: set[int] = set()
         self.first_key = 0
         self.merges = 0
+        self.after: dict[OrState, OrState] = {}
+        self.tail = list(ors)
 
     def adjacent(self, i: int) -> list[int]:
         """The transitions around slot i in logical order, preset side first."""
@@ -255,8 +244,9 @@ class _Graph:
             return None
         del post_q[t], pre_p[t]
         tpre[t] = tpost[t] = None
-        ors = self.ors
-        keep, drop = ors[q], ors[p]
+        # or(p)'s chain goes after or(q)'s; no child moves until `_gather`
+        ors, tail = self.ors, self.tail
+        self.after[tail[q]] = ors[p]
         if len(pre_q) + len(post_q) >= len(pre_p) + len(post_p):
             survivor, gone = q, p
             for u in pre_p:
@@ -275,6 +265,7 @@ class _Graph:
                     pre_q.update(pre_p)
                 if post_p:
                     post_q.update(post_p)
+            tail[q] = tail[p]
         else:
             survivor, gone = p, q
             for u in pre_q:
@@ -288,28 +279,25 @@ class _Graph:
             self._put_in_front(pre, q, p)
             self._put_in_front(post, q, p)
             self.rank[p] = self.rank[q]
-            ors[p] = keep
+            ors[p] = ors[q]
         pre[gone] = post[gone] = ors[gone] = None
         idle = self.idle
         idle[survivor] += idle[gone]
-
-        # or(q)'s children, then or(p)'s; or(p)'s move unless there are
-        # more than twice as many, so a move costs at most twice the shorter
-        front, back = keep.children, drop.children
-        if 2 * len(front) < len(back):
-            if type(back) is dict:
-                back = deque(back)
-            back.extendleft(reversed(front))
-            keep.children = back
-        elif type(front) is dict:
-            for child in back:
-                child.parent = keep
-                front[child] = None
-        else:
-            front.extend(back)
-        drop.children = {}
-        drop.parent = None
         return survivor
+
+    def _gather(self, state: OrState) -> OrState:
+        """Move the child of each OR state chained behind *state* into it,
+        in chain order, and empty the chained states."""
+        after, children = self.after, state.children
+        link = after.pop(state, None)
+        while link is not None:
+            (child,) = link.children
+            child.parent = state
+            children[child] = None
+            link.children = {}
+            link.parent = None
+            link = after.pop(link, None)
+        return state
 
     def and_rule(self, t: int) -> int | None:
         """Replace a group of interchangeable parallel places around t by one
@@ -351,11 +339,12 @@ class _Graph:
         ors = self.ors
         states = []
         for member in group:
-            state = _settle(ors[member])
+            state = self._gather(ors[member])
             pre[member] = post[member] = ors[member] = state.parent = None
             states.append(state)
         wrapper = self.chart.new_or([self.chart.new_and(states)])
         ors.append(wrapper)
+        self.tail.append(wrapper)
         self.rank.append(fresh)
         self.idle.append(1)  # t itself is off the worklist
         self.trace.entries.append(TraceEntry("AndRulePlace2Or", self._merged_id(), wrapper.id))
@@ -385,9 +374,11 @@ def reduce(
     consumed first-in first-out; passing *rng* switches to random picks,
     which exercises confluence without changing the result's shape. After
     a successful application the transitions around the surviving place
-    that are off the worklist go back on it, in adjacency order. Each
-    rule application costs time in the smaller of the two places it
-    fuses, so hubs and long chains reduce in near-linear time.
+    that are off the worklist go back on it, in adjacency order. An OR
+    fusion chains the two OR states in O(1) and renames the arcs of the
+    smaller of the two places; each OR child moves once, when the AND
+    rule nests its OR state or when the reduction ends. Hubs and long
+    chains therefore reduce in near-linear time.
 
     Raises
     ------
@@ -440,7 +431,7 @@ def reduce(
     live.sort(key=graph.rank.__getitem__)
     top.children = {}
     for i in live:
-        state = _settle(ors[i])
+        state = graph._gather(ors[i])
         state.parent = top
         top.children[state] = None
     # each OR application consumes one transition, and nothing else does

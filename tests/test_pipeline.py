@@ -420,21 +420,29 @@ def test_fifo_order_matches_the_oracle_on_general_nets(net):
 
 
 @settings(max_examples=200, deadline=None)
-@given(general_nets())
-def test_conservation_invariants_hold_on_general_nets(net):
-    chart, _, _ = transform(net)
-    basics = [s for s in chart.states() if isinstance(s, Basic)]
-    basic_of = {b.origin_place: b for b in basics}
-    # every place has exactly one basic
-    assert len(basics) == len(basic_of) and basic_of.keys() == net.places.keys()
-    # one hyperedge per transition, in net order, with endpoints in
-    # place-declaration order
-    assert [e.origin_transition for e in chart.hyperedges] == list(net.transitions)
+@given(general_nets(), st.integers(0, 2**32 - 1))
+def test_conservation_invariants_hold_on_general_nets(net, seed):
     position = {pid: i for i, pid in enumerate(net.places)}
-    for edge, t in zip(chart.hyperedges, net.transitions.values()):
-        for endpoints, side in ((edge.sources, t.preset), (edge.targets, t.postset)):
-            expected = sorted(side, key=lambda place: position[place.id])
-            assert endpoints == [basic_of[place.id] for place in expected]
+    for rng in (None, random.Random(seed)):
+        trace = Trace()
+        chart = initialize(net, trace)
+        reduce(net, chart, trace, rng=rng)
+        states = set(chart.states())
+        basics = [s for s in states if isinstance(s, Basic)]
+        basic_of = {b.origin_place: b for b in basics}
+        # every place has exactly one basic
+        assert len(basics) == len(basic_of) and basic_of.keys() == net.places.keys()
+        # one hyperedge per transition, in net order, with endpoints in
+        # place-declaration order
+        assert [e.origin_transition for e in chart.hyperedges] == list(net.transitions)
+        for edge, t in zip(chart.hyperedges, net.transitions.values()):
+            for endpoints, side in ((edge.sources, t.preset), (edge.targets, t.postset)):
+                expected = sorted(side, key=lambda place: position[place.id])
+                assert endpoints == [basic_of[place.id] for place in expected]
+        # an OR state the OR rule fused away is left empty and unlinked
+        for state in trace.ors.values():
+            if state not in states:
+                assert state.children == {} and state.parent is None
 
 
 @pytest.mark.parametrize("name", ["choice", "descending_ids"])
