@@ -1,13 +1,14 @@
 """Per-phase timing harness over generated series-parallel nets.
 
 Each case is generated once and written to a temp file; every
-repetition then measures three disjoint intervals with a monotonic
-clock: reading (load + parse), transformation (the full pipeline run)
-and writing (serialize + store the chart).  Four layers are timed too:
-parse (the parse inside reading), and initialize, reduce and export,
-from a second run of the pipeline's steps after writing, so that
-transformation stays one whole `transform` call.  A repetition builds
-its traces from scratch, so no state carries over.
+repetition runs the pipeline once and measures three disjoint intervals
+with a monotonic clock: reading (load + parse), transformation (the
+steps of `transform`: a fresh trace, initialize, reduce and the trace
+export) and writing (serialize + store the chart).  Four layers are
+timed from the same contiguous timestamps: parse (the parse inside
+reading), and initialize, reduce and export, which add up to
+transformation.  A repetition builds its trace from scratch, so no
+state carries over.
 Automatic garbage collection is paused inside the timed region, as
 `timeit` does, so collector scheduling does not leak into the phase
 times.
@@ -26,7 +27,7 @@ from pathlib import Path
 from .errors import NetchartError, PreconditionError
 from .formats import parse_net, write_chart, write_net
 from .generator import SpSpec, generate_sp
-from .pipeline import Trace, initialize, reduce, transform
+from .pipeline import Trace, initialize, reduce
 
 
 @dataclass
@@ -190,32 +191,31 @@ def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
                 try:
                     t0 = time.perf_counter()
                     document = in_path.read_bytes()
-                    t_parse = time.perf_counter()
-                    parsed = parse_net(document)
                     t1 = time.perf_counter()
-                    result = transform(parsed)
+                    parsed = parse_net(document)
                     t2 = time.perf_counter()
-                    out_path.write_bytes(write_chart(result.chart, "xml"))
-                    t3 = time.perf_counter()
+                    # the steps of `transform`, each timed as a layer
                     trace = Trace()
                     chart = initialize(parsed, trace)
-                    t4 = time.perf_counter()
+                    t3 = time.perf_counter()
                     reduce(parsed, chart, trace)
-                    t5 = time.perf_counter()
+                    t4 = time.perf_counter()
                     trace.export()
+                    t5 = time.perf_counter()
+                    out_path.write_bytes(write_chart(chart, "xml"))
                     t6 = time.perf_counter()
                 finally:
                     if was_enabled:
                         gc.enable()
                 row.samples.append(
                     PhaseSample(
-                        reading_ms=(t1 - t0) * 1e3,
-                        transformation_ms=(t2 - t1) * 1e3,
-                        writing_ms=(t3 - t2) * 1e3,
-                        parse_ms=(t1 - t_parse) * 1e3,
-                        initialize_ms=(t4 - t3) * 1e3,
-                        reduce_ms=(t5 - t4) * 1e3,
-                        export_ms=(t6 - t5) * 1e3,
+                        reading_ms=(t2 - t0) * 1e3,
+                        transformation_ms=(t5 - t2) * 1e3,
+                        writing_ms=(t6 - t5) * 1e3,
+                        parse_ms=(t2 - t1) * 1e3,
+                        initialize_ms=(t3 - t2) * 1e3,
+                        reduce_ms=(t4 - t3) * 1e3,
+                        export_ms=(t5 - t4) * 1e3,
                     )
                 )
         if discard_first and len(row.samples) > 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import PreconditionError, TreeError
+from .errors import TreeError
 
 # the id of the node, or hyperedge, a chart hands out n-th
 _NODE_ID = "s{}".format
@@ -102,11 +102,10 @@ class HyperEdge:
 class StateChart:
     """Containment tree rooted at an AND topstate, plus hyperedges.
 
-    Nodes are created through `new_basic` / `new_or` / `new_and`, which
-    assign ids "s0", "s1", ... in creation order; hyperedges get "h0",
-    "h1", ...  Freshly created nodes are detached: the caller attaches
-    them.  `node_ids` and `edge_ids` hand out a block of the same ids to
-    a caller that builds the objects itself.
+    Callers build the nodes and hyperedges themselves and link them,
+    under ids from `node_ids` ("s0", "s1", ...) and `edge_ids` ("h0",
+    "h1", ...), which hand out blocks of one sequence each in creation
+    order.
     """
 
     def __init__(self, name: str):
@@ -115,13 +114,6 @@ class StateChart:
         self.hyperedges: list[HyperEdge] = []
         self._next_node = 0
         self._next_edge = 0
-
-    # -- node factories ----------------------------------------------------
-
-    def _node_id(self) -> str:
-        id = _NODE_ID(self._next_node)
-        self._next_node += 1
-        return id
 
     def node_ids(self, count: int) -> Iterator[str]:
         """The ids of the next *count* nodes, in creation order."""
@@ -134,40 +126,6 @@ class StateChart:
         first = self._next_edge
         self._next_edge += count
         return map(_EDGE_ID, range(first, first + count))
-
-    def new_basic(self, origin_place: str) -> Basic:
-        return Basic(self._node_id(), origin_place)
-
-    def new_or(self, children: list[Basic | AndState]) -> OrState:
-        if not children:
-            raise PreconditionError("an OR state needs at least one child")
-        node = OrState(self._node_id())
-        for child in children:
-            node.attach(child)
-        return node
-
-    def new_and(self, children: list[OrState]) -> AndState:
-        if not children:
-            raise PreconditionError("an AND state needs at least one child")
-        node = AndState(self._node_id())
-        for child in children:
-            node.attach(child)
-        return node
-
-    def new_hyperedge(self, origin_transition: str) -> HyperEdge:
-        edge = HyperEdge(_EDGE_ID(self._next_edge), origin_transition)
-        self._next_edge += 1
-        return edge
-
-    # -- structure changes -------------------------------------------------
-
-    def set_topstate(self, node: AndState) -> None:
-        if node.parent is not None:
-            raise TreeError("the topstate cannot have a parent")
-        self.topstate = node
-
-    def add_hyperedge(self, edge: HyperEdge) -> None:
-        self.hyperedges.append(edge)
 
     # -- traversal ---------------------------------------------------------
 

@@ -196,10 +196,7 @@ class _Graph:
 
     def adjacent(self, i: int) -> list[int]:
         """The transitions around slot i in logical order, preset side first."""
-        pre, post = self.pre[i], self.post[i]
-        if i in self.mixed:
-            return sorted(pre, key=pre.__getitem__) + sorted(post, key=post.__getitem__)
-        return list(pre) + list(post)
+        return [*self._ordered(i, self.pre[i]), *self._ordered(i, self.post[i])]
 
     def _ordered(self, i: int, side: dict):
         """Slot i's adjacency dict *side* in its logical order."""
@@ -249,14 +246,17 @@ class _Graph:
         self.after[tail[q]] = ors[p]
         if len(pre_q) + len(post_q) >= len(pre_p) + len(post_p):
             survivor, gone = q, p
-            for u in pre_p:
-                side = tpost[u]
-                side.discard(p)
-                side.add(q)
-            for u in post_p:
-                side = tpre[u]
-                side.discard(p)
-                side.add(q)
+        else:
+            survivor, gone = p, q
+        for u in pre[gone]:
+            side = tpost[u]
+            side.discard(gone)
+            side.add(survivor)
+        for u in post[gone]:
+            side = tpre[u]
+            side.discard(gone)
+            side.add(survivor)
+        if survivor == q:
             if self.mixed and (p in self.mixed or q in self.mixed):
                 self._append(pre, q, p)
                 self._append(post, q, p)
@@ -267,15 +267,6 @@ class _Graph:
                     post_q.update(post_p)
             tail[q] = tail[p]
         else:
-            survivor, gone = p, q
-            for u in pre_q:
-                side = tpost[u]
-                side.discard(q)
-                side.add(p)
-            for u in post_q:
-                side = tpre[u]
-                side.discard(q)
-                side.add(p)
             self._put_in_front(pre, q, p)
             self._put_in_front(post, q, p)
             self.rank[p] = self.rank[q]
@@ -336,13 +327,18 @@ class _Graph:
         post.append(post[first])
         if first in self.mixed:
             self.mixed.add(fresh)
+        # the nodes are fresh and the members leave the topstate, whose
+        # children `reduce` sets at the end, so all are linked directly
+        and_id, or_id = self.chart.node_ids(2)
+        node, wrapper = AndState(and_id), OrState(or_id)
         ors = self.ors
-        states = []
         for member in group:
             state = self._gather(ors[member])
-            pre[member] = post[member] = ors[member] = state.parent = None
-            states.append(state)
-        wrapper = self.chart.new_or([self.chart.new_and(states)])
+            state.parent = node
+            node.children[state] = None
+            pre[member] = post[member] = ors[member] = None
+        node.parent = wrapper
+        wrapper.children[node] = None
         ors.append(wrapper)
         self.tail.append(wrapper)
         self.rank.append(fresh)

@@ -5,7 +5,9 @@ Each builder of `FAMILIES` takes a size k (places or branches) and
 returns a net made with `add_place` and `add_transition`, so declaration
 order is exactly the order described.  The golden family digest and the
 scaling test reduce the same nets.  `NON_CONFLUENT` holds the small nets
-whose reduced shape depends on the order the rules are tried in.  This
+whose reduced shape depends on the order the rules are tried in, and
+`keyed_order` a net whose seeded chart pins the order in which `reduce`
+keeps the transitions around a fused place.  This
 module imports only netchart, so a child interpreter can time it without
 the test dependencies.
 """
@@ -159,6 +161,92 @@ NON_CONFLUENT = {
         {"and(or(b[p0],b[p1]),or(b[p2]))", "and(or(b[p0],b[p2]),or(b[p1]))"},
     ),
 }
+
+
+def keyed_order() -> PetriNet:
+    """A net whose seeded reduction depends on the keyed adjacency order of
+    `pipeline._Graph`: when the place with more arcs keeps its slot in an
+    OR fusion, the other place's transitions must still come first around
+    it.  Net 10405 of a search over random general nets (14 places, 12
+    transitions in shuffled order) in which appending them instead changed
+    the chart under `random.Random(10405)` picks."""
+    net = PetriNet("keyed")
+    for i in range(14):
+        net.add_place(f"p{i}")
+    for tid, src, tgt in (
+        ("t0", "p11 p12 p10", "p6 p3 p0"),
+        ("t1", "p10 p2", "p5"),
+        ("t2", "p2", "p9"),
+        ("t3", "p9", "p12"),
+        ("t4", "p12", "p5 p7 p11"),
+        ("t5", "p3 p12 p11 p5", "p4"),
+        ("t6", "p4", "p2"),
+        ("t7", "p13", "p3"),
+        ("t8", "p13", "p8 p5 p1 p11"),
+        ("t9", "p3", "p11 p0 p8 p3"),
+        ("t10", "p10", "p0"),
+        ("t11", "p10", "p9"),
+    ):
+        net.add_transition(tid, src.split(), tgt.split())
+    return net
+
+
+# `keyed_order` reduced with `random.Random(KEYED_ORDER_SEED)` picks: the
+# chart it writes as XML, and the SHA-256 of its trace document
+KEYED_ORDER_SEED = 10405
+KEYED_ORDER_CHART = b"""\
+<statechart name="keyed">
+  <and id="s0">
+    <or id="s1">
+      <basic id="s2" place="p0"/>
+    </or>
+    <or id="s3">
+      <basic id="s4" place="p1"/>
+    </or>
+    <or id="s5">
+      <basic id="s6" place="p2"/>
+      <basic id="s22" place="p10"/>
+      <basic id="s20" place="p9"/>
+      <basic id="s26" place="p12"/>
+    </or>
+    <or id="s9">
+      <basic id="s10" place="p4"/>
+    </or>
+    <or id="s11">
+      <basic id="s12" place="p5"/>
+    </or>
+    <or id="s13">
+      <basic id="s14" place="p6"/>
+    </or>
+    <or id="s15">
+      <basic id="s16" place="p7"/>
+    </or>
+    <or id="s17">
+      <basic id="s18" place="p8"/>
+    </or>
+    <or id="s23">
+      <basic id="s24" place="p11"/>
+    </or>
+    <or id="s27">
+      <basic id="s28" place="p13"/>
+      <basic id="s8" place="p3"/>
+    </or>
+  </and>
+  <hyperedge id="h0" transition="t0" src="s22 s24 s26" tgt="s2 s8 s14"/>
+  <hyperedge id="h1" transition="t1" src="s6 s22" tgt="s12"/>
+  <hyperedge id="h2" transition="t2" src="s6" tgt="s20"/>
+  <hyperedge id="h3" transition="t3" src="s20" tgt="s26"/>
+  <hyperedge id="h4" transition="t4" src="s26" tgt="s12 s16 s24"/>
+  <hyperedge id="h5" transition="t5" src="s8 s12 s24 s26" tgt="s10"/>
+  <hyperedge id="h6" transition="t6" src="s10" tgt="s6"/>
+  <hyperedge id="h7" transition="t7" src="s28" tgt="s8"/>
+  <hyperedge id="h8" transition="t8" src="s28" tgt="s4 s12 s18 s24"/>
+  <hyperedge id="h9" transition="t9" src="s8" tgt="s2 s8 s18 s24"/>
+  <hyperedge id="h10" transition="t10" src="s22" tgt="s2"/>
+  <hyperedge id="h11" transition="t11" src="s22" tgt="s20"/>
+</statechart>
+"""
+KEYED_ORDER_TRACE_SHA256 = "cf74e687cda6c62b6d35654184e71c1271675a837426b6a35ab5e86fea423f53"
 
 
 def reduce_seconds(net: PetriNet) -> float:

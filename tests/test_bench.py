@@ -152,3 +152,12 @@ def test_bench_times_the_layers():
     for sample in row.samples:
         assert 0.0 < sample.parse_ms <= sample.reading_ms
         assert min(sample.initialize_ms, sample.reduce_ms, sample.export_ms) > 0.0
+
+
+def test_bench_layers_add_up_to_transformation():
+    # one run of the pipeline per repetition: its three layers are the
+    # transformation, split by contiguous timestamps
+    for row in bench([5, 40], reps=3, seed=3).rows:
+        for sample in row.samples:
+            layers = sample.initialize_ms + sample.reduce_ms + sample.export_ms
+            assert layers == pytest.approx(sample.transformation_ms, rel=1e-9, abs=1e-9)

@@ -1,4 +1,4 @@
-"""Statechart model: factories, tree building, validation."""
+"""Statechart model: id blocks, tree building, validation."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from netchart import (
     AndState,
     Basic,
+    HyperEdge,
     OrState,
-    PreconditionError,
     SpSpec,
     StateChart,
     TreeError,
@@ -26,78 +26,56 @@ from support import general_nets
 
 def _tiny_chart() -> StateChart:
     chart = StateChart("tiny")
-    basic = chart.new_basic("p")
-    or_state = chart.new_or([basic])
-    chart.set_topstate(chart.new_and([or_state]))
+    or_state, chart.topstate = OrState("s1"), AndState("s2")
+    or_state.attach(Basic("s0", "p"))
+    chart.topstate.attach(or_state)
     return chart
 
 
-def test_factories_number_nodes_in_creation_order():
+def test_id_blocks_continue_one_sequence():
     chart = StateChart("c")
-    basic = chart.new_basic("p")
-    or_state = chart.new_or([basic])
-    and_state = chart.new_and([or_state])
-    assert (basic.id, or_state.id, and_state.id) == ("s0", "s1", "s2")
-    assert chart.new_hyperedge("t").id == "h0"
-    assert chart.new_hyperedge("t").id == "h1"
-    # a block of ids continues the same sequence, and the factories go on after it
+    assert list(chart.node_ids(3)) == ["s0", "s1", "s2"]
+    assert list(chart.node_ids(0)) == []
     assert list(chart.node_ids(2)) == ["s3", "s4"]
-    assert list(chart.edge_ids(2)) == ["h2", "h3"]
-    assert chart.new_basic("q").id == "s5"
-    assert chart.new_hyperedge("t").id == "h4"
-
-
-def test_new_or_requires_children():
-    chart = StateChart("c")
-    with pytest.raises(PreconditionError):
-        chart.new_or([])
-    with pytest.raises(PreconditionError):
-        chart.new_and([])
+    # hyperedges count on their own
+    assert list(chart.edge_ids(1)) == ["h0"]
+    assert list(chart.edge_ids(2)) == ["h1", "h2"]
 
 
 def test_attach_enforces_alternation():
-    chart = StateChart("c")
-    or_state = chart.new_or([chart.new_basic("p")])
-    other = chart.new_or([chart.new_basic("q")])
+    or_state, other, and_state = OrState("s0"), OrState("s2"), AndState("s3")
+    other.attach(Basic("s1", "q"))
     with pytest.raises(TreeError):
         or_state.attach(other)
-    and_state = chart.new_and([other])
+    and_state.attach(other)
     with pytest.raises(TreeError):
-        and_state.attach(chart.new_basic("r"))
+        and_state.attach(Basic("s4", "r"))
 
 
 def test_attach_rejects_nodes_that_already_have_a_parent():
-    chart = StateChart("c")
-    basic = chart.new_basic("p")
-    or_state = chart.new_or([basic])
+    basic, or_state, and_state = Basic("s0", "p"), OrState("s1"), AndState("s2")
+    or_state.attach(basic)
     with pytest.raises(TreeError, match="already has parent"):
-        chart.new_or([basic])
-    and_state = chart.new_and([or_state])
+        OrState("s3").attach(basic)
+    and_state.attach(or_state)
     with pytest.raises(TreeError):
-        chart.new_and([or_state])
+        AndState("s4").attach(or_state)
     assert or_state.parent is and_state
 
 
-def test_set_topstate_rejects_parented_nodes():
-    chart = StateChart("c")
-    inner = chart.new_and([chart.new_or([chart.new_basic("p")])])
-    chart.new_or([inner])
-    with pytest.raises(TreeError):
-        chart.set_topstate(inner)
-
-
 def test_states_yields_preorder():
+    a, b, q = Basic("s0", "a"), Basic("s1", "b"), Basic("s5", "q")
+    left, right, top_or = OrState("s2"), OrState("s3"), OrState("s6")
+    inner, top = AndState("s4"), AndState("s7")
+    for parent, child in (
+        (left, a), (right, b), (inner, left), (inner, right), (top_or, q), (top_or, inner),
+        (top, top_or),
+    ):
+        parent.attach(child)
     chart = StateChart("c")
-    a = chart.new_basic("a")
-    b = chart.new_basic("b")
-    left = chart.new_or([a])
-    right = chart.new_or([b])
-    inner = chart.new_and([left, right])
-    q = chart.new_basic("q")
-    top_or = chart.new_or([q, inner])
-    chart.set_topstate(chart.new_and([top_or]))
+    chart.topstate = top
     ids = [node.id for node in chart.states()]
-    assert ids == [chart.topstate.id, top_or.id, q.id, inner.id, left.id, a.id, right.id, b.id]
+    assert ids == ["s7", "s6", "s5", "s4", "s2", "s0", "s3", "s1"]
 
 
 def test_states_is_empty_without_topstate():
@@ -111,7 +89,8 @@ def test_validate_accepts_a_minimal_chart():
 def test_validate_requires_a_topstate():
     chart = StateChart("c")
     assert validate_chart(chart) == ["chart 'c': no topstate"]
-    chart.topstate = chart.new_or([chart.new_basic("p")])  # force a bad root
+    chart.topstate = OrState("s1")  # force a bad root
+    chart.topstate.attach(Basic("s0", "p"))
     assert any("not an AND" in v for v in validate_chart(chart))
     chart = _tiny_chart()
     chart.topstate.parent = OrState("s9")  # bypass attach to give the root a parent
@@ -128,17 +107,20 @@ def test_validate_reports_empty_composites():
 
 def test_validate_requires_two_children_below_the_root():
     chart = StateChart("c")
-    inner = chart.new_and([chart.new_or([chart.new_basic("p")])])
-    top_or = chart.new_or([inner])
-    chart.set_topstate(chart.new_and([top_or]))
-    violations = validate_chart(chart)
-    assert violations == [f"and {inner.id!r}: fewer than 2 children"]
+    leaf_or, inner, top_or = OrState("s1"), AndState("s2"), OrState("s3")
+    chart.topstate = AndState("s4")
+    for parent, child in (
+        (leaf_or, Basic("s0", "p")), (inner, leaf_or), (top_or, inner), (chart.topstate, top_or),
+    ):
+        parent.attach(child)
+    assert validate_chart(chart) == ["and 's2': fewer than 2 children"]
 
 
 def test_validate_reports_alternation_breaks():
     chart = _tiny_chart()
     or_state = list(chart.topstate.children)[0]
-    stray = chart.new_or([chart.new_basic("x")])
+    stray = OrState("s4")
+    stray.attach(Basic("s3", "x"))
     # bypass attach to build the illegal shape
     or_state.children[stray] = None
     stray.parent = or_state
@@ -184,12 +166,12 @@ def test_validate_reports_broken_parent_links():
 def test_validate_checks_hyperedge_endpoints():
     chart = _tiny_chart()
     basic = list(list(chart.topstate.children)[0].children)[0]
-    edge = chart.new_hyperedge("t")
+    edge = HyperEdge("h0", "t")
     edge.sources.append(basic)
-    chart.add_hyperedge(edge)
+    chart.hyperedges.append(edge)
     assert any("no targets" in v for v in validate_chart(chart))
 
-    loose = chart.new_basic("gone")
+    loose = Basic("s3", "gone")
     edge.targets.append(loose)
     assert any("not in the chart" in v for v in validate_chart(chart))
 
@@ -200,11 +182,11 @@ def test_validate_checks_hyperedge_endpoints():
 def test_validate_reports_duplicate_hyperedge_ids():
     chart = _tiny_chart()
     basic = list(list(chart.topstate.children)[0].children)[0]
-    for _ in range(2):
-        edge = chart.new_hyperedge("t")
+    for id in ("h0", "h1"):
+        edge = HyperEdge(id, "t")
         edge.sources.append(basic)
         edge.targets.append(basic)
-        chart.add_hyperedge(edge)
+        chart.hyperedges.append(edge)
     chart.hyperedges[1].id = chart.hyperedges[0].id
     assert any("duplicate hyperedge id" in v for v in validate_chart(chart))
 
@@ -216,10 +198,10 @@ def test_validate_reports_foreign_and_unhashable_endpoints():
 
     chart = _tiny_chart()
     basic = list(list(chart.topstate.children)[0].children)[0]
-    edge = chart.new_hyperedge("t")
+    edge = HyperEdge("h0", "t")
     edge.sources[:] = [SimpleNamespace(id="x"), basic]
     edge.targets[:] = [Unhashable("y", "p")]
-    chart.add_hyperedge(edge)
+    chart.hyperedges.append(edge)
     assert validate_chart(chart) == [
         "hyperedge 'h0': endpoint 'x' is not a basic state",
         "hyperedge 'h0': endpoint 'y' is not in the chart",

@@ -16,9 +16,11 @@ from netchart import (
     AndState,
     Basic,
     DuplicateIdError,
+    HyperEdge,
     MembershipError,
     ModelError,
     NetchartError,
+    OrState,
     ParseError,
     PetriNet,
     Place,
@@ -380,11 +382,14 @@ def test_write_chart_refuses_origin_ids_its_reader_refuses(format):
     # a chart built by hand: nets refuse such ids before any chart exists
     for place, transition, kind in (("a b", "t", "place"), ("p", "t\t1", "transition")):
         chart = StateChart("n")
-        q, p = chart.new_basic("q"), chart.new_basic(place)
-        chart.set_topstate(chart.new_and([chart.new_or([q]), chart.new_or([p])]))
-        edge = chart.new_hyperedge(transition)
+        q, p, chart.topstate = Basic("s0", "q"), Basic("s1", place), AndState("s4")
+        for basic, id in ((q, "s2"), (p, "s3")):
+            or_state = OrState(id)
+            or_state.attach(basic)
+            chart.topstate.attach(or_state)
+        edge = HyperEdge("h0", transition)
         edge.sources, edge.targets = [q], [p]
-        chart.add_hyperedge(edge)
+        chart.hyperedges.append(edge)
         with pytest.raises(PreconditionError, match=f"^{kind} id .* without whitespace$"):
             write_chart(chart, format)
 
@@ -399,8 +404,11 @@ def test_writers_report_a_refused_id_before_a_character_xml_cannot_carry(format)
     with pytest.raises(PreconditionError, match="^place id 'b c' must be"):
         write_net(net, format)
     chart = StateChart("n")
-    early, late = Basic("a\x01", "p"), Basic("b c", "q")
-    chart.set_topstate(chart.new_and([chart.new_or([early]), chart.new_or([late])]))
+    chart.topstate = AndState("s2")
+    for basic, id in ((Basic("a\x01", "p"), "s0"), (Basic("b c", "q"), "s1")):
+        or_state = OrState(id)
+        or_state.attach(basic)
+        chart.topstate.attach(or_state)
     with pytest.raises(PreconditionError, match="^state id 'b c' must be"):
         write_chart(chart, format)
 

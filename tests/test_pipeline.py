@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -27,8 +28,16 @@ from netchart import (
     validate_chart,
     write_chart,
     write_net,
+    write_trace,
 )
-from families import NON_CONFLUENT, two_way_choice
+from families import (
+    KEYED_ORDER_CHART,
+    KEYED_ORDER_SEED,
+    KEYED_ORDER_TRACE_SHA256,
+    NON_CONFLUENT,
+    keyed_order,
+    two_way_choice,
+)
 from oracle import oracle_reduce
 from support import (
     chart_signature,
@@ -459,6 +468,14 @@ def test_fifo_follows_declaration_order_not_id_order(name):
         expected.remaining_transitions,
     )
 
+
+def test_seeded_reduction_keeps_the_keyed_adjacency_order():
+    # when the place with more arcs keeps its slot, the other place's
+    # transitions come first around it; appending them after changes
+    # which transitions the seeded picks meet, and so this chart
+    chart, _, trace = transform(keyed_order(), rng=random.Random(KEYED_ORDER_SEED))
+    assert write_chart(chart, "xml") == KEYED_ORDER_CHART
+    assert hashlib.sha256(write_trace(trace)).hexdigest() == KEYED_ORDER_TRACE_SHA256
 
 def test_transform_leaves_the_input_untouched():
     net = diamond()
