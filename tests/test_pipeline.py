@@ -477,6 +477,7 @@ def test_seeded_reduction_keeps_the_keyed_adjacency_order():
     assert write_chart(chart, "xml") == KEYED_ORDER_CHART
     assert hashlib.sha256(write_trace(trace)).hexdigest() == KEYED_ORDER_TRACE_SHA256
 
+
 def test_transform_leaves_the_input_untouched():
     net = diamond()
     transform(net)
