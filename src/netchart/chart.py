@@ -149,6 +149,10 @@ def validate_chart(chart: StateChart) -> list[str]:
     need at least two children), unique node ids, and hyperedge endpoints
     that are Basic states present in the tree.  Each node is visited once,
     so an id seen before belongs to another node.
+
+    This is the full check, which reports every violation.  The chart
+    reader and writers check the same rules inline, in the walk they make
+    anyway, and call it only to raise its list.
     """
     top = chart.topstate
     if top is None:

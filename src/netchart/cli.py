@@ -9,6 +9,7 @@ usage errors, and input too large or too deep for the interpreter),
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -128,6 +129,19 @@ def _print_stats(report: ReductionReport) -> None:
 
 
 def _cmd_transform(args) -> int:
+    # until the chart is dropped, reading, transforming and writing leave
+    # no cyclic garbage, so automatic collection would only cost time; the
+    # caller's setting is restored on the way out
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _transform(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _transform(args) -> int:
     net = parse_net(Path(args.input).read_bytes())
     chart, report, trace = transform(net)
     format = args.format or _format_for(args.output)

@@ -11,7 +11,9 @@ unknown elements, attributes or keys are syntax errors; semantic
 problems (duplicate ids, dangling references, empty transition sides)
 raise model errors naming the offending id.  The XML chart reader only
 translates its document into what `json.loads` gives for the same chart
-in JSON, and one builder makes the chart from either.
+in JSON, and one builder makes the chart from either.  The chart builder
+and the writers check well-formedness in the walk they make anyway and
+run `validate_chart` or `check_net` only to raise its list.
 
 Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; the readers refuse other ids and the
@@ -38,7 +40,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .net import PetriNet, check_id, check_net
+from .net import _ID, PetriNet, check_id, invalid_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
@@ -266,26 +268,46 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
     """Serialize a net; refuses nets with structural violations."""
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
-    violations = check_net(net)
-    if violations:
-        raise ValidationError(f"net {net.name!r} is not well formed", violations)
     try:
-        return _net_to_xml(net) if format == "xml" else _net_to_json(net)
+        data = _net_to_xml(net) if format == "xml" else _net_to_json(net)
     except (ModelError, TypeError):
-        # an id `check_id` refuses, or one that is no string (TypeError),
-        # outranks any other fault: raise the first such id in document order
+        # a structural violation outranks any id; then an id `check_id`
+        # refuses, or one that is no string (TypeError), outranks any other
+        # fault: raise the first such id in document order
+        error = invalid_net(net)
+        if error.violations:
+            raise error from None
         for place in net.places.values():
             check_id("place", place.id)
         for transition in net.transitions.values():
             check_id("transition", transition.id)
         raise
+    if data is None:
+        raise invalid_net(net)
+    return data
 
 
-def _net_to_xml(net: PetriNet) -> bytes:
+def _sound_transition(tid: str, transition, members: set) -> bool:
+    """Whether *transition*, stored under *tid*, passes `check_net`: its
+    id is its key and both sides are nonempty sets of *members*."""
+    src, tgt = transition.preset, transition.postset
+    if transition.id != tid or not src or not tgt:
+        return False
+    return members.issuperset(src) and members.issuperset(tgt)
+
+
+def _net_to_xml(net: PetriNet) -> bytes | None:
+    """The net as XML, or None at the first fault `check_net` reports."""
     lines = [f"<petrinet name={_xml_attr(net.name)}>"]
-    for place in net.places.values():
+    members = set()
+    for pid, place in net.places.items():
+        if place.id != pid:
+            return None
+        members.add(place)
         lines.append(f"  <place id={_xml_id('place', place.id)}/>")
-    for t in net.transitions.values():
+    for tid, t in net.transitions.items():
+        if not _sound_transition(tid, t, members):
+            return None
         src = " ".join(p.id for p in t.preset)
         tgt = " ".join(p.id for p in t.postset)
         lines.append(
@@ -296,17 +318,23 @@ def _net_to_xml(net: PetriNet) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _net_to_json(net: PetriNet) -> bytes:
-    places = [
-        f'    {{\n      "id": {_quote(check_id("place", p.id))}\n    }}'
-        for p in net.places.values()
-    ]
-    transitions = [
-        f'    {{\n      "id": {_quote(check_id("transition", t.id))},\n'
-        f'      "src": {_json_strings((p.id for p in t.preset), "      ")},\n'
-        f'      "tgt": {_json_strings((p.id for p in t.postset), "      ")}\n    }}'
-        for t in net.transitions.values()
-    ]
+def _net_to_json(net: PetriNet) -> bytes | None:
+    """The net as JSON, or None at the first fault `check_net` reports."""
+    places, members = [], set()
+    for pid, place in net.places.items():
+        if place.id != pid:
+            return None
+        members.add(place)
+        places.append(f'    {{\n      "id": {_quote(check_id("place", place.id))}\n    }}')
+    transitions = []
+    for tid, t in net.transitions.items():
+        if not _sound_transition(tid, t, members):
+            return None
+        transitions.append(
+            f'    {{\n      "id": {_quote(check_id("transition", t.id))},\n'
+            f'      "src": {_json_strings((p.id for p in t.preset), "      ")},\n'
+            f'      "tgt": {_json_strings((p.id for p in t.postset), "      ")}\n    }}'
+        )
     return (
         f'{{\n  "name": {_quote(net.name)},\n'
         f'  "places": {_json_records(places, "  ")},\n'
@@ -321,11 +349,15 @@ def parse_chart(data: bytes | str) -> StateChart:
     """Read a chart document in the format `detect_format` finds; raises
     on any well-formedness violation."""
     read = _chart_document_from_xml if detect_format(data) == "xml" else _json_document
-    chart = _chart_from_document(read(data))
-    violations = validate_chart(chart)
-    if violations:
-        raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
-    return chart
+    return _chart_from_document(read(data))
+
+
+def _invalid_chart(chart: StateChart) -> ValidationError:
+    """The error that refuses *chart*, carrying `validate_chart`'s list.
+
+    The chart reader and writers flag a fault inline, in the walk they
+    already make, and build this error only to raise it."""
+    return ValidationError(f"chart {chart.name!r} is not well formed", validate_chart(chart))
 
 
 def _chart_document_from_xml(data: bytes | str) -> dict:
@@ -393,14 +425,23 @@ def _resolve_endpoints(
 
 def _chart_from_document(obj) -> StateChart:
     """Build the chart a parsed JSON chart document, or its XML
-    translation, describes; checks ids, tree shape and endpoints."""
+    translation, describes; checks ids, tree shape and endpoints.
+
+    Building raises on a bad id, an alternation breach or a bad endpoint.
+    The faults only `validate_chart` reports (a topstate that is no AND
+    state, too few children, a repeated node or hyperedge id, an empty
+    side) are flagged as the chart is built, and `validate_chart` runs
+    only when one is, to raise its list once the whole document is read.
+    """
     name, topstate, hyperedges = _json_object(
         obj, "chart document", ("name", "topstate", "hyperedges")
     )
     chart = StateChart(_string(name, "chart name"))
     # each id read, mapped to its last state when that is basic, else None
     basics: dict[str, Basic | None] = {}
-    # explicit stack of (state object, parent); the topstate has none
+    nodes, sound = 0, True
+    # explicit stack of (state object, parent); the topstate has none.
+    # An id is tested once, and `_string`/`check_id` run only to raise
     stack: list[tuple[object, Node | None]] = [(topstate, None)]
     while stack:
         entry, parent = stack.pop()
@@ -409,11 +450,12 @@ def _chart_from_document(obj) -> StateChart:
         kind = entry.get("kind")
         if kind == "basic":
             _, node_id, place = _json_object(entry, "basic state", ("kind", "id", "place"))
-            node = Basic(
-                check_id("state", _string(node_id, "state id")),
-                check_id("place", _string(place, "'place'")),
-            )
-            basics[node.id] = node
+            if not (type(node_id) is str and _ID.fullmatch(node_id)):
+                check_id("state", _string(node_id, "state id"))
+            if not (type(place) is str and _ID.fullmatch(place)):
+                check_id("place", _string(place, "'place'"))
+            node = Basic(node_id, place)
+            basics[node_id] = node
         else:
             if kind == "or":
                 cls, what = OrState, "or state"
@@ -424,42 +466,71 @@ def _chart_from_document(obj) -> StateChart:
             _, node_id, children = _json_object(entry, what, ("kind", "id", "children"))
             if not isinstance(children, list):
                 raise ParseError("'children' must be a list")
-            node = cls(check_id("state", _string(node_id, "state id")))
-            basics[node.id] = None
+            if not (type(node_id) is str and _ID.fullmatch(node_id)):
+                check_id("state", _string(node_id, "state id"))
+            node = cls(node_id)
+            basics[node_id] = None
+            # an AND state below the topstate needs two children
+            if len(children) < (2 if cls is AndState and parent is not None else 1):
+                sound = False
             stack.extend(zip(reversed(children), repeat(node)))
+        nodes += 1
         if parent is None:
             chart.topstate = node  # type: ignore[assignment]
+            if type(node) is not AndState:
+                sound = False
+        elif (type(node) is OrState) is (type(parent) is AndState):
+            # the nodes are fresh, so a child of the right kind is linked
+            # directly; `attach` raises the TreeError of any other
+            node.parent = parent
+            parent.children[node] = None
         else:
-            parent.attach(node)  # alternation breaches raise TreeError
+            parent.attach(node)
+    if len(basics) != nodes:  # a repeated node id
+        sound = False
 
     if not isinstance(hyperedges, list):
         raise ParseError("'hyperedges' must be a list")
+    edges = chart.hyperedges
     for entry in hyperedges:
         edge_id, transition, src, tgt = _json_object(
             entry, "hyperedge", ("id", "transition", "src", "tgt")
         )
-        edge = HyperEdge(
-            check_id("hyperedge", _string(edge_id, "hyperedge id")),
-            check_id("transition", _string(transition, "'transition'")),
-        )
-        edge.sources = _resolve_endpoints(edge.id, _string_list(src, "'src'"), basics)
-        edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), basics)
-        chart.hyperedges.append(edge)
+        if not (type(edge_id) is str and _ID.fullmatch(edge_id)):
+            check_id("hyperedge", _string(edge_id, "hyperedge id"))
+        if not (type(transition) is str and _ID.fullmatch(transition)):
+            check_id("transition", _string(transition, "'transition'"))
+        edge = HyperEdge(edge_id, transition)
+        edge.sources = _resolve_endpoints(edge_id, _string_list(src, "'src'"), basics)
+        edge.targets = _resolve_endpoints(edge_id, _string_list(tgt, "'tgt'"), basics)
+        if not (edge.sources and edge.targets):
+            sound = False
+        edges.append(edge)
+    if not sound or len({edge.id for edge in edges}) != len(edges):
+        raise _invalid_chart(chart)
     return chart
 
 
 def write_chart(chart: StateChart, format: str = "xml") -> bytes:
-    """Serialize a chart; refuses invalid charts and ids its reader refuses."""
+    """Serialize a chart; refuses invalid charts and ids its reader refuses.
+
+    The writers check what `validate_chart` checks as they walk the
+    chart, and stop at the first fault; `validate_chart` then runs only
+    to raise its list."""
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
-    violations = validate_chart(chart)
-    if violations:
-        raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
+    top = chart.topstate
+    if not isinstance(top, AndState) or top.parent is not None:
+        raise _invalid_chart(chart)
     try:
-        return _chart_to_xml(chart) if format == "xml" else _chart_to_json(chart)
+        data = _chart_to_xml(chart, top) if format == "xml" else _chart_to_json(chart, top)
     except (ModelError, TypeError):
-        # an id `check_id` refuses, or one that is no string (TypeError),
+        # a well-formedness violation outranks any id; then an id
+        # `check_id` refuses, or one that is no string (TypeError),
         # outranks any other fault: raise the first such id in document order
+        error = _invalid_chart(chart)
+        if error.violations:
+            raise error from None
         for node in chart.states():
             check_id("state", node.id)
             if isinstance(node, Basic):
@@ -468,30 +539,79 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
             check_id("hyperedge", edge.id)
             check_id("transition", edge.origin_transition)
         raise
+    if data is None:
+        raise _invalid_chart(chart)
+    return data
 
 
-def _chart_to_xml(chart: StateChart) -> bytes:
+def _misplaced_children(node: OrState | AndState, children, top: AndState) -> bool:
+    """Whether the *children* of *node* break a rule `validate_chart`
+    checks: too few of them, one of the wrong kind, or one whose parent
+    link points elsewhere. The links also keep the writers' walks from
+    reaching any node twice."""
+    if isinstance(node, AndState):
+        if len(children) < (1 if node is top else 2):
+            return True
+        for child in children:
+            if child.parent is not node or not isinstance(child, OrState):
+                return True
+    else:
+        if not children:
+            return True
+        for child in children:
+            if child.parent is not node or isinstance(child, OrState):
+                return True
+    return False
+
+
+def _sound_edges(edges: list[HyperEdge], basics: set[Basic]) -> bool:
+    """Whether *edges* pass `validate_chart`: distinct ids, and nonempty
+    sides of *basics*, the basic states of the tree."""
+    for edge in edges:
+        sources, targets = edge.sources, edge.targets
+        if not (sources and targets and basics.issuperset(sources)
+                and basics.issuperset(targets)):
+            return False
+    return len({edge.id for edge in edges}) == len(edges)
+
+
+def _chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:
+    """The chart under its root *top* as XML, or None at the first fault
+    `validate_chart` reports."""
     lines = [f"<statechart name={_xml_attr(chart.name)}>"]
+    ids: set[str] = set()
+    basics: set[Basic] = set()
+    nodes = 1
     # explicit stack: containment can nest deeper than Python's recursion cap
-    stack: list[tuple[Node, int, bool]] = [(chart.topstate, 1, False)]
+    stack: list[tuple[Node, int, bool]] = [(top, 1, False)]
     while stack:
         node, depth, closing = stack.pop()
         pad = "  " * depth
         if closing:
             lines.append(f"{pad}</{'and' if isinstance(node, AndState) else 'or'}>")
             continue
+        ids.add(node.id)
         if isinstance(node, Basic):
+            basics.add(node)
             lines.append(
                 f"{pad}<basic id={_xml_id('state', node.id)}"
                 f" place={_xml_id('place', node.origin_place)}/>"
             )
             continue
+        children = node.children
+        if _misplaced_children(node, children, top):
+            return None
+        nodes += len(children)
         tag = "and" if isinstance(node, AndState) else "or"
         lines.append(f"{pad}<{tag} id={_xml_id('state', node.id)}>")
         stack.append((node, depth, True))
-        for child in reversed(node.children):
+        for child in reversed(children):
             stack.append((child, depth + 1, False))
-    for edge in chart.hyperedges:
+    edges = chart.hyperedges
+    if len(ids) != nodes or not _sound_edges(edges, basics):
+        return None
+    del ids, basics  # not held while the document is joined
+    for edge in edges:
         src = " ".join(b.id for b in edge.sources)
         tgt = " ".join(b.id for b in edge.targets)
         lines.append(
@@ -503,15 +623,20 @@ def _chart_to_xml(chart: StateChart) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _chart_to_json(chart: StateChart) -> bytes:
+def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
+    """The chart under its root *top* as JSON, or None at the first fault
+    `validate_chart` reports."""
     # pieces go straight into one buffer: the document is never held both
     # as pieces and as their join, which a deep chart's indentation makes large
     out = io.BytesIO()
     emit = out.write
     emit(f'{{\n  "name": {_quote(chart.name)},\n  "topstate": '.encode())
+    ids: set[str] = set()
+    basics: set[Basic] = set()
+    nodes = 1
     # explicit stack of (state, indent level of its braces) and literal
     # text: containment can nest deeper than Python's recursion cap
-    stack: list[tuple[Node, int] | bytes] = [(chart.topstate, 1)]
+    stack: list[tuple[Node, int] | bytes] = [(top, 1)]
     while stack:
         item = stack.pop()
         if isinstance(item, bytes):
@@ -519,33 +644,42 @@ def _chart_to_json(chart: StateChart) -> bytes:
             continue
         node, level = item
         pad = "  " * level
+        ids.add(node.id)
         if isinstance(node, Basic):
+            basics.add(node)
             emit(
                 f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
                 f'{pad}  "place": {_quote(check_id("place", node.origin_place))}\n{pad}}}'.encode()
             )
             continue
+        children = list(node.children)
+        if _misplaced_children(node, children, top):
+            return None
+        nodes += len(children)
         kind = "and" if isinstance(node, AndState) else "or"
         emit(
             f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
             f'{pad}  "children": [\n{pad}    '.encode()
         )
         stack.append(f"\n{pad}  ]\n{pad}}}".encode())
-        children = list(node.children)
         separator = f",\n{pad}    ".encode()
         for index in range(len(children) - 1, 0, -1):
             stack.append((children[index], level + 2))
             stack.append(separator)
         stack.append((children[0], level + 2))
-    edges = [
+    edges = chart.hyperedges
+    if len(ids) != nodes or not _sound_edges(edges, basics):
+        return None
+    del ids, basics  # not held while the document is copied out
+    records = [
         f'    {{\n      "id": {_quote(check_id("hyperedge", edge.id))},\n'
         f'      "transition": {_quote(check_id("transition", edge.origin_transition))},\n'
         f'      "src": {_json_strings((b.id for b in edge.sources), "      ")},\n'
         f'      "tgt": {_json_strings((b.id for b in edge.targets), "      ")}\n'
         "    }"
-        for edge in chart.hyperedges
+        for edge in edges
     ]
-    emit(f',\n  "hyperedges": {_json_records(edges, "  ")}\n}}\n'.encode())
+    emit(f',\n  "hyperedges": {_json_records(records, "  ")}\n}}\n'.encode())
     return out.getvalue()
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .errors import DuplicateIdError, MembershipError, PreconditionError
+from .errors import DuplicateIdError, MembershipError, PreconditionError, ValidationError
 
 # `\s` matches exactly the characters for which `str.isspace` holds
 _ID = re.compile(r"\S+")
@@ -149,7 +149,9 @@ def check_net(net: PetriNet) -> list[str]:
 
     Checks id-key consistency, nonempty transition sides and that every
     place on a transition's side is a member of the net.  Self-loops are
-    legal and reported separately by `find_self_loops`.
+    legal and reported separately by `find_self_loops`.  `initialize`
+    and `write_net` check the same invariants inline and call it only to
+    raise its list.
     """
     violations = []
     for pid, place in net.places.items():
@@ -169,6 +171,14 @@ def check_net(net: PetriNet) -> list[str]:
             if net.places.get(place.id) is not place:
                 violations.append(f"transition {tid!r}: postset place {place.id!r} is not a member of the net")
     return violations
+
+
+def invalid_net(net: PetriNet) -> ValidationError:
+    """The error that refuses *net*, carrying `check_net`'s list.
+
+    `initialize` and `write_net` flag a broken net inline, in the walk
+    they already make, and build this error only to raise it."""
+    return ValidationError(f"net {net.name!r} is not well formed", check_net(net))
 
 
 def find_self_loops(net: PetriNet) -> list[str]:

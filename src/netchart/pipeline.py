@@ -12,11 +12,14 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .chart import AndState, Basic, HyperEdge, OrState, StateChart
-from .errors import PreconditionError, TraceError, ValidationError
-from .net import PetriNet, check_net
+from .errors import PreconditionError, TraceError
+from .net import PetriNet, invalid_net
+
+_id_of = attrgetter("id")
 
 
 class TraceEntry(NamedTuple):
@@ -83,14 +86,15 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     Raises
     ------
     ValidationError
-        If the net has structural violations.
+        If the net has structural violations, with `check_net`'s list;
+        the trace is left as it was.
     PreconditionError
         If *trace* already holds a pass; traces are single-use.
     """
-    violations = check_net(net)
-    if violations:
-        raise ValidationError(f"net {net.name!r} is not well formed", violations)
     if trace.entries:
+        error = invalid_net(net)
+        if error.violations:
+            raise error
         raise PreconditionError("trace already holds a pass; use a fresh Trace per pass")
     name, places, transitions = net.name, net.places, net.transitions
     chart = StateChart(name)
@@ -107,32 +111,48 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         or_state.children[basic] = None
         or_state.parent = top
     top.children = dict.fromkeys(ors)
-    trace.ors.update(zip(places, ors))
     chart.topstate = top
 
     edge_ids = list(chart.edge_ids(len(transitions)))
     edges = chart.hyperedges
     edges.extend(map(HyperEdge, edge_ids, transitions))
+    # what `check_net` checks is flagged here, where each place is looked
+    # up, and `check_net` runs only to raise its list: an element stored
+    # under a key other than its id, an empty side, and a place that is
+    # not the net's (a KeyError, as the lookups go by identity)
+    sound = (
+        list(map(_id_of, places.values())) == list(places)
+        and list(map(_id_of, transitions.values())) == list(transitions)
+    )
     # a one-place side maps straight to its basic; a longer one is put in
     # place-declaration order by slot
     basic_of = dict(zip(places.values(), basics))
     slot = dict(zip(places.values(), range(len(basics)))).__getitem__
     basic_at = basics.__getitem__
-    for edge, transition in zip(edges, transitions.values()):
-        src, tgt = transition.preset, transition.postset
-        if len(src) == 1:
-            (place,) = src
-            edge.sources = [basic_of[place]]
-        else:
-            edge.sources = list(map(basic_at, sorted(map(slot, src))))
-        if len(tgt) == 1:
-            (place,) = tgt
-            edge.targets = [basic_of[place]]
-        else:
-            edge.targets = list(map(basic_at, sorted(map(slot, tgt))))
+    try:
+        for edge, transition in zip(edges, transitions.values()):
+            src, tgt = transition.preset, transition.postset
+            if not (src and tgt):
+                sound = False
+                break
+            if len(src) == 1:
+                (place,) = src
+                edge.sources = [basic_of[place]]
+            else:
+                edge.sources = list(map(basic_at, sorted(map(slot, src))))
+            if len(tgt) == 1:
+                (place,) = tgt
+                edge.targets = [basic_of[place]]
+            else:
+                edge.targets = list(map(basic_at, sorted(map(slot, tgt))))
+    except KeyError:
+        sound = False
+    if not sound:
+        raise invalid_net(net)
 
     # the trace, rule by rule; the bulk rules skip TraceEntry's own
     # __new__, which only adds a Python call per record
+    trace.ors.update(zip(places, ors))
     entries = trace.entries
     entries.append(TraceEntry("PetriNet2StateChart", name, name))
     entries.append(TraceEntry("PetriNet2TopState", name, top.id))

@@ -11,6 +11,10 @@ the canonical signature grammar from `support`.
 `validate_chart`: one dict entry per id, one loop per check, every
 endpoint looked up on its own.  It shares only the node classes.
 
+`reference_parse_chart` reads a chart document the straightforward
+way: it builds the chart with `check_id` on every id and `attach` for
+every link, then runs `reference_validate_chart` over the result.
+
 `reference_add_place`, `reference_add_transition`,
 `reference_net_from_xml` and `reference_net_from_json` build nets the
 straightforward way: `check_id` on every id, one lookup per side entry,
@@ -23,13 +27,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from netchart import AndState, Basic, OrState, PetriNet, Transition
-from netchart.errors import DuplicateIdError, ParseError, PreconditionError
+from itertools import repeat
+
+from netchart import (
+    AndState,
+    Basic,
+    HyperEdge,
+    OrState,
+    PetriNet,
+    StateChart,
+    Transition,
+    detect_format,
+)
+from netchart.errors import DuplicateIdError, ParseError, PreconditionError, ValidationError
 from netchart.formats import (
     _attrs,
+    _chart_document_from_xml,
     _json_document,
     _json_object,
     _reject_text,
+    _resolve_endpoints,
     _string,
     _string_list,
     _xml_root,
@@ -207,6 +224,68 @@ def reference_validate_chart(chart) -> list[str]:
             elif id(endpoint) not in members:
                 violations.append(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")
     return violations
+
+
+def reference_parse_chart(data) -> StateChart:
+    read = _chart_document_from_xml if detect_format(data) == "xml" else _json_document
+    chart = _reference_chart_from_document(read(data))
+    violations = reference_validate_chart(chart)
+    if violations:
+        raise ValidationError(f"chart {chart.name!r} is not well formed", violations)
+    return chart
+
+
+def _reference_chart_from_document(obj) -> StateChart:
+    name, topstate, hyperedges = _json_object(
+        obj, "chart document", ("name", "topstate", "hyperedges")
+    )
+    chart = StateChart(_string(name, "chart name"))
+    basics = {}
+    stack = [(topstate, None)]
+    while stack:
+        entry, parent = stack.pop()
+        if not isinstance(entry, dict):
+            raise ParseError(f"state must be an object, got {type(entry).__name__}")
+        kind = entry.get("kind")
+        if kind == "basic":
+            _, node_id, place = _json_object(entry, "basic state", ("kind", "id", "place"))
+            node = Basic(
+                check_id("state", _string(node_id, "state id")),
+                check_id("place", _string(place, "'place'")),
+            )
+            basics[node.id] = node
+        else:
+            if kind == "or":
+                cls, what = OrState, "or state"
+            elif kind == "and":
+                cls, what = AndState, "and state"
+            else:
+                raise ParseError(f"state 'kind' must be 'basic', 'or' or 'and', got {kind!r}")
+            _, node_id, children = _json_object(entry, what, ("kind", "id", "children"))
+            if not isinstance(children, list):
+                raise ParseError("'children' must be a list")
+            node = cls(check_id("state", _string(node_id, "state id")))
+            basics[node.id] = None
+            stack.extend(zip(reversed(children), repeat(node)))
+        if parent is None:
+            chart.topstate = node
+        else:
+            parent.attach(node)
+
+    if not isinstance(hyperedges, list):
+        raise ParseError("'hyperedges' must be a list")
+    for entry in hyperedges:
+        edge_id, transition, src, tgt = _json_object(
+            entry, "hyperedge", ("id", "transition", "src", "tgt")
+        )
+        edge = HyperEdge(
+            check_id("hyperedge", _string(edge_id, "hyperedge id")),
+            check_id("transition", _string(transition, "'transition'")),
+        )
+        edge.sources = _resolve_endpoints(edge.id, _string_list(src, "'src'"), basics)
+        edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), basics)
+        chart.hyperedges.append(edge)
+    return chart
 
 
 def reference_add_place(net: PetriNet, id) -> Place:

@@ -1,4 +1,5 @@
-"""Statechart model: id blocks, tree building, validation."""
+"""Statechart model: id blocks, tree building, validation, and the chart
+writers' refusal of what validation reports."""
 
 from __future__ import annotations
 
@@ -13,15 +14,19 @@ from netchart import (
     Basic,
     HyperEdge,
     OrState,
+    PreconditionError,
     SpSpec,
     StateChart,
     TreeError,
+    ValidationError,
     generate_sp,
+    parse_chart,
     transform,
     validate_chart,
+    write_chart,
 )
 from oracle import reference_validate_chart
-from support import general_nets
+from support import chart_identical, general_nets
 
 
 def _tiny_chart() -> StateChart:
@@ -259,6 +264,12 @@ def _mutate(chart: StateChart, kind: str, k: int, j: int) -> None:
         leaf = _pick([n for n in nodes if isinstance(n, Basic)], k)
         if leaf:  # an emptied composite can leave no basic to move
             _pick(ands, j).children[leaf] = None
+    elif kind == "relink" and node:
+        # move the node, parent link and all, so only its kind can be wrong
+        host = _pick(composites, j)
+        if isinstance(node.parent, (OrState, AndState)):  # not misdirected to a basic
+            node.parent.children.pop(node, None)
+        host.children[node], node.parent = None, host
     elif kind == "composite endpoint" and edges:
         _pick(edges, k).sources.append(_pick(composites, j))
     elif kind == "outside endpoint" and edges:
@@ -275,7 +286,7 @@ def _mutate(chart: StateChart, kind: str, k: int, j: int) -> None:
 
 _MUTATIONS = (
     "cut parent", "misdirect parent", "duplicate node id", "duplicate edge id",
-    "reach twice", "empty composite", "lone inner and", "basic under and",
+    "reach twice", "empty composite", "lone inner and", "basic under and", "relink",
     "composite endpoint", "outside endpoint", "foreign endpoint", "empty side",
 )
 
@@ -302,3 +313,58 @@ def test_validate_matches_the_reference_on_mutated_charts(net, mutations):
     for kind, k, j in mutations:
         _mutate(chart, kind, k, j)
     assert validate_chart(chart) == reference_validate_chart(chart)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _SMALL_NETS,
+    st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 999), st.integers(0, 999)),
+        max_size=4,
+    ),
+    st.none() | st.integers(0, 999),
+)
+def test_writers_refuse_what_the_reference_reports(net, mutations, refused):
+    """The writers check inline what `validate_chart` checks: each raises
+    exactly the reference's list, before any refused id, and writes every
+    valid chart in bytes its reader reads back to an equal chart."""
+    chart = transform(net).chart
+    for kind, k, j in mutations:
+        _mutate(chart, kind, k, j)
+    if refused is not None:
+        _pick(_nodes(chart), refused).id = "a b"  # no reader accepts it
+    expected = reference_validate_chart(chart)
+    for format in ("xml", "json"):
+        if expected:
+            with pytest.raises(ValidationError) as info:
+                write_chart(chart, format)
+            assert str(info.value) == f"chart {chart.name!r} is not well formed"
+            assert info.value.violations == expected
+        elif refused is not None:
+            with pytest.raises(PreconditionError, match="^state id 'a b' must be"):
+                write_chart(chart, format)
+        else:
+            data = write_chart(chart, format)
+            back = parse_chart(data)
+            assert chart_identical(chart, back)
+            assert write_chart(back, format) == data
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_writers_refuse_consistently_linked_breaks(format):
+    """Breaks whose parent links agree with the children, so only the
+    writers' kind and root checks catch them: an OR state under an OR
+    state, a basic under an AND state, and a topstate with a parent."""
+    charts = [_tiny_chart() for _ in range(3)]
+    or_state = list(charts[0].topstate.children)[0]
+    stray = OrState("s4")
+    stray.attach(Basic("s3", "x"))
+    or_state.children[stray], stray.parent = None, or_state
+    leaf = Basic("s9", "x")
+    charts[1].topstate.children[leaf], leaf.parent = None, charts[1].topstate
+    charts[2].topstate.parent = OrState("s9")
+    for chart in charts:
+        with pytest.raises(ValidationError) as info:
+            write_chart(chart, format)
+        assert info.value.violations == reference_validate_chart(chart) != []
+

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
-from netchart import cli, parse_chart, parse_net, parse_trace, write_net
+from netchart import (
+    cli,
+    parse_chart,
+    parse_net,
+    parse_trace,
+    transform,
+    write_chart,
+    write_net,
+    write_trace,
+)
 from netchart.cli import main
 from support import chart_signature, diamond, three_cycle
 
@@ -24,6 +34,26 @@ def test_transform_writes_the_chart(tmp_path, capsys):
     chart = parse_chart(out.read_bytes())
     assert chart_signature(chart) == "and(or(and(or(b[a]),or(b[b])),b[q],b[r]))"
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_transform_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    seen = []
+    monkeypatch.setattr(cli, "transform", lambda net: seen.append(gc.isenabled()) or transform(net))
+    inp = _net_file(tmp_path, diamond())
+    out, trace_path = tmp_path / "chart.json", tmp_path / "trace.json"
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["transform", "--input", str(inp), "--output", str(out),
+                     "--trace", str(trace_path)]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    chart, _, trace = transform(diamond())
+    assert out.read_bytes() == write_chart(chart, "json")
+    assert trace_path.read_bytes() == write_trace(trace)
 
 
 def test_transform_format_follows_the_output_suffix(tmp_path):

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -40,8 +41,10 @@ from netchart import (
     write_net,
     write_trace,
 )
+from netchart import formats
+from netchart import net as net_module
 from netchart.formats import _NOT_XML_CHAR, _net_from_json, _net_from_xml, _xml_attr
-from oracle import reference_net_from_json, reference_net_from_xml
+from oracle import reference_net_from_json, reference_net_from_xml, reference_parse_chart
 from support import (
     chart_identical,
     child_env,
@@ -884,3 +887,145 @@ def test_net_readers_match_the_reference(records, syntax_fault, bad):
         assert _net_outcome(_net_from_xml, data) == _net_outcome(reference_net_from_xml, data)
     text = _json_net(records, syntax_fault, bad)
     assert _net_outcome(_net_from_json, text) == _net_outcome(reference_net_from_json, text)
+
+
+_CHART_BREAKS = ["duplicate node id", "duplicate edge id", "or topstate", "basic topstate",
+                 "one-child inner and", "empty or", "empty side", "alternation breach",
+                 "odd id"]
+
+
+def _state_dicts(state: dict) -> list[dict]:
+    """The states of a chart document's tree, preorder."""
+    found, stack = [], [state]
+    while stack:
+        state = stack.pop()
+        found.append(state)
+        stack.extend(reversed(state.get("children", [])))
+    return found
+
+
+def _break_chart(doc: dict, kind: str, k: int, j: int) -> None:
+    """Break the chart document *doc*, as `json.loads` gives it, in one
+    of the ways the chart reader must refuse."""
+    states = _state_dicts(doc["topstate"])
+    ors = [s for s in states if s["kind"] == "or"]
+    ands = [s for s in states if s["kind"] == "and"]
+    edges = doc["hyperedges"]
+    pick = lambda items, n: items[n % len(items)]  # noqa: E731
+    lone = {"kind": "or", "id": f"y{k}", "children": [{"kind": "basic", "id": f"z{k}",
+                                                       "place": "p"}]}
+    if kind == "duplicate node id":
+        pick(states, k)["id"] = pick(states, j)["id"]
+    elif kind == "duplicate edge id" and edges:
+        pick(edges, k)["id"] = pick(edges, j)["id"]
+    elif kind in ("or topstate", "basic topstate"):
+        tops = ors if kind == "or topstate" else [s for s in states if s["kind"] == "basic"]
+        if tops:
+            doc["topstate"] = top = pick(tops, k)
+            # keep the hyperedges whose endpoints are still in the tree
+            kept = {s["id"] for s in _state_dicts(top)}
+            doc["hyperedges"] = [e for e in edges if kept.issuperset(e["src"] + e["tgt"])]
+    elif kind == "one-child inner and" and ors:
+        pick(ors, k)["children"].append({"kind": "and", "id": f"x{k}", "children": [lone]})
+    elif kind == "empty or" and ands:
+        pick(ands, k)["children"].append({"kind": "or", "id": f"e{k}", "children": []})
+    elif kind == "empty side" and edges:
+        pick(edges, k)["src" if j % 2 else "tgt"] = []
+    elif kind == "alternation breach":
+        if j % 2 and ands:
+            pick(ands, k)["children"].append({"kind": "basic", "id": f"b{k}", "place": "p"})
+        elif ors:
+            pick(ors, k)["children"].append(lone)
+    elif kind == "odd id":
+        value = pick(["", "a b", "\t", 7, None], j)
+        if j % 3 or not edges:
+            state = pick(states, k)
+            state["place" if state["kind"] == "basic" and j % 2 else "id"] = value
+        else:
+            pick(edges, k)["transition" if j % 2 else "id"] = value
+
+
+def _xml_chart(doc: dict) -> bytes | None:
+    """The XML spelling of the chart document *doc*, or None when it holds
+    a value XML attributes cannot carry."""
+    root = ET.Element("statechart", name=doc["name"])
+    stack = [(doc["topstate"], root)]
+    while stack:
+        state, parent = stack.pop()
+        attrs = {key: value for key, value in state.items() if key not in ("kind", "children")}
+        elem = ET.SubElement(parent, state["kind"], attrs)
+        stack.extend((child, elem) for child in reversed(state.get("children", [])))
+    for edge in doc["hyperedges"]:
+        ET.SubElement(root, "hyperedge", id=edge["id"], transition=edge["transition"],
+                      src=" ".join(edge["src"]), tgt=" ".join(edge["tgt"]))
+    try:
+        return ET.tostring(root)
+    except TypeError:  # a value that is no string
+        return None
+
+
+def _chart_outcome(read, data):
+    """The chart *read* builds from *data*, as its JSON document, or the
+    type, message and violations of what it raises."""
+    try:
+        chart = read(data)
+    except Exception as exc:  # the reference fixes the type as well
+        return type(exc), str(exc), getattr(exc, "violations", None)
+    return write_chart(chart, "json")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(general_nets(), st.integers(1, 30).map(lambda n: generate_sp(SpSpec(n, seed=n)))),
+    st.lists(
+        st.tuples(st.sampled_from(_CHART_BREAKS), st.integers(0, 99), st.integers(0, 99)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_chart_reader_refuses_what_the_reference_refuses(net, breaks):
+    """The reader flags inline what only `validate_chart` reports and runs
+    it only then: in both formats it must raise what building the chart
+    and then running the reference validation raises."""
+    doc = json.loads(write_chart(transform(net).chart, "json"))
+    for kind, k, j in breaks:
+        _break_chart(doc, kind, k, j)
+    for data in (json.dumps(doc, indent=2).encode(), _xml_chart(doc)):
+        if data is not None:
+            assert _chart_outcome(parse_chart, data) == _chart_outcome(reference_parse_chart, data)
+
+
+def test_full_checks_run_only_on_invalid_input(monkeypatch):
+    """Each boundary checks in the walk it already makes: on valid nets and
+    charts, read, transformed, written and read back in both formats,
+    neither `check_net` nor `validate_chart` runs; on invalid ones each
+    runs once per refusal, to raise its list."""
+    calls = []
+    check_net, validate_chart = net_module.check_net, formats.validate_chart
+    monkeypatch.setattr(net_module, "check_net",
+                        lambda net: calls.append("check_net") or check_net(net))
+    monkeypatch.setattr(formats, "validate_chart",
+                        lambda chart: calls.append("validate_chart") or validate_chart(chart))
+    for net in [*round_trip_corpus(), fork_join_nest(30)]:
+        for in_format in ("xml", "json"):
+            chart, _, trace = transform(parse_net(write_net(net, in_format)))
+            write_trace(trace)
+            for out_format in ("xml", "json"):
+                parse_chart(write_chart(chart, out_format))
+    assert calls == []
+
+    broken = diamond()
+    broken.transitions["t1"].preset.clear()
+    for call in (lambda: transform(broken), lambda: write_net(broken, "json")):
+        with pytest.raises(ValidationError):
+            call()
+    assert calls == ["check_net"] * 2
+    calls.clear()
+    chart = transform(diamond()).chart
+    list(chart.topstate.children)[0].children = {}
+    with pytest.raises(ValidationError):
+        write_chart(chart, "xml")
+    with pytest.raises(ValidationError, match="not well formed"):
+        parse_chart(b'<statechart name="c"><or id="s0">'
+                    b'<basic id="s1" place="p"/></or></statechart>')
+    assert calls == ["validate_chart"] * 2
+

@@ -1,4 +1,5 @@
-"""Net model: construction, adjacency bookkeeping, validation."""
+"""Net model: construction, adjacency bookkeeping, validation, and the
+refusal of what validation reports by `initialize` and `write_net`."""
 
 from __future__ import annotations
 
@@ -14,11 +15,16 @@ from netchart import (
     PetriNet,
     Place,
     PreconditionError,
+    Trace,
+    ValidationError,
     check_net,
     find_self_loops,
+    initialize,
+    parse_net,
+    write_net,
 )
 from oracle import reference_add_place, reference_add_transition
-from support import diamond
+from support import diamond, general_nets
 
 
 def test_add_place_and_transition():
@@ -190,3 +196,65 @@ def test_builders_match_the_reference(steps):
         assert got == want
     assert repr(net) == repr(reference)
     assert check_net(net) == []
+
+
+_NET_CHANGES = ["rekey place", "rekey transition", "foreign twin", "foreign place",
+                "empty preset", "empty postset"]
+
+
+def _change_net(net: PetriNet, kind: str, k: int) -> None:
+    """Change *net* by hand, after building, in one of the ways
+    `check_net` reports."""
+    places, transitions = list(net.places.values()), list(net.transitions.values())
+    if kind == "rekey place":
+        places[k % len(places)].id = f"z{k}"
+        return
+    if not transitions:
+        return
+    transition = transitions[k % len(transitions)]
+    if kind == "rekey transition":
+        transition.id = f"z{k}"
+    elif kind == "foreign twin":  # another net's place under a member's id
+        transition.postset[Place(places[k % len(places)].id)] = None
+    elif kind == "foreign place":
+        transition.preset[Place(f"x{k}")] = None
+    elif kind == "empty preset":
+        transition.preset.clear()
+    elif kind == "empty postset":
+        transition.postset.clear()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    general_nets(),
+    st.lists(st.tuples(st.sampled_from(_NET_CHANGES), st.integers(0, 99)), max_size=3),
+)
+def test_initialize_and_write_net_refuse_exactly_what_check_net_reports(net, changes):
+    """Both flag a broken net inline and run `check_net` only to raise its
+    list; `initialize` leaves the trace empty, even one already in use."""
+    for kind, k in changes:
+        _change_net(net, kind, k)
+    expected = check_net(net)
+    trace = Trace()
+    if not expected:
+        initialize(net, trace)
+        for format in ("xml", "json"):
+            assert write_net(parse_net(write_net(net, format)), format) == write_net(net, format)
+        with pytest.raises(PreconditionError, match="fresh Trace"):
+            initialize(net, trace)
+        return
+    used = Trace()
+    used.entries.append(("PetriNet2StateChart", "n", "n"))
+    for call in (
+        lambda: initialize(net, trace),
+        lambda: initialize(net, used),  # a broken net outranks a used trace
+        lambda: write_net(net, "xml"),
+        lambda: write_net(net, "json"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"net {net.name!r} is not well formed"
+        assert info.value.violations == expected
+    assert trace.entries == [] and trace.ors == {}
+    assert len(used.entries) == 1 and used.ors == {}
+
