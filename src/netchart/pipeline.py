@@ -116,10 +116,10 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     edge_ids = list(chart.edge_ids(len(transitions)))
     edges = chart.hyperedges
     edges.extend(map(HyperEdge, edge_ids, transitions))
-    # what `check_net` checks is flagged here, where each place is looked
-    # up, and `check_net` runs only to raise its list: an element stored
-    # under a key other than its id, an empty side, and a place that is
-    # not the net's (a KeyError, as the lookups go by identity)
+    # what `check_net` checks is flagged here, and `check_net` runs only
+    # to raise its list: an element stored under a key other than its id,
+    # an empty side, and a place that is not the net's (a KeyError where
+    # the sides' places are looked up, by identity)
     sound = (
         list(map(_id_of, places.values())) == list(places)
         and list(map(_id_of, transitions.values())) == list(transitions)
@@ -150,9 +150,9 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     if not sound:
         raise invalid_net(net)
 
+    trace.ors.update(zip(places, ors))
     # the trace, rule by rule; the bulk rules skip TraceEntry's own
     # __new__, which only adds a Python call per record
-    trace.ors.update(zip(places, ors))
     entries = trace.entries
     entries.append(TraceEntry("PetriNet2StateChart", name, name))
     entries.append(TraceEntry("PetriNet2TopState", name, top.id))

@@ -26,7 +26,6 @@ their precedence, that the package's builders and readers must give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from itertools import repeat
 
 from netchart import (

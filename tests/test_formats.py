@@ -811,7 +811,9 @@ def _net_elements(draw):
         elif fault == "repeated id":
             attrs["id"] = draw(st.sampled_from(pids + ["t0"]))
         elif fault == "unknown place" and record[0] == "transition":
-            attrs[draw(st.sampled_from(["src", "tgt"]))] += " zz"
+            key = draw(st.sampled_from(["src", "tgt"]))
+            if key in attrs:  # an earlier fault can have removed or renamed it
+                attrs[key] += " zz"
         elif fault == "empty side" and record[0] == "transition":
             attrs[draw(st.sampled_from(["src", "tgt"]))] = draw(st.sampled_from(["", " "]))
     return records
