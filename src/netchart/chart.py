@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import TreeError
-
 # the id of the node, or hyperedge, a chart hands out n-th
 _NODE_ID = "s{}".format
 _EDGE_ID = "h{}".format
@@ -25,12 +23,11 @@ _EDGE_ID = "h{}".format
 class Basic:
     """Leaf state created from exactly one place of the input net."""
 
-    __slots__ = ("id", "origin_place", "parent")
+    __slots__ = ("id", "origin_place")
 
     def __init__(self, id: str, origin_place: str):
         self.id = id
         self.origin_place = origin_place
-        self.parent: OrState | None = None
 
     def __repr__(self) -> str:
         return f"Basic({self.id!r}, place={self.origin_place!r})"
@@ -39,20 +36,11 @@ class Basic:
 class OrState:
     """Exclusive composite: exactly one child (Basic or AndState) is active."""
 
-    __slots__ = ("id", "children", "parent")
+    __slots__ = ("id", "children")
 
     def __init__(self, id: str):
         self.id = id
         self.children: dict[Basic | AndState, None] = {}
-        self.parent: AndState | None = None
-
-    def attach(self, child: Basic | AndState) -> None:
-        if not isinstance(child, (Basic, AndState)):
-            raise TreeError(f"OR state {self.id!r} can only contain Basic or AND states")
-        if child.parent is not None:
-            raise TreeError(f"node {child.id!r} already has parent {child.parent.id!r}")
-        child.parent = self
-        self.children[child] = None
 
     def __repr__(self) -> str:
         return f"OrState({self.id!r}, {len(self.children)} children)"
@@ -61,20 +49,11 @@ class OrState:
 class AndState:
     """Parallel composite: all children (OR states) are active simultaneously."""
 
-    __slots__ = ("id", "children", "parent")
+    __slots__ = ("id", "children")
 
     def __init__(self, id: str):
         self.id = id
         self.children: dict[OrState, None] = {}
-        self.parent: OrState | None = None
-
-    def attach(self, child: OrState) -> None:
-        if not isinstance(child, OrState):
-            raise TreeError(f"AND state {self.id!r} can only contain OR states")
-        if child.parent is not None:
-            raise TreeError(f"node {child.id!r} already has parent {child.parent.id!r}")
-        child.parent = self
-        self.children[child] = None
 
     def __repr__(self) -> str:
         return f"AndState({self.id!r}, {len(self.children)} children)"
@@ -144,11 +123,11 @@ class StateChart:
 def validate_chart(chart: StateChart) -> list[str]:
     """Report every well-formedness violation; empty list means valid.
 
-    Checked: a single-rooted containment tree with correct parent links,
-    the AND/OR/Basic alternation, nonempty child lists (non-root AND states
-    need at least two children), unique node ids, and hyperedge endpoints
-    that are Basic states present in the tree.  Each node is visited once,
-    so an id seen before belongs to another node.
+    Checked: a containment tree (no node reached twice), the AND/OR/Basic
+    alternation, nonempty child lists (non-root AND states need at least
+    two children), unique node ids, and hyperedge endpoints that are Basic
+    states present in the tree.  Each node is visited once, so an id seen
+    before belongs to another node.
 
     This is the full check, which reports every violation.  The chart
     reader and writers check the same rules inline, in the walk they make
@@ -161,8 +140,6 @@ def validate_chart(chart: StateChart) -> list[str]:
         return [f"topstate {top.id!r} is not an AND state"]
     violations = []
     report = violations.append
-    if top.parent is not None:
-        report(f"topstate {top.id!r} has a parent")
 
     ids: set[str] = set()
     members: set[Node] = set()  # nodes hash by identity
@@ -182,8 +159,6 @@ def validate_chart(chart: StateChart) -> list[str]:
 
         if isinstance(node, Basic):
             basics.add(node)
-            if not isinstance(node.parent, OrState):
-                report(f"basic {node.id!r}: parent is not an OR state")
             continue
         children = node.children
         if isinstance(node, AndState):
@@ -199,9 +174,6 @@ def validate_chart(chart: StateChart) -> list[str]:
             for child in children:
                 if isinstance(child, OrState):
                     report(f"or {node.id!r}: child {child.id!r} is an OR state")
-        for child in children:
-            if child.parent is not node:
-                report(f"node {child.id!r}: parent link does not point at {node.id!r}")
         push(children)
 
     edge_ids: set[str] = set()

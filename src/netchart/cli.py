@@ -129,9 +129,10 @@ def _print_stats(report: ReductionReport) -> None:
 
 
 def _cmd_transform(args) -> int:
-    # until the chart is dropped, reading, transforming and writing leave
-    # no cyclic garbage, so automatic collection would only cost time; the
-    # caller's setting is restored on the way out
+    # reading, transforming and writing leave no cyclic garbage and charts
+    # are acyclic, so reference counting frees everything and automatic
+    # collection would only cost its young-generation passes; the caller's
+    # setting is restored on the way out
     enabled = gc.isenabled()
     gc.disable()
     try:

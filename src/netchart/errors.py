@@ -22,7 +22,7 @@ class PreconditionError(ModelError):
 
 
 class TreeError(ModelError):
-    """A statechart containment rule was broken (re-parenting, alternation)."""
+    """A statechart containment rule was broken (AND/OR/Basic alternation)."""
 
 
 class ValidationError(ModelError):

@@ -38,6 +38,7 @@ from .errors import (
     ModelError,
     ParseError,
     PreconditionError,
+    TreeError,
     ValidationError,
 )
 from .net import _ID, PetriNet, check_id, invalid_net
@@ -440,11 +441,11 @@ def _chart_from_document(obj) -> StateChart:
     # each id read, mapped to its last state when that is basic, else None
     basics: dict[str, Basic | None] = {}
     nodes, sound = 0, True
-    # explicit stack of (state object, parent); the topstate has none.
+    # explicit stack of (state object, its container); the topstate has none.
     # An id is tested once, and `_string`/`check_id` run only to raise
     stack: list[tuple[object, Node | None]] = [(topstate, None)]
     while stack:
-        entry, parent = stack.pop()
+        entry, container = stack.pop()
         if not isinstance(entry, dict):
             raise ParseError(f"state must be an object, got {type(entry).__name__}")
         kind = entry.get("kind")
@@ -471,21 +472,20 @@ def _chart_from_document(obj) -> StateChart:
             node = cls(node_id)
             basics[node_id] = None
             # an AND state below the topstate needs two children
-            if len(children) < (2 if cls is AndState and parent is not None else 1):
+            if len(children) < (2 if cls is AndState and container is not None else 1):
                 sound = False
             stack.extend(zip(reversed(children), repeat(node)))
         nodes += 1
-        if parent is None:
+        if container is None:
             chart.topstate = node  # type: ignore[assignment]
             if type(node) is not AndState:
                 sound = False
-        elif (type(node) is OrState) is (type(parent) is AndState):
-            # the nodes are fresh, so a child of the right kind is linked
-            # directly; `attach` raises the TreeError of any other
-            node.parent = parent
-            parent.children[node] = None
+        elif (type(node) is OrState) is (type(container) is AndState):
+            container.children[node] = None
+        elif type(container) is AndState:
+            raise TreeError(f"AND state {container.id!r} can only contain OR states")
         else:
-            parent.attach(node)
+            raise TreeError(f"OR state {container.id!r} can only contain Basic or AND states")
     if len(basics) != nodes:  # a repeated node id
         sound = False
 
@@ -520,7 +520,7 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
     top = chart.topstate
-    if not isinstance(top, AndState) or top.parent is not None:
+    if not isinstance(top, AndState):
         raise _invalid_chart(chart)
     try:
         data = _chart_to_xml(chart, top) if format == "xml" else _chart_to_json(chart, top)
@@ -546,20 +546,18 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
 
 def _misplaced_children(node: OrState | AndState, children, top: AndState) -> bool:
     """Whether the *children* of *node* break a rule `validate_chart`
-    checks: too few of them, one of the wrong kind, or one whose parent
-    link points elsewhere. The links also keep the writers' walks from
-    reaching any node twice."""
+    checks: too few of them, or one of the wrong kind."""
     if isinstance(node, AndState):
         if len(children) < (1 if node is top else 2):
             return True
         for child in children:
-            if child.parent is not node or not isinstance(child, OrState):
+            if not isinstance(child, OrState):
                 return True
     else:
         if not children:
             return True
         for child in children:
-            if child.parent is not node or isinstance(child, OrState):
+            if isinstance(child, OrState):
                 return True
     return False
 
@@ -581,7 +579,6 @@ def _chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:
     lines = [f"<statechart name={_xml_attr(chart.name)}>"]
     ids: set[str] = set()
     basics: set[Basic] = set()
-    nodes = 1
     # explicit stack: containment can nest deeper than Python's recursion cap
     stack: list[tuple[Node, int, bool]] = [(top, 1, False)]
     while stack:
@@ -590,6 +587,10 @@ def _chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:
         if closing:
             lines.append(f"{pad}</{'and' if isinstance(node, AndState) else 'or'}>")
             continue
+        # a repeated id is a fault, which also stops the walk on a node
+        # reached twice, so on a cyclic `children` graph
+        if node.id in ids:
+            return None
         ids.add(node.id)
         if isinstance(node, Basic):
             basics.add(node)
@@ -601,14 +602,13 @@ def _chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:
         children = node.children
         if _misplaced_children(node, children, top):
             return None
-        nodes += len(children)
         tag = "and" if isinstance(node, AndState) else "or"
         lines.append(f"{pad}<{tag} id={_xml_id('state', node.id)}>")
         stack.append((node, depth, True))
         for child in reversed(children):
             stack.append((child, depth + 1, False))
     edges = chart.hyperedges
-    if len(ids) != nodes or not _sound_edges(edges, basics):
+    if not _sound_edges(edges, basics):
         return None
     del ids, basics  # not held while the document is joined
     for edge in edges:
@@ -633,7 +633,6 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
     emit(f'{{\n  "name": {_quote(chart.name)},\n  "topstate": '.encode())
     ids: set[str] = set()
     basics: set[Basic] = set()
-    nodes = 1
     # explicit stack of (state, indent level of its braces) and literal
     # text: containment can nest deeper than Python's recursion cap
     stack: list[tuple[Node, int] | bytes] = [(top, 1)]
@@ -644,6 +643,9 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
             continue
         node, level = item
         pad = "  " * level
+        # a repeated id is a fault, as in `_chart_to_xml`
+        if node.id in ids:
+            return None
         ids.add(node.id)
         if isinstance(node, Basic):
             basics.add(node)
@@ -655,7 +657,6 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
         children = list(node.children)
         if _misplaced_children(node, children, top):
             return None
-        nodes += len(children)
         kind = "and" if isinstance(node, AndState) else "or"
         emit(
             f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
@@ -668,7 +669,7 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
             stack.append(separator)
         stack.append((children[0], level + 2))
     edges = chart.hyperedges
-    if len(ids) != nodes or not _sound_edges(edges, basics):
+    if not _sound_edges(edges, basics):
         return None
     del ids, basics  # not held while the document is copied out
     records = [

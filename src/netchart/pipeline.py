@@ -98,18 +98,15 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         raise PreconditionError("trace already holds a pass; use a fresh Trace per pass")
     name, places, transitions = net.name, net.places, net.transitions
     chart = StateChart(name)
-    # the nodes are fresh, so they are built and linked directly, under
-    # ids the chart hands out in one block: the topstate's, then an OR's
-    # and its basic's for each place
+    # the ids come in one block: the topstate's, then an OR's and its
+    # basic's for each place
     ids = list(chart.node_ids(1 + 2 * len(places)))
     top = AndState(ids[0])
     or_ids, basic_ids = ids[1::2], ids[2::2]
     ors = list(map(OrState, or_ids))
     basics = list(map(Basic, basic_ids, places))
     for or_state, basic in zip(ors, basics):
-        basic.parent = or_state
         or_state.children[basic] = None
-        or_state.parent = top
     top.children = dict.fromkeys(ors)
     chart.topstate = top
 
@@ -303,10 +300,8 @@ class _Graph:
         link = after.pop(state, None)
         while link is not None:
             (child,) = link.children
-            child.parent = state
             children[child] = None
             link.children = {}
-            link.parent = None
             link = after.pop(link, None)
         return state
 
@@ -347,17 +342,14 @@ class _Graph:
         post.append(post[first])
         if first in self.mixed:
             self.mixed.add(fresh)
-        # the nodes are fresh and the members leave the topstate, whose
-        # children `reduce` sets at the end, so all are linked directly
+        # the members leave the topstate, whose children `reduce` sets at
+        # the end
         and_id, or_id = self.chart.node_ids(2)
         node, wrapper = AndState(and_id), OrState(or_id)
         ors = self.ors
         for member in group:
-            state = self._gather(ors[member])
-            state.parent = node
-            node.children[state] = None
+            node.children[self._gather(ors[member])] = None
             pre[member] = post[member] = ors[member] = None
-        node.parent = wrapper
         wrapper.children[node] = None
         ors.append(wrapper)
         self.tail.append(wrapper)
@@ -447,9 +439,7 @@ def reduce(
     live.sort(key=graph.rank.__getitem__)
     top.children = {}
     for i in live:
-        state = graph._gather(ors[i])
-        state.parent = top
-        top.children[state] = None
+        top.children[graph._gather(ors[i])] = None
     # each OR application consumes one transition, and nothing else does
     return ReductionReport(
         and_applications=and_applications,

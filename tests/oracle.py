@@ -12,8 +12,9 @@ the canonical signature grammar from `support`.
 endpoint looked up on its own.  It shares only the node classes.
 
 `reference_parse_chart` reads a chart document the straightforward
-way: it builds the chart with `check_id` on every id and `attach` for
-every link, then runs `reference_validate_chart` over the result.
+way: it builds the chart with `check_id` on every id and its own
+alternation check on every link, then runs `reference_validate_chart`
+over the result.
 
 `reference_add_place`, `reference_add_transition`,
 `reference_net_from_xml` and `reference_net_from_json` build nets the
@@ -38,7 +39,13 @@ from netchart import (
     Transition,
     detect_format,
 )
-from netchart.errors import DuplicateIdError, ParseError, PreconditionError, ValidationError
+from netchart.errors import (
+    DuplicateIdError,
+    ParseError,
+    PreconditionError,
+    TreeError,
+    ValidationError,
+)
 from netchart.formats import (
     _attrs,
     _chart_document_from_xml,
@@ -170,8 +177,6 @@ def reference_validate_chart(chart) -> list[str]:
     if not isinstance(chart.topstate, AndState):
         violations.append(f"topstate {chart.topstate.id!r} is not an AND state")
         return violations
-    if chart.topstate.parent is not None:
-        violations.append(f"topstate {chart.topstate.id!r} has a parent")
 
     seen = {}
     members: set[int] = set()
@@ -187,8 +192,6 @@ def reference_validate_chart(chart) -> list[str]:
         seen[node.id] = node
 
         if isinstance(node, Basic):
-            if not isinstance(node.parent, OrState):
-                violations.append(f"basic {node.id!r}: parent is not an OR state")
             continue
         if isinstance(node, AndState):
             minimum = 1 if node is chart.topstate else 2
@@ -203,10 +206,7 @@ def reference_validate_chart(chart) -> list[str]:
             for child in node.children:
                 if isinstance(child, OrState):
                     violations.append(f"or {node.id!r}: child {child.id!r} is an OR state")
-        for child in node.children:
-            if child.parent is not node:
-                violations.append(f"node {child.id!r}: parent link does not point at {node.id!r}")
-            stack.append(child)
+        stack.extend(node.children)
 
     edge_ids: set[str] = set()
     for edge in chart.hyperedges:
@@ -268,8 +268,14 @@ def _reference_chart_from_document(obj) -> StateChart:
             stack.extend(zip(reversed(children), repeat(node)))
         if parent is None:
             chart.topstate = node
+        elif isinstance(parent, AndState):
+            if not isinstance(node, OrState):
+                raise TreeError(f"AND state {parent.id!r} can only contain OR states")
+            parent.children[node] = None
         else:
-            parent.attach(node)
+            if not isinstance(node, (Basic, AndState)):
+                raise TreeError(f"OR state {parent.id!r} can only contain Basic or AND states")
+            parent.children[node] = None
 
     if not isinstance(hyperedges, list):
         raise ParseError("'hyperedges' must be a list")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -196,3 +197,44 @@ def chart_identical(a: StateChart, b: StateChart) -> bool:
         if [t.id for t in ex.targets] != [t.id for t in ey.targets]:
             return False
     return True
+
+
+class WorkBudgetExceeded(Exception):
+    """Raised inside a call that `line_events` stops at its budget."""
+
+
+_PACKAGE_DIR = os.path.dirname(netchart.__file__) + os.sep
+
+
+def line_events(call, *args, budget: int | None = None):
+    """Run ``call(*args)`` and count the line events `sys.settrace`
+    reports in netchart's own source files meanwhile.
+
+    The count measures the Python work the package does, whatever the
+    machine's speed, load, caches or allocator.  Work inside a C call,
+    such as ``dict.update``, ``sorted`` or ``del deque[i]``, is not
+    counted: the call counts as the one line that makes it, however much
+    it does.  Past *budget* events the call is stopped by
+    `WorkBudgetExceeded`, raised at the line it reached.  Returns the
+    call's result and the count.
+    """
+    count = 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if budget is not None and count > budget:
+                raise WorkBudgetExceeded(f"more than {budget} line events")
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename.startswith(_PACKAGE_DIR) else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = call(*args)
+    finally:
+        sys.settrace(previous)
+    return result, count

@@ -17,7 +17,6 @@ from netchart import (
     PreconditionError,
     SpSpec,
     StateChart,
-    TreeError,
     ValidationError,
     generate_sp,
     parse_chart,
@@ -26,14 +25,14 @@ from netchart import (
     write_chart,
 )
 from oracle import reference_validate_chart
-from support import chart_identical, general_nets
+from support import chart_identical, general_nets, line_events
 
 
 def _tiny_chart() -> StateChart:
     chart = StateChart("tiny")
     or_state, chart.topstate = OrState("s1"), AndState("s2")
-    or_state.attach(Basic("s0", "p"))
-    chart.topstate.attach(or_state)
+    or_state.children[Basic("s0", "p")] = None
+    chart.topstate.children[or_state] = None
     return chart
 
 
@@ -47,36 +46,15 @@ def test_id_blocks_continue_one_sequence():
     assert list(chart.edge_ids(2)) == ["h1", "h2"]
 
 
-def test_attach_enforces_alternation():
-    or_state, other, and_state = OrState("s0"), OrState("s2"), AndState("s3")
-    other.attach(Basic("s1", "q"))
-    with pytest.raises(TreeError):
-        or_state.attach(other)
-    and_state.attach(other)
-    with pytest.raises(TreeError):
-        and_state.attach(Basic("s4", "r"))
-
-
-def test_attach_rejects_nodes_that_already_have_a_parent():
-    basic, or_state, and_state = Basic("s0", "p"), OrState("s1"), AndState("s2")
-    or_state.attach(basic)
-    with pytest.raises(TreeError, match="already has parent"):
-        OrState("s3").attach(basic)
-    and_state.attach(or_state)
-    with pytest.raises(TreeError):
-        AndState("s4").attach(or_state)
-    assert or_state.parent is and_state
-
-
 def test_states_yields_preorder():
     a, b, q = Basic("s0", "a"), Basic("s1", "b"), Basic("s5", "q")
     left, right, top_or = OrState("s2"), OrState("s3"), OrState("s6")
     inner, top = AndState("s4"), AndState("s7")
-    for parent, child in (
+    for composite, child in (
         (left, a), (right, b), (inner, left), (inner, right), (top_or, q), (top_or, inner),
         (top, top_or),
     ):
-        parent.attach(child)
+        composite.children[child] = None
     chart = StateChart("c")
     chart.topstate = top
     ids = [node.id for node in chart.states()]
@@ -95,18 +73,13 @@ def test_validate_requires_a_topstate():
     chart = StateChart("c")
     assert validate_chart(chart) == ["chart 'c': no topstate"]
     chart.topstate = OrState("s1")  # force a bad root
-    chart.topstate.attach(Basic("s0", "p"))
+    chart.topstate.children[Basic("s0", "p")] = None
     assert any("not an AND" in v for v in validate_chart(chart))
-    chart = _tiny_chart()
-    chart.topstate.parent = OrState("s9")  # bypass attach to give the root a parent
-    assert validate_chart(chart) == ["topstate 's2' has a parent"]
 
 
 def test_validate_reports_empty_composites():
     chart = _tiny_chart()
-    basic = list(list(chart.topstate.children)[0].children)[0]
-    del basic.parent.children[basic]
-    basic.parent = None
+    list(chart.topstate.children)[0].children.clear()
     assert any("no children" in v for v in validate_chart(chart))
 
 
@@ -114,10 +87,10 @@ def test_validate_requires_two_children_below_the_root():
     chart = StateChart("c")
     leaf_or, inner, top_or = OrState("s1"), AndState("s2"), OrState("s3")
     chart.topstate = AndState("s4")
-    for parent, child in (
+    for composite, child in (
         (leaf_or, Basic("s0", "p")), (inner, leaf_or), (top_or, inner), (chart.topstate, top_or),
     ):
-        parent.attach(child)
+        composite.children[child] = None
     assert validate_chart(chart) == ["and 's2': fewer than 2 children"]
 
 
@@ -125,27 +98,18 @@ def test_validate_reports_alternation_breaks():
     chart = _tiny_chart()
     or_state = list(chart.topstate.children)[0]
     stray = OrState("s4")
-    stray.attach(Basic("s3", "x"))
-    # bypass attach to build the illegal shape
+    stray.children[Basic("s3", "x")] = None
     or_state.children[stray] = None
-    stray.parent = or_state
     assert any("is an OR state" in v for v in validate_chart(chart))
     chart = _tiny_chart()
-    leaf = Basic("s9", "x")
-    chart.topstate.children[leaf] = None
-    leaf.parent = chart.topstate
-    assert validate_chart(chart) == [
-        "and 's2': child 's9' is not an OR state",
-        "basic 's9': parent is not an OR state",
-    ]
+    chart.topstate.children[Basic("s9", "x")] = None
+    assert validate_chart(chart) == ["and 's2': child 's9' is not an OR state"]
 
 
 def test_validate_reports_duplicate_ids():
     chart = _tiny_chart()
     or_state = list(chart.topstate.children)[0]
-    twin = Basic(list(or_state.children)[0].id, "p2")
-    or_state.children[twin] = None
-    twin.parent = or_state
+    or_state.children[Basic(list(or_state.children)[0].id, "p2")] = None
     assert any(v.startswith("duplicate node id") for v in validate_chart(chart))
 
 
@@ -153,19 +117,11 @@ def test_validate_reports_shared_subtrees():
     chart = _tiny_chart()
     or_state = list(chart.topstate.children)[0]
     basic = list(or_state.children)[0]
-    second = OrState("s99")  # built by hand to bypass the attach checks
+    second = OrState("s99")
     second.children[basic] = None
     chart.topstate.children[second] = None
-    second.parent = chart.topstate
     violations = validate_chart(chart)
     assert any("reached twice" in v for v in violations)
-
-
-def test_validate_reports_broken_parent_links():
-    chart = _tiny_chart()
-    basic = list(list(chart.topstate.children)[0].children)[0]
-    basic.parent = chart.topstate
-    assert any("parent link" in v for v in validate_chart(chart))
 
 
 def test_validate_checks_hyperedge_endpoints():
@@ -238,11 +194,7 @@ def _mutate(chart: StateChart, kind: str, k: int, j: int) -> None:
     composites = [n for n in nodes if not isinstance(n, Basic)]
     edges = chart.hyperedges
     node, other = _pick(below, k), _pick(nodes, j)
-    if kind == "cut parent" and node:
-        node.parent = None
-    elif kind == "misdirect parent" and node:
-        node.parent = other
-    elif kind == "duplicate node id" and node:
+    if kind == "duplicate node id" and node:
         node.id = other.id
     elif kind == "duplicate edge id" and len(edges) > 1:
         _pick(edges, k).id = _pick(edges, j).id
@@ -255,21 +207,19 @@ def _mutate(chart: StateChart, kind: str, k: int, j: int) -> None:
         if ors:
             inner, leaf = AndState(f"x{k}"), Basic(f"y{k}", "p")
             wrapper = OrState(f"z{k}")
-            wrapper.children[leaf], leaf.parent = None, wrapper
-            inner.children[wrapper], wrapper.parent = None, inner
-            host = _pick(ors, j)
-            host.children[inner], inner.parent = None, host
+            wrapper.children[leaf] = None
+            inner.children[wrapper] = None
+            _pick(ors, j).children[inner] = None
     elif kind == "basic under and":
         ands = [n for n in nodes if isinstance(n, AndState)]
         leaf = _pick([n for n in nodes if isinstance(n, Basic)], k)
         if leaf:  # an emptied composite can leave no basic to move
             _pick(ands, j).children[leaf] = None
     elif kind == "relink" and node:
-        # move the node, parent link and all, so only its kind can be wrong
-        host = _pick(composites, j)
-        if isinstance(node.parent, (OrState, AndState)):  # not misdirected to a basic
-            node.parent.children.pop(node, None)
-        host.children[node], node.parent = None, host
+        # move the node out of every composite that holds it into another
+        for composite in composites:
+            composite.children.pop(node, None)
+        _pick(composites, j).children[node] = None
     elif kind == "composite endpoint" and edges:
         _pick(edges, k).sources.append(_pick(composites, j))
     elif kind == "outside endpoint" and edges:
@@ -285,9 +235,9 @@ def _mutate(chart: StateChart, kind: str, k: int, j: int) -> None:
 
 
 _MUTATIONS = (
-    "cut parent", "misdirect parent", "duplicate node id", "duplicate edge id",
-    "reach twice", "empty composite", "lone inner and", "basic under and", "relink",
-    "composite endpoint", "outside endpoint", "foreign endpoint", "empty side",
+    "duplicate node id", "duplicate edge id", "reach twice", "empty composite",
+    "lone inner and", "basic under and", "relink", "composite endpoint",
+    "outside endpoint", "foreign endpoint", "empty side",
 )
 
 _SMALL_NETS = st.one_of(
@@ -352,19 +302,39 @@ def test_writers_refuse_what_the_reference_reports(net, mutations, refused):
 
 @pytest.mark.parametrize("format", ["xml", "json"])
 def test_writers_refuse_consistently_linked_breaks(format):
-    """Breaks whose parent links agree with the children, so only the
-    writers' kind and root checks catch them: an OR state under an OR
-    state, a basic under an AND state, and a topstate with a parent."""
-    charts = [_tiny_chart() for _ in range(3)]
+    """Breaks that reach every node once, so only the writers' kind
+    checks catch them: an OR state under an OR state, and a basic under an
+    AND state."""
+    charts = [_tiny_chart() for _ in range(2)]
     or_state = list(charts[0].topstate.children)[0]
     stray = OrState("s4")
-    stray.attach(Basic("s3", "x"))
-    or_state.children[stray], stray.parent = None, or_state
-    leaf = Basic("s9", "x")
-    charts[1].topstate.children[leaf], leaf.parent = None, charts[1].topstate
-    charts[2].topstate.parent = OrState("s9")
+    stray.children[Basic("s3", "x")] = None
+    or_state.children[stray] = None
+    charts[1].topstate.children[Basic("s9", "x")] = None
     for chart in charts:
         with pytest.raises(ValidationError) as info:
             write_chart(chart, format)
         assert info.value.violations == reference_validate_chart(chart) != []
 
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_writers_stop_on_cyclic_children(format):
+    """Children that form cycles: an OR state that lists the topstate, and
+    an inner AND state that lists its own wrapper OR state.  The writers'
+    walks stop at the first id they reach twice, well within a budget of
+    line events, and raise the reference's list."""
+    chart = _tiny_chart()
+    top = chart.topstate
+    list(top.children)[0].children[top] = None
+    wrapper, inner, branch = OrState("s3"), AndState("s4"), OrState("s5")
+    branch.children[Basic("s6", "q")] = None
+    inner.children.update({branch: None, wrapper: None})
+    wrapper.children[inner] = None
+    top.children[wrapper] = None
+    expected = reference_validate_chart(chart)
+    assert any("reached twice" in v for v in validate_chart(chart))
+    assert validate_chart(chart) == expected
+    with pytest.raises(ValidationError) as info:
+        line_events(write_chart, chart, format, budget=2000)
+    assert info.value.violations == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import subprocess
@@ -43,6 +44,7 @@ from netchart import (
 )
 from netchart import formats
 from netchart import net as net_module
+from netchart.cli import main
 from netchart.formats import _NOT_XML_CHAR, _net_from_json, _net_from_xml, _xml_attr
 from oracle import reference_net_from_json, reference_net_from_xml, reference_parse_chart
 from support import (
@@ -388,8 +390,8 @@ def test_write_chart_refuses_origin_ids_its_reader_refuses(format):
         q, p, chart.topstate = Basic("s0", "q"), Basic("s1", place), AndState("s4")
         for basic, id in ((q, "s2"), (p, "s3")):
             or_state = OrState(id)
-            or_state.attach(basic)
-            chart.topstate.attach(or_state)
+            or_state.children[basic] = None
+            chart.topstate.children[or_state] = None
         edge = HyperEdge("h0", transition)
         edge.sources, edge.targets = [q], [p]
         chart.hyperedges.append(edge)
@@ -410,8 +412,8 @@ def test_writers_report_a_refused_id_before_a_character_xml_cannot_carry(format)
     chart.topstate = AndState("s2")
     for basic, id in ((Basic("a\x01", "p"), "s0"), (Basic("b c", "q"), "s1")):
         or_state = OrState(id)
-        or_state.attach(basic)
-        chart.topstate.attach(or_state)
+        or_state.children[basic] = None
+        chart.topstate.children[or_state] = None
     with pytest.raises(PreconditionError, match="^state id 'b c' must be"):
         write_chart(chart, format)
 
@@ -455,12 +457,33 @@ def test_parse_chart_rejects_foreign_structure():
                     b'<x/></hyperedge></statechart>')
 
 
-def test_parse_chart_rejects_alternation_breaks():
-    with pytest.raises(TreeError):
-        parse_chart(b'<statechart name="c"><and id="s0"><and id="s1"/></and></statechart>')
-    with pytest.raises(TreeError):
-        parse_chart(b'<statechart name="c"><and id="s0"><or id="s1">'
-                    b'<or id="s2"/></or></and></statechart>')
+def test_parse_chart_rejects_alternation_breaks(tmp_path, capsys):
+    # the same two breaks in XML and in JSON: an AND state under the
+    # topstate, and an OR state under an OR state
+    and_in_and = (
+        b'<statechart name="c"><and id="s0"><and id="s1"/></and></statechart>',
+        b'{"name": "c", "topstate": {"kind": "and", "id": "s0", "children":'
+        b' [{"kind": "and", "id": "s1", "children": []}]}, "hyperedges": []}',
+    )
+    or_in_or = (
+        b'<statechart name="c"><and id="s0"><or id="s1">'
+        b'<or id="s2"/></or></and></statechart>',
+        b'{"name": "c", "topstate": {"kind": "and", "id": "s0", "children":'
+        b' [{"kind": "or", "id": "s1", "children":'
+        b' [{"kind": "or", "id": "s2", "children": []}]}]}, "hyperedges": []}',
+    )
+    for documents, message in (
+        (and_in_and, "AND state 's0' can only contain OR states"),
+        (or_in_or, "OR state 's1' can only contain Basic or AND states"),
+    ):
+        for data in documents:
+            with pytest.raises(TreeError) as info:
+                parse_chart(data)
+            assert str(info.value) == message
+            path = tmp_path / "chart"
+            path.write_bytes(data)
+            assert main(["validate", "--chart", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_chart_checks_endpoints():
@@ -521,11 +544,30 @@ def test_parse_chart_rejects_bad_json_kinds():
 
 def test_write_chart_refuses_invalid_charts():
     chart, _, _ = transform(diamond())
-    node = list(list(chart.topstate.children)[0].children)[0]
-    del node.parent.children[node]
-    node.parent = None
+    top_or = list(chart.topstate.children)[0]
+    del top_or.children[list(top_or.children)[0]]
     with pytest.raises(ValidationError):
         write_chart(chart)
+
+
+def test_a_transform_and_its_documents_leave_no_cyclic_garbage():
+    """Charts hold no back-links, so reference counting frees a
+    transformation, its documents and a read-back chart, and the collector
+    finds nothing once they are dropped."""
+    net = generate_sp(SpSpec(places=1600, seed=3))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        chart, report, trace = transform(net)
+        documents = [write_chart(chart, format) for format in ("xml", "json")]
+        back = parse_chart(documents[0])
+        trace_bytes = write_trace(trace)
+        del chart, report, trace, documents, back, trace_bytes
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_trace_golden():
