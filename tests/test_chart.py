@@ -17,6 +17,7 @@ from netchart import (
     PreconditionError,
     SpSpec,
     StateChart,
+    TreeError,
     ValidationError,
     generate_sp,
     parse_chart,
@@ -44,6 +45,25 @@ def test_id_blocks_continue_one_sequence():
     # hyperedges count on their own
     assert list(chart.edge_ids(1)) == ["h0"]
     assert list(chart.edge_ids(2)) == ["h1", "h2"]
+
+
+def test_attach_enforces_alternation():
+    # the chart reader attaches each node to its container and refuses the
+    # two alternation breaks: an OR state under an OR state, and a basic
+    # state directly under an AND state
+    or_in_or = (b'<statechart name="c"><and id="s3"><or id="s0"><or id="s2">'
+                b'<basic id="s1" place="q"/></or></or></and></statechart>')
+    with pytest.raises(TreeError, match="^OR state 's0' can only contain Basic or AND states$"):
+        parse_chart(or_in_or)
+    basic_in_and = (b'<statechart name="c"><and id="s3"><or id="s2"><basic id="s1" place="q"/>'
+                    b'</or><basic id="s4" place="r"/></and></statechart>')
+    with pytest.raises(TreeError, match="^AND state 's3' can only contain OR states$"):
+        parse_chart(basic_in_and)
+    chart = parse_chart(b'<statechart name="c"><and id="s3"><or id="s2">'
+                        b'<basic id="s1" place="q"/></or></and></statechart>')
+    (other,) = chart.topstate.children
+    assert type(other) is OrState and other.id == "s2"
+    assert [(type(n), n.id) for n in other.children] == [(Basic, "s1")]
 
 
 def test_states_yields_preorder():
