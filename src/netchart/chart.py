@@ -109,12 +109,20 @@ class StateChart:
     # -- traversal ---------------------------------------------------------
 
     def states(self) -> Iterator[Node]:
-        """All nodes of the containment tree, preorder, children in order."""
+        """All nodes of the containment tree, preorder, children in order.
+
+        Each node is yielded once.  Only a chart built by hand with a node
+        under two composites, or a cycle in the `children` dicts, reaches
+        a node twice; the walk skips it then, and so ends on a cycle."""
         if self.topstate is None:
             return
+        seen: set[Node] = set()  # nodes hash by identity
         stack: list[Node] = [self.topstate]
         while stack:
             node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
             yield node
             if not isinstance(node, Basic):
                 stack.extend(reversed(node.children))

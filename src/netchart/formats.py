@@ -17,8 +17,12 @@ run `validate_chart` or `check_net` only to raise its list.
 
 Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; the readers refuse other ids and the
-writers check each id as they print it.  An id the check refuses outranks
-any other fault of the document, such as a character XML cannot carry.
+writers refuse to print them.  The chart writers and the chart reader
+collect the ids they print or read and test them together, once per
+document; only a document that test refuses, or an XML chart with an id
+that needs escaping, is walked again with each id checked on its own,
+to name the first fault.  An id the check refuses outranks any other
+fault of the document, such as a character XML cannot carry.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     TreeError,
     ValidationError,
 )
-from .net import _ID, PetriNet, check_id, invalid_net
+from .net import PetriNet, _valid_ids, check_id, invalid_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
@@ -350,7 +354,14 @@ def parse_chart(data: bytes | str) -> StateChart:
     """Read a chart document in the format `detect_format` finds; raises
     on any well-formedness violation."""
     read = _chart_document_from_xml if detect_format(data) == "xml" else _json_document
-    return _chart_from_document(read(data))
+    document = read(data)
+    try:
+        chart = _chart_from_document(document)
+    except Exception:  # any fault stops the fast walk; the strict one names it
+        chart = None
+    if chart is None:
+        chart = _chart_from_document(document, strict=True)
+    return chart
 
 
 def _invalid_chart(chart: StateChart) -> ValidationError:
@@ -424,15 +435,26 @@ def _resolve_endpoints(
     return endpoints
 
 
-def _chart_from_document(obj) -> StateChart:
+# the values of a state or hyperedge entry of a chart document, in order
+_BASIC_ENTRY = itemgetter("kind", "id", "place")
+_COMPOSITE_ENTRY = itemgetter("kind", "id", "children")
+_EDGE_ENTRY = itemgetter("id", "transition", "src", "tgt")
+
+
+def _chart_from_document(obj, strict: bool = False) -> StateChart | None:
     """Build the chart a parsed JSON chart document, or its XML
     translation, describes; checks ids, tree shape and endpoints.
 
-    Building raises on a bad id, an alternation breach or a bad endpoint.
-    The faults only `validate_chart` reports (a topstate that is no AND
-    state, too few children, a repeated node or hyperedge id, an empty
-    side) are flagged as the chart is built, and `validate_chart` runs
-    only when one is, to raise its list once the whole document is read.
+    The default, fast walk reads each entry at once and tests every id
+    it reads in one go at the end.  It returns None, or raises anything,
+    on any fault, and `parse_chart` then walks again with *strict* set,
+    which checks each entry and id on its own and raises the document's
+    first fault: a bad id, key or value, an alternation breach or a bad
+    endpoint.  The faults only `validate_chart` reports (a topstate that
+    is no AND state, too few children, a repeated node or hyperedge id,
+    an empty side) are flagged as the chart is built, and the strict
+    walk runs `validate_chart` only when one is, to raise its list once
+    the whole document is read.
     """
     name, topstate, hyperedges = _json_object(
         obj, "chart document", ("name", "topstate", "hyperedges")
@@ -440,9 +462,9 @@ def _chart_from_document(obj) -> StateChart:
     chart = StateChart(_string(name, "chart name"))
     # each id read, mapped to its last state when that is basic, else None
     basics: dict[str, Basic | None] = {}
+    read: list[str] = []  # the ids a fast walk reads
     nodes, sound = 0, True
-    # explicit stack of (state object, its container); the topstate has none.
-    # An id is tested once, and `_string`/`check_id` run only to raise
+    # explicit stack of (state object, its container); the topstate has none
     stack: list[tuple[object, Node | None]] = [(topstate, None)]
     while stack:
         entry, container = stack.pop()
@@ -450,11 +472,15 @@ def _chart_from_document(obj) -> StateChart:
             raise ParseError(f"state must be an object, got {type(entry).__name__}")
         kind = entry.get("kind")
         if kind == "basic":
-            _, node_id, place = _json_object(entry, "basic state", ("kind", "id", "place"))
-            if not (type(node_id) is str and _ID.fullmatch(node_id)):
+            if strict:
+                _, node_id, place = _json_object(entry, "basic state", ("kind", "id", "place"))
                 check_id("state", _string(node_id, "state id"))
-            if not (type(place) is str and _ID.fullmatch(place)):
                 check_id("place", _string(place, "'place'"))
+            elif len(entry) == 3:
+                _, node_id, place = _BASIC_ENTRY(entry)
+                read += node_id, place
+            else:
+                return None
             node = Basic(node_id, place)
             basics[node_id] = node
         else:
@@ -464,10 +490,16 @@ def _chart_from_document(obj) -> StateChart:
                 cls, what = AndState, "and state"
             else:
                 raise ParseError(f"state 'kind' must be 'basic', 'or' or 'and', got {kind!r}")
-            _, node_id, children = _json_object(entry, what, ("kind", "id", "children"))
+            if strict:
+                _, node_id, children = _json_object(entry, what, ("kind", "id", "children"))
+            elif len(entry) == 3:
+                _, node_id, children = _COMPOSITE_ENTRY(entry)
+                read.append(node_id)
+            else:
+                return None
             if not isinstance(children, list):
                 raise ParseError("'children' must be a list")
-            if not (type(node_id) is str and _ID.fullmatch(node_id)):
+            if strict:
                 check_id("state", _string(node_id, "state id"))
             node = cls(node_id)
             basics[node_id] = None
@@ -492,23 +524,34 @@ def _chart_from_document(obj) -> StateChart:
     if not isinstance(hyperedges, list):
         raise ParseError("'hyperedges' must be a list")
     edges = chart.hyperedges
+    get = basics.get
     for entry in hyperedges:
-        edge_id, transition, src, tgt = _json_object(
-            entry, "hyperedge", ("id", "transition", "src", "tgt")
-        )
-        if not (type(edge_id) is str and _ID.fullmatch(edge_id)):
+        if strict:
+            edge_id, transition, src, tgt = _json_object(
+                entry, "hyperedge", ("id", "transition", "src", "tgt")
+            )
             check_id("hyperedge", _string(edge_id, "hyperedge id"))
-        if not (type(transition) is str and _ID.fullmatch(transition)):
             check_id("transition", _string(transition, "'transition'"))
-        edge = HyperEdge(edge_id, transition)
-        edge.sources = _resolve_endpoints(edge_id, _string_list(src, "'src'"), basics)
-        edge.targets = _resolve_endpoints(edge_id, _string_list(tgt, "'tgt'"), basics)
+            edge = HyperEdge(edge_id, transition)
+            edge.sources = _resolve_endpoints(edge_id, _string_list(src, "'src'"), basics)
+            edge.targets = _resolve_endpoints(edge_id, _string_list(tgt, "'tgt'"), basics)
+        else:
+            edge_id, transition, src, tgt = _EDGE_ENTRY(entry)
+            if len(entry) != 4 or type(src) is not list or type(tgt) is not list:
+                return None
+            read += edge_id, transition
+            edge = HyperEdge(edge_id, transition)
+            edge.sources, edge.targets = list(map(get, src)), list(map(get, tgt))
+            if None in edge.sources or None in edge.targets:
+                return None
         if not (edge.sources and edge.targets):
             sound = False
         edges.append(edge)
     if not sound or len({edge.id for edge in edges}) != len(edges):
-        raise _invalid_chart(chart)
-    return chart
+        if strict:
+            raise _invalid_chart(chart)
+        return None
+    return chart if strict or _valid_ids(read) else None
 
 
 def write_chart(chart: StateChart, format: str = "xml") -> bytes:
@@ -516,7 +559,8 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
 
     The writers check what `validate_chart` checks as they walk the
     chart, and stop at the first fault; `validate_chart` then runs only
-    to raise its list."""
+    to raise its list.  They test the ids they print together, once the
+    walk is done."""
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
     top = chart.topstate
@@ -573,9 +617,25 @@ def _sound_edges(edges: list[HyperEdge], basics: set[Basic]) -> bool:
     return len({edge.id for edge in edges}) == len(edges)
 
 
-def _chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:
+def _printed_ids(ids: set[str], basics: set[Basic], edges: list[HyperEdge]) -> list[str]:
+    """The ids a chart writer prints, in no particular order: the node ids
+    *ids*, the places of *basics* and each edge's id and transition."""
+    printed = list(ids)
+    printed += [basic.origin_place for basic in basics]
+    for edge in edges:
+        printed += edge.id, edge.origin_transition
+    return printed
+
+
+def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> bytes | None:
     """The chart under its root *top* as XML, or None at the first fault
-    `validate_chart` reports."""
+    `validate_chart` reports.
+
+    Ids are printed verbatim and tested together before the hyperedges
+    are printed.  When that test refuses one, or finds one that needs
+    escaping, the chart is written again with *strict* set, which quotes
+    each id with `_xml_id` and so escapes it or raises at the first id
+    it refuses."""
     lines = [f"<statechart name={_xml_attr(chart.name)}>"]
     ids: set[str] = set()
     basics: set[Basic] = set()
@@ -594,38 +654,55 @@ def _chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:
         ids.add(node.id)
         if isinstance(node, Basic):
             basics.add(node)
-            lines.append(
-                f"{pad}<basic id={_xml_id('state', node.id)}"
-                f" place={_xml_id('place', node.origin_place)}/>"
-            )
+            if strict:
+                lines.append(
+                    f"{pad}<basic id={_xml_id('state', node.id)}"
+                    f" place={_xml_id('place', node.origin_place)}/>"
+                )
+            else:
+                lines.append(f'{pad}<basic id="{node.id}" place="{node.origin_place}"/>')
             continue
         children = node.children
         if _misplaced_children(node, children, top):
             return None
         tag = "and" if isinstance(node, AndState) else "or"
-        lines.append(f"{pad}<{tag} id={_xml_id('state', node.id)}>")
+        if strict:
+            lines.append(f"{pad}<{tag} id={_xml_id('state', node.id)}>")
+        else:
+            lines.append(f'{pad}<{tag} id="{node.id}">')
         stack.append((node, depth, True))
         for child in reversed(children):
             stack.append((child, depth + 1, False))
     edges = chart.hyperedges
     if not _sound_edges(edges, basics):
         return None
+    if not strict:
+        # the sides list basic states of the tree, so their ids are tested too
+        printed = _printed_ids(ids, basics, edges)
+        if not _valid_ids(printed) or _XML_ATTR_SPECIAL.search(" ".join(printed)):
+            return _chart_to_xml(chart, top, strict=True)
     del ids, basics  # not held while the document is joined
     for edge in edges:
         src = " ".join(b.id for b in edge.sources)
         tgt = " ".join(b.id for b in edge.targets)
-        lines.append(
-            f"  <hyperedge id={_xml_id('hyperedge', edge.id)}"
-            f" transition={_xml_id('transition', edge.origin_transition)}"
-            f" src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
-        )
+        if strict:
+            lines.append(
+                f"  <hyperedge id={_xml_id('hyperedge', edge.id)}"
+                f" transition={_xml_id('transition', edge.origin_transition)}"
+                f" src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
+            )
+        else:
+            lines.append(
+                f'  <hyperedge id="{edge.id}" transition="{edge.origin_transition}"'
+                f' src="{src}" tgt="{tgt}"/>'
+            )
     lines.append("</statechart>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
     """The chart under its root *top* as JSON, or None at the first fault
-    `validate_chart` reports."""
+    `validate_chart` reports; raises when an id it prints is refused."""
     # pieces go straight into one buffer: the document is never held both
     # as pieces and as their join, which a deep chart's indentation makes large
     out = io.BytesIO()
@@ -650,8 +727,8 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
         if isinstance(node, Basic):
             basics.add(node)
             emit(
-                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
-                f'{pad}  "place": {_quote(check_id("place", node.origin_place))}\n{pad}}}'.encode()
+                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_quote(node.id)},\n'
+                f'{pad}  "place": {_quote(node.origin_place)}\n{pad}}}'.encode()
             )
             continue
         children = list(node.children)
@@ -659,7 +736,7 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
             return None
         kind = "and" if isinstance(node, AndState) else "or"
         emit(
-            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
+            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(node.id)},\n'
             f'{pad}  "children": [\n{pad}    '.encode()
         )
         stack.append(f"\n{pad}  ]\n{pad}}}".encode())
@@ -671,10 +748,13 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
     edges = chart.hyperedges
     if not _sound_edges(edges, basics):
         return None
+    if not _valid_ids(_printed_ids(ids, basics, edges)):
+        # `write_chart` names the first id `check_id` refuses
+        raise PreconditionError(f"chart {chart.name!r} holds an id no reader accepts")
     del ids, basics  # not held while the document is copied out
     records = [
-        f'    {{\n      "id": {_quote(check_id("hyperedge", edge.id))},\n'
-        f'      "transition": {_quote(check_id("transition", edge.origin_transition))},\n'
+        f'    {{\n      "id": {_quote(edge.id)},\n'
+        f'      "transition": {_quote(edge.origin_transition)},\n'
         f'      "src": {_json_strings((b.id for b in edge.sources), "      ")},\n'
         f'      "tgt": {_json_strings((b.id for b in edge.targets), "      ")}\n'
         "    }"

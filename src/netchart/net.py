@@ -29,6 +29,17 @@ def check_id(kind: str, value: str) -> str:
     return value
 
 
+def _valid_ids(ids: list) -> bool:
+    """Whether `check_id` accepts every entry of *ids*, tested in one go:
+    `str.split` splits exactly where `\\s` matches, so the ids joined by
+    spaces split back into the same list only if each is a nonempty
+    string without whitespace; `join` refuses an entry that is no string."""
+    try:
+        return " ".join(ids).split() == ids
+    except TypeError:
+        return False
+
+
 class Place:
     """A place of a Petri net.
 

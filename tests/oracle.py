@@ -16,6 +16,11 @@ way: it builds the chart with `check_id` on every id and its own
 alternation check on every link, then runs `reference_validate_chart`
 over the result.
 
+`reference_write_chart` is the chart writers as they were before they
+tested ids once per document: each id is checked, and for XML quoted
+with `_xml_id`, as it is printed.  It fixes the bytes, exceptions,
+messages and violations that `write_chart` must give.
+
 `reference_add_place`, `reference_add_transition`,
 `reference_net_from_xml` and `reference_net_from_json` build nets the
 straightforward way: `check_id` on every id, one lookup per side entry,
@@ -26,8 +31,10 @@ their precedence, that the package's builders and readers must give.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from netchart import (
     AndState,
@@ -41,20 +48,29 @@ from netchart import (
 )
 from netchart.errors import (
     DuplicateIdError,
+    ModelError,
     ParseError,
     PreconditionError,
     TreeError,
     ValidationError,
 )
 from netchart.formats import (
+    FORMATS,
     _attrs,
     _chart_document_from_xml,
+    _invalid_chart,
     _json_document,
     _json_object,
+    _json_records,
+    _json_strings,
+    _misplaced_children,
     _reject_text,
     _resolve_endpoints,
+    _sound_edges,
     _string,
     _string_list,
+    _xml_attr,
+    _xml_id,
     _xml_root,
 )
 from netchart.net import Place, check_id
@@ -291,6 +307,133 @@ def _reference_chart_from_document(obj) -> StateChart:
         edge.targets = _resolve_endpoints(edge.id, _string_list(tgt, "'tgt'"), basics)
         chart.hyperedges.append(edge)
     return chart
+
+
+def reference_write_chart(chart: StateChart, format: str = "xml") -> bytes:
+    if format not in FORMATS:
+        raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
+    top = chart.topstate
+    if not isinstance(top, AndState):
+        raise _invalid_chart(chart)
+    try:
+        if format == "xml":
+            data = _reference_chart_to_xml(chart, top)
+        else:
+            data = _reference_chart_to_json(chart, top)
+    except (ModelError, TypeError):
+        # a violation outranks any id; then the first id `check_id`
+        # refuses, or that is no string, in document order
+        error = _invalid_chart(chart)
+        if error.violations:
+            raise error from None
+        for node in chart.states():
+            check_id("state", node.id)
+            if isinstance(node, Basic):
+                check_id("place", node.origin_place)
+        for edge in chart.hyperedges:
+            check_id("hyperedge", edge.id)
+            check_id("transition", edge.origin_transition)
+        raise
+    if data is None:
+        raise _invalid_chart(chart)
+    return data
+
+
+def _reference_chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:
+    lines = [f"<statechart name={_xml_attr(chart.name)}>"]
+    ids: set[str] = set()
+    basics: set[Basic] = set()
+    stack = [(top, 1, False)]
+    while stack:
+        node, depth, closing = stack.pop()
+        pad = "  " * depth
+        if closing:
+            lines.append(f"{pad}</{'and' if isinstance(node, AndState) else 'or'}>")
+            continue
+        if node.id in ids:
+            return None
+        ids.add(node.id)
+        if isinstance(node, Basic):
+            basics.add(node)
+            lines.append(
+                f"{pad}<basic id={_xml_id('state', node.id)}"
+                f" place={_xml_id('place', node.origin_place)}/>"
+            )
+            continue
+        children = node.children
+        if _misplaced_children(node, children, top):
+            return None
+        tag = "and" if isinstance(node, AndState) else "or"
+        lines.append(f"{pad}<{tag} id={_xml_id('state', node.id)}>")
+        stack.append((node, depth, True))
+        for child in reversed(children):
+            stack.append((child, depth + 1, False))
+    edges = chart.hyperedges
+    if not _sound_edges(edges, basics):
+        return None
+    for edge in edges:
+        src = " ".join(b.id for b in edge.sources)
+        tgt = " ".join(b.id for b in edge.targets)
+        lines.append(
+            f"  <hyperedge id={_xml_id('hyperedge', edge.id)}"
+            f" transition={_xml_id('transition', edge.origin_transition)}"
+            f" src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
+        )
+    lines.append("</statechart>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
+    out = io.BytesIO()
+    emit = out.write
+    emit(f'{{\n  "name": {_quote(chart.name)},\n  "topstate": '.encode())
+    ids: set[str] = set()
+    basics: set[Basic] = set()
+    stack: list = [(top, 1)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bytes):
+            emit(item)
+            continue
+        node, level = item
+        pad = "  " * level
+        if node.id in ids:
+            return None
+        ids.add(node.id)
+        if isinstance(node, Basic):
+            basics.add(node)
+            emit(
+                f'{{\n{pad}  "kind": "basic",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
+                f'{pad}  "place": {_quote(check_id("place", node.origin_place))}\n{pad}}}'.encode()
+            )
+            continue
+        children = list(node.children)
+        if _misplaced_children(node, children, top):
+            return None
+        kind = "and" if isinstance(node, AndState) else "or"
+        emit(
+            f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(check_id("state", node.id))},\n'
+            f'{pad}  "children": [\n{pad}    '.encode()
+        )
+        stack.append(f"\n{pad}  ]\n{pad}}}".encode())
+        separator = f",\n{pad}    ".encode()
+        for index in range(len(children) - 1, 0, -1):
+            stack.append((children[index], level + 2))
+            stack.append(separator)
+        stack.append((children[0], level + 2))
+    edges = chart.hyperedges
+    if not _sound_edges(edges, basics):
+        return None
+    records = [
+        f'    {{\n      "id": {_quote(check_id("hyperedge", edge.id))},\n'
+        f'      "transition": {_quote(check_id("transition", edge.origin_transition))},\n'
+        f'      "src": {_json_strings((b.id for b in edge.sources), "      ")},\n'
+        f'      "tgt": {_json_strings((b.id for b in edge.targets), "      ")}\n'
+        "    }"
+        for edge in edges
+    ]
+    emit(f',\n  "hyperedges": {_json_records(records, "  ")}\n}}\n'.encode())
+    return out.getvalue()
 
 
 def reference_add_place(net: PetriNet, id) -> Place:

@@ -358,3 +358,26 @@ def test_writers_stop_on_cyclic_children(format):
     with pytest.raises(ValidationError) as info:
         line_events(write_chart, chart, format, budget=2000)
     assert info.value.violations == expected
+
+
+def _cyclic_charts() -> list[StateChart]:
+    """The two cycles of `test_writers_stop_on_cyclic_children`, one chart
+    each: an OR state that lists the topstate, and an inner AND state
+    that lists its own wrapper OR state."""
+    first, second = _tiny_chart(), _tiny_chart()
+    list(first.topstate.children)[0].children[first.topstate] = None
+    wrapper, inner, branch = OrState("s3"), AndState("s4"), OrState("s5")
+    branch.children[Basic("s6", "q")] = None
+    inner.children.update({branch: None, wrapper: None})
+    wrapper.children[inner] = None
+    second.topstate.children[wrapper] = None
+    return [first, second]
+
+
+def test_states_yield_each_node_once_on_cyclic_children():
+    """`states()` skips a node it has reached before, so it ends on a
+    cyclic `children` graph, well within a budget of line events."""
+    expected = [["s2", "s1", "s0"], ["s2", "s1", "s0", "s3", "s4", "s5", "s6"]]
+    for chart, ids in zip(_cyclic_charts(), expected):
+        states, _ = line_events(lambda: list(chart.states()), budget=500)
+        assert [node.id for node in states] == ids

@@ -46,13 +46,21 @@ from netchart import formats
 from netchart import net as net_module
 from netchart.cli import main
 from netchart.formats import _NOT_XML_CHAR, _net_from_json, _net_from_xml, _xml_attr
-from oracle import reference_net_from_json, reference_net_from_xml, reference_parse_chart
+from netchart.net import _valid_ids, check_id
+from families import FAMILIES
+from oracle import (
+    reference_net_from_json,
+    reference_net_from_xml,
+    reference_parse_chart,
+    reference_write_chart,
+)
 from support import (
     chart_identical,
     child_env,
     diamond,
     fork_join_nest,
     general_nets,
+    line_events,
     round_trip_corpus,
     single_place,
     three_cycle,
@@ -1073,3 +1081,148 @@ def test_full_checks_run_only_on_invalid_input(monkeypatch):
                     b'<basic id="s1" place="p"/></or></statechart>')
     assert calls == ["validate_chart"] * 2
 
+
+# whitespace `str.split` splits on beside characters it does not: C0
+# information separators, NEL, no-break and line separators, the
+# ideographic space, against a zero-width space and a byte-order mark
+_SPLIT_CHARS = st.one_of(
+    st.sampled_from(
+        "a_-.\xe9 \t\n\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+        "\u200b\ufeff\x01"
+    ),
+    st.characters(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.text(_SPLIT_CHARS, max_size=4), st.integers(), st.none())))
+def test_bulk_id_test_agrees_with_check_id(ids):
+    def accepted(value) -> bool:
+        try:
+            check_id("state", value)
+        except PreconditionError:
+            return False
+        return True
+
+    assert _valid_ids(ids) == all(map(accepted, ids))
+
+
+# prefixes that keep an id valid whatever its alphabet, make XML escape
+# it or refuse it, or make every document refuse it; and whole ids no
+# document can carry
+_PLAIN_ID_CHARS = "ab09_-.\xe9\u5b57\U0001f600"
+_XML_ID_CHARS = _PLAIN_ID_CHARS + "&<>\"'\x01\ufffe\ud800"
+_ID_PREFIXES = st.one_of(
+    st.text(_PLAIN_ID_CHARS, max_size=3),
+    st.text(_XML_ID_CHARS, max_size=3),
+    st.text(_XML_ID_CHARS + " \t\x1c\x85\xa0\u2028\u3000", max_size=3),
+)
+_REFUSED_IDS = st.sampled_from(["", " ", "\u3000", 0, 7, None])
+
+
+@st.composite
+def _charts_with_drawn_ids(draw) -> StateChart:
+    """The chart of a general net with some node, place, hyperedge and
+    transition ids redrawn: prefixed from `_ID_PREFIXES`, which keeps
+    them apart, or, in half the charts, also replaced from
+    `_REFUSED_IDS`."""
+    chart = transform(draw(general_nets())).chart
+    refuse = draw(st.booleans())
+    prefixes = _ID_PREFIXES if refuse else st.text(_XML_ID_CHARS, max_size=3)
+
+    def redraw(value):
+        choice = draw(st.integers(0, 5))
+        if choice == 0:
+            return draw(prefixes) + value
+        return draw(_REFUSED_IDS) if choice == 1 and refuse else value
+
+    for node in list(chart.states()):
+        node.id = redraw(node.id)
+        if isinstance(node, Basic):
+            node.origin_place = redraw(node.origin_place)
+    for edge in chart.hyperedges:
+        edge.id = redraw(edge.id)
+        edge.origin_transition = redraw(edge.origin_transition)
+    return chart
+
+
+def _write_outcome(write, chart, format):
+    """The bytes *write* gives, or the type, message and violations of
+    what it raises."""
+    try:
+        return write(chart, format)
+    except Exception as exc:  # the reference fixes the type as well
+        return type(exc), str(exc), getattr(exc, "violations", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_charts_with_drawn_ids())
+def test_writers_match_the_reference_on_any_ids(chart):
+    """Testing ids once per document changes nothing the writers give:
+    in both formats the reference's bytes, or its exception."""
+    for format in ("xml", "json"):
+        assert _write_outcome(write_chart, chart, format) == _write_outcome(
+            reference_write_chart, chart, format
+        )
+
+
+def test_valid_ids_cost_no_check_of_their_own(monkeypatch):
+    """The valid path costs the same whatever the id alphabet: writing and
+    reading back a chart whose ids use punctuation, digits and non-ASCII
+    letters calls neither `check_id` nor `_xml_id`.  An id that XML
+    escapes sends the XML writer through one strict walk, which writes
+    the reference's bytes."""
+    calls, passes = [], []
+    for name in ("check_id", "_xml_id"):
+        real = getattr(formats, name)
+        monkeypatch.setattr(formats, name, lambda *args, real=real, name=name: (
+            calls.append(name) or real(*args)))
+    to_xml = formats._chart_to_xml
+    monkeypatch.setattr(formats, "_chart_to_xml", lambda chart, top, strict=False: (
+        passes.append(strict) or to_xml(chart, top, strict)))
+    net = PetriNet("ids")
+    for pid in ("p_0", "p-1", "p.2", "3", "\xe9t\xe9", "\u5b57_x", "\u03a9.\u0416-9"):
+        net.add_place(pid)
+    net.add_transition("t_1", ["p_0"], ["p-1", "p.2"])
+    net.add_transition("t-2.\xe9", ["p-1", "p.2"], ["3"])
+    net.add_transition("\u5b57", ["3"], ["\xe9t\xe9", "\u5b57_x"])
+    net.add_transition("9", ["\xe9t\xe9", "\u5b57_x"], ["\u03a9.\u0416-9"])
+    chart = transform(net).chart
+    for index, node in enumerate(chart.states()):
+        node.id = f"n_{index}-\xe9.{index}"
+    for index, edge in enumerate(chart.hyperedges):
+        edge.id = f"\u03b5-{index}_"
+    for format in ("xml", "json"):
+        data = write_chart(chart, format)
+        assert chart_identical(parse_chart(data), chart)
+    assert calls == [] and passes == [False]
+
+    passes.clear()
+    net = PetriNet("escaped")
+    for pid in ("q", "a&b"):
+        net.add_place(pid)
+    net.add_transition("t", ["q"], ["a&b"])
+    chart = transform(net).chart
+    data = write_chart(chart, "xml")
+    assert passes == [False, True]
+    assert b'place="a&amp;b"' in data
+    assert data == reference_write_chart(chart, "xml")
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_chart_documents_work_scales_linearly_on_every_family(name):
+    """`write_chart` in both formats, and `parse_chart` of the JSON chart,
+    at 8 times the size execute at most 8.4 times the lines of netchart's
+    code, the gate `test_reduce_work_scales_linearly_on_every_family`
+    puts on `reduce`.  Work inside C calls is not counted (see
+    `line_events`): the `join` and `split` that test a document's ids
+    together count as one line each, whatever the document's size."""
+    counts: dict[str, list[int]] = {"xml": [], "json": [], "parse json": []}
+    for k in (1000, 8000):
+        chart = transform(FAMILIES[name](k)).chart
+        for format in ("xml", "json"):
+            data, count = line_events(write_chart, chart, format)
+            counts[format].append(count)
+        counts["parse json"].append(line_events(parse_chart, data)[1])
+    for layer, (small, large) in counts.items():
+        assert large <= 8.4 * small, (layer, small, large)
