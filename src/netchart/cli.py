@@ -9,7 +9,6 @@ usage errors, and input too large or too deep for the interpreter),
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from .bench import bench
 from .errors import NetchartError, ParseError, ValidationError
 from .formats import parse_chart, parse_net, write_chart, write_net, write_trace
 from .generator import SpSpec, generate_sp
-from .net import find_self_loops
+from .net import _collector_paused, find_self_loops
 from .pipeline import ReductionReport, transform
 
 
@@ -128,21 +127,10 @@ def _print_stats(report: ReductionReport) -> None:
     print(f"fully reduced:         {'yes' if report.fully_reduced else 'no'}")
 
 
+# the library calls pause the collector themselves; pausing the whole
+# command also saves the young-generation pass that would follow each
+@_collector_paused
 def _cmd_transform(args) -> int:
-    # reading, transforming and writing leave no cyclic garbage and charts
-    # are acyclic, so reference counting frees everything and automatic
-    # collection would only cost its young-generation passes; the caller's
-    # setting is restored on the way out
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _transform(args)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _transform(args) -> int:
     net = parse_net(Path(args.input).read_bytes())
     chart, report, trace = transform(net)
     format = args.format or _format_for(args.output)

@@ -45,7 +45,7 @@ from .errors import (
     TreeError,
     ValidationError,
 )
-from .net import PetriNet, _valid_ids, check_id, invalid_net
+from .net import PetriNet, _collector_paused, _valid_ids, check_id, check_net, invalid_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
@@ -214,6 +214,7 @@ _PLACE_KEYS = {"id"}
 _TRANSITION_KEYS = {"id", "src", "tgt"}
 
 
+@_collector_paused
 def parse_net(data: bytes | str) -> PetriNet:
     """Read a net document in the format `detect_format` finds."""
     if detect_format(data) == "xml":
@@ -269,6 +270,7 @@ def _net_from_json(data: bytes | str) -> PetriNet:
     return net
 
 
+@_collector_paused
 def write_net(net: PetriNet, format: str = "xml") -> bytes:
     """Serialize a net; refuses nets with structural violations."""
     if format not in FORMATS:
@@ -279,9 +281,8 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
         # a structural violation outranks any id; then an id `check_id`
         # refuses, or one that is no string (TypeError), outranks any other
         # fault: raise the first such id in document order
-        error = invalid_net(net)
-        if error.violations:
-            raise error from None
+        if check_net(net):
+            raise invalid_net(net) from None
         for place in net.places.values():
             check_id("place", place.id)
         for transition in net.transitions.values():
@@ -350,6 +351,7 @@ def _net_to_json(net: PetriNet) -> bytes | None:
 # -- statecharts -----------------------------------------------------------
 
 
+@_collector_paused
 def parse_chart(data: bytes | str) -> StateChart:
     """Read a chart document in the format `detect_format` finds; raises
     on any well-formedness violation."""
@@ -368,7 +370,8 @@ def _invalid_chart(chart: StateChart) -> ValidationError:
     """The error that refuses *chart*, carrying `validate_chart`'s list.
 
     The chart reader and writers flag a fault inline, in the walk they
-    already make, and build this error only to raise it."""
+    already make, and build this error only to raise it, in the `raise`
+    statement, as `invalid_net` says."""
     return ValidationError(f"chart {chart.name!r} is not well formed", validate_chart(chart))
 
 
@@ -554,6 +557,7 @@ def _chart_from_document(obj, strict: bool = False) -> StateChart | None:
     return chart if strict or _valid_ids(read) else None
 
 
+@_collector_paused
 def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     """Serialize a chart; refuses invalid charts and ids its reader refuses.
 
@@ -572,9 +576,8 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
         # a well-formedness violation outranks any id; then an id
         # `check_id` refuses, or one that is no string (TypeError),
         # outranks any other fault: raise the first such id in document order
-        error = _invalid_chart(chart)
-        if error.violations:
-            raise error from None
+        if validate_chart(chart):
+            raise _invalid_chart(chart) from None
         for node in chart.states():
             check_id("state", node.id)
             if isinstance(node, Basic):
@@ -767,6 +770,7 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
 # -- traces ----------------------------------------------------------------
 
 
+@_collector_paused
 def parse_trace(data: bytes | str) -> list[TraceEntry]:
     """Read a trace document (JSON array of rule/input/output records)."""
     obj = _json_document(data)
@@ -787,6 +791,7 @@ def parse_trace(data: bytes | str) -> list[TraceEntry]:
     return entries
 
 
+@_collector_paused
 def write_trace(entries: Iterable[TraceEntry]) -> bytes:
     """Serialize trace entries as a JSON array sorted by (rule, input);
     entries equal in both follow output order, though no pass records such

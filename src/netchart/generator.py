@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .net import PetriNet
+from .net import PetriNet, _collector_paused
 
 _ATOM = 0
 _SERIES = 1
@@ -47,6 +47,7 @@ def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
+@_collector_paused
 def generate_sp(spec: SpSpec) -> PetriNet:
     """Generate the series-parallel net described by `spec`.
 

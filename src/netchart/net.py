@@ -10,6 +10,8 @@ document can carry; nothing in the pipeline changes them afterwards.
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from typing import Iterable
 
@@ -17,6 +19,30 @@ from .errors import DuplicateIdError, MembershipError, PreconditionError, Valida
 
 # `\s` matches exactly the characters for which `str.isspace` holds
 _ID = re.compile(r"\S+")
+
+
+def _collector_paused(call):
+    """Wrap *call* so that automatic garbage collection is off while it
+    runs, and back on in `finally` if it was on before.
+
+    The models and documents the library builds hold no reference
+    cycles, so reference counting frees them, and the collector's passes
+    over the many small objects a call makes find nothing.  A call made
+    with collection already off, such as `initialize` inside `transform`,
+    changes nothing.  The switch is process-wide: a call running in
+    another thread can turn collection back on while this one runs."""
+
+    @functools.wraps(call)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return call(*args, **kwargs)
+        gc.disable()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def check_id(kind: str, value: str) -> str:
@@ -73,10 +99,15 @@ class Transition:
 
     __slots__ = ("id", "preset", "postset")
 
-    def __init__(self, id: str):
+    def __init__(
+        self,
+        id: str,
+        preset: dict[Place, None] | None = None,
+        postset: dict[Place, None] | None = None,
+    ):
         self.id = id
-        self.preset: dict[Place, None] = {}
-        self.postset: dict[Place, None] = {}
+        self.preset = {} if preset is None else preset
+        self.postset = {} if postset is None else postset
 
     def __repr__(self) -> str:
         return f"Transition({self.id!r})"
@@ -142,8 +173,7 @@ class PetriNet:
             post = [get(p) or resolve(p) for p in postset]
         if not pre or not post:
             raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
-        transition = Transition(id)
-        transition.preset, transition.postset = dict.fromkeys(pre), dict.fromkeys(post)
+        transition = Transition(id, dict.fromkeys(pre), dict.fromkeys(post))
         self.transitions[id] = transition
         return transition
 
@@ -188,7 +218,9 @@ def invalid_net(net: PetriNet) -> ValidationError:
     """The error that refuses *net*, carrying `check_net`'s list.
 
     `initialize` and `write_net` flag a broken net inline, in the walk
-    they already make, and build this error only to raise it."""
+    they already make, and build this error only to raise it, in the
+    `raise` statement: a local holding it would form a cycle with the
+    frame its traceback keeps, which only the collector frees."""
     return ValidationError(f"net {net.name!r} is not well formed", check_net(net))
 
 

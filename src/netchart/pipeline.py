@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .chart import AndState, Basic, HyperEdge, OrState, StateChart
 from .errors import PreconditionError, TraceError
-from .net import PetriNet, invalid_net
+from .net import PetriNet, _collector_paused, check_net, invalid_net
 
 _id_of = attrgetter("id")
 
@@ -73,6 +73,7 @@ class TransformResult(NamedTuple):
     trace: list[TraceEntry]
 
 
+@_collector_paused
 def initialize(net: PetriNet, trace: Trace) -> StateChart:
     """Build the flat chart for *net*: one OR-wrapped basic per place under a
     fresh AND topstate, one hyperedge per transition.
@@ -92,9 +93,8 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         If *trace* already holds a pass; traces are single-use.
     """
     if trace.entries:
-        error = invalid_net(net)
-        if error.violations:
-            raise error
+        if check_net(net):
+            raise invalid_net(net)
         raise PreconditionError("trace already holds a pass; use a fresh Trace per pass")
     name, places, transitions = net.name, net.places, net.transitions
     chart = StateChart(name)
@@ -367,6 +367,7 @@ class _Graph:
                 return candidate
 
 
+@_collector_paused
 def reduce(
     net: PetriNet,
     chart: StateChart,
@@ -449,6 +450,7 @@ def reduce(
     )
 
 
+@_collector_paused
 def transform(
     input_net: PetriNet, rng: random.Random | None = None
 ) -> TransformResult:

@@ -1210,6 +1210,23 @@ def test_valid_ids_cost_no_check_of_their_own(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
+def test_net_documents_work_scales_linearly_on_every_family(name):
+    """`parse_net` of the XML and the JSON net document at 8 times the
+    size executes at most 8.4 times the lines of netchart's code, the
+    gate `test_reduce_work_scales_linearly_on_every_family` puts on
+    `reduce`.  Work inside C calls is not counted (see `line_events`):
+    tokenizing by ElementTree or `json` counts as the one line that calls
+    it, and the collector's passes, which run in C too, count nothing."""
+    counts: dict[str, list[int]] = {"xml": [], "json": []}
+    for k in (1000, 8000):
+        net = FAMILIES[name](k)
+        for format in ("xml", "json"):
+            counts[format].append(line_events(parse_net, write_net(net, format))[1])
+    for format, (small, large) in counts.items():
+        assert large <= 8.4 * small, (format, small, large)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
 def test_chart_documents_work_scales_linearly_on_every_family(name):
     """`write_chart` in both formats, and `parse_chart` of the JSON chart,
     at 8 times the size execute at most 8.4 times the lines of netchart's

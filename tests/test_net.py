@@ -16,6 +16,7 @@ from netchart import (
     Place,
     PreconditionError,
     Trace,
+    Transition,
     ValidationError,
     check_net,
     find_self_loops,
@@ -35,6 +36,15 @@ def test_add_place_and_transition():
     assert [x.id for x in t.preset] == ["p"]
     assert [x.id for x in t.postset] == ["q"]
     assert check_net(net) == []
+
+
+def test_transition_sides_default_to_fresh_empty_dicts():
+    t, u = Transition("t"), Transition("u")
+    assert t.preset == t.postset == {}
+    assert t.preset is not t.postset and t.preset is not u.preset
+    p = Place("p")
+    v = Transition("v", {p: None}, {})
+    assert list(v.preset) == [p] and v.postset == {}
 
 
 def test_ids_no_document_can_carry_are_rejected():

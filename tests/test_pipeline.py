@@ -479,6 +479,18 @@ def test_seeded_reduction_keeps_the_keyed_adjacency_order():
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
+def test_initialize_work_scales_linearly_on_every_family(name):
+    """`initialize` at 8 times the size executes at most 8.4 times the
+    lines of netchart's code, the gate on `reduce` below.  Work inside C
+    calls is not counted (see `line_events`): the `map`, `sorted` and
+    `dict.update` calls that build the flat chart and its trace count as
+    the line that makes them, and the collector's passes, which run in
+    C too, count nothing."""
+    counts = [line_events(initialize, FAMILIES[name](k), Trace())[1] for k in (1000, 8000)]
+    assert counts[1] <= 8.4 * counts[0], counts
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
 def test_reduce_work_scales_linearly_on_every_family(name):
     """`reduce` at 8 times the size executes at most 8.4 times the lines
     of netchart's code: a gate on work that machine load cannot move, as
