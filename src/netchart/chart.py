@@ -135,11 +135,13 @@ def validate_chart(chart: StateChart) -> list[str]:
     alternation, nonempty child lists (non-root AND states need at least
     two children), unique node ids, and hyperedge endpoints that are Basic
     states present in the tree.  Each node is visited once, so an id seen
-    before belongs to another node.
+    before belongs to another node; an id no hash takes is left to
+    `check_id`, which refuses it.
 
-    This is the full check, which reports every violation.  The chart
-    reader and writers check the same rules inline, in the walk they make
-    anyway, and call it only to raise its list.
+    This is the full check, which reports every violation.  The rules
+    for child lists and hyperedges are stated once, in `child_faults` and
+    `edge_faults`; the chart writers report with them in the walk they
+    make anyway, and call this only to raise its list.
     """
     top = chart.topstate
     if top is None:
@@ -160,58 +162,70 @@ def validate_chart(chart: StateChart) -> list[str]:
             report(f"node {node.id!r}: reached twice (containment is not a tree)")
             continue
         members.add(node)
-        if node.id in ids:
-            report(f"duplicate node id {node.id!r}")
-        else:
-            ids.add(node.id)
-
+        try:
+            if node.id in ids:
+                report(f"duplicate node id {node.id!r}")
+            else:
+                ids.add(node.id)
+        except TypeError:  # an id no hash takes, which `check_id` refuses
+            pass
         if isinstance(node, Basic):
             basics.add(node)
             continue
-        children = node.children
-        if isinstance(node, AndState):
-            minimum = 1 if node is top else 2
-            if len(children) < minimum:
-                report(f"and {node.id!r}: fewer than {minimum} children")
-            for child in children:
-                if not isinstance(child, OrState):
-                    report(f"and {node.id!r}: child {child.id!r} is not an OR state")
-        else:
-            if not children:
-                report(f"or {node.id!r}: no children")
-            for child in children:
-                if isinstance(child, OrState):
-                    report(f"or {node.id!r}: child {child.id!r} is an OR state")
-        push(children)
+        child_faults(node, top, violations)
+        push(node.children)
+    edge_faults(chart.hyperedges, basics, violations)
+    return violations
 
-    edge_ids: set[str] = set()
-    for edge in chart.hyperedges:
-        if edge.id in edge_ids:
-            report(f"duplicate hyperedge id {edge.id!r}")
-        edge_ids.add(edge.id)
+
+def child_faults(node: OrState | AndState, top: AndState, violations: list[str]) -> None:
+    """Append to *violations* what `validate_chart` reports about the children
+    of *node*, a composite under the root *top*: too few, or of a wrong kind."""
+    children = node.children
+    if isinstance(node, AndState):
+        minimum = 1 if node is top else 2
+        if len(children) < minimum:
+            violations.append(f"and {node.id!r}: fewer than {minimum} children")
+        for child in children:
+            if not isinstance(child, OrState):
+                violations.append(f"and {node.id!r}: child {child.id!r} is not an OR state")
+    else:
+        if not children:
+            violations.append(f"or {node.id!r}: no children")
+        for child in children:
+            if isinstance(child, OrState):
+                violations.append(f"or {node.id!r}: child {child.id!r} is an OR state")
+
+
+def edge_faults(edges: list[HyperEdge], basics: set[Basic], violations: list[str]) -> None:
+    """Append to *violations* what `validate_chart` reports about *edges*: a
+    repeated id, an empty side, an endpoint not in *basics*, the tree's basic states."""
+    report = violations.append
+    ids: set[str] = set()
+    for edge in edges:
+        try:
+            if edge.id in ids:
+                report(f"duplicate hyperedge id {edge.id!r}")
+            ids.add(edge.id)
+        except TypeError:  # an id no hash takes, which `check_id` refuses
+            pass
         sources, targets = edge.sources, edge.targets
         if not sources:
             report(f"hyperedge {edge.id!r}: no sources")
         if not targets:
             report(f"hyperedge {edge.id!r}: no targets")
         try:
-            reached = basics.issuperset(sources) and basics.issuperset(targets)
+            if basics.issuperset(sources) and basics.issuperset(targets):
+                continue
         except TypeError:  # an unhashable endpoint: report it below
-            reached = False
-        if not reached:
-            _endpoint_faults(edge, members, report)
-    return violations
-
-
-def _endpoint_faults(edge: HyperEdge, members: set[Node], report) -> None:
-    """Report each endpoint of *edge* that is no Basic state of the tree."""
-    for endpoint in list(edge.sources) + list(edge.targets):
-        if not isinstance(endpoint, Basic):
-            report(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not a basic state")
-            continue
-        try:
-            reached = endpoint in members
-        except TypeError:  # unhashable, so no node of the tree
-            reached = False
-        if not reached:
-            report(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")
+            pass
+        for endpoint in [*sources, *targets]:
+            if not isinstance(endpoint, Basic):
+                report(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not a basic state")
+                continue
+            try:
+                reached = endpoint in basics
+            except TypeError:  # unhashable, so no node of the tree
+                reached = False
+            if not reached:
+                report(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")

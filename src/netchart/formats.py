@@ -36,7 +36,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable
 
-from .chart import AndState, Basic, HyperEdge, Node, OrState, StateChart, validate_chart
+from .chart import AndState, Basic, HyperEdge, Node, OrState, StateChart
+from .chart import child_faults, edge_faults, validate_chart
 from .errors import (
     MembershipError,
     ModelError,
@@ -561,10 +562,10 @@ def _chart_from_document(obj, strict: bool = False) -> StateChart | None:
 def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     """Serialize a chart; refuses invalid charts and ids its reader refuses.
 
-    The writers check what `validate_chart` checks as they walk the
-    chart, and stop at the first fault; `validate_chart` then runs only
-    to raise its list.  They test the ids they print together, once the
-    walk is done."""
+    The writers report with `validate_chart`'s own `child_faults` and
+    `edge_faults` as they walk the chart, and stop at the first fault;
+    `validate_chart` then runs only to raise its list.  They test the
+    ids they print together, once the walk is done."""
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
     top = chart.topstate
@@ -591,35 +592,6 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     return data
 
 
-def _misplaced_children(node: OrState | AndState, children, top: AndState) -> bool:
-    """Whether the *children* of *node* break a rule `validate_chart`
-    checks: too few of them, or one of the wrong kind."""
-    if isinstance(node, AndState):
-        if len(children) < (1 if node is top else 2):
-            return True
-        for child in children:
-            if not isinstance(child, OrState):
-                return True
-    else:
-        if not children:
-            return True
-        for child in children:
-            if isinstance(child, OrState):
-                return True
-    return False
-
-
-def _sound_edges(edges: list[HyperEdge], basics: set[Basic]) -> bool:
-    """Whether *edges* pass `validate_chart`: distinct ids, and nonempty
-    sides of *basics*, the basic states of the tree."""
-    for edge in edges:
-        sources, targets = edge.sources, edge.targets
-        if not (sources and targets and basics.issuperset(sources)
-                and basics.issuperset(targets)):
-            return False
-    return len({edge.id for edge in edges}) == len(edges)
-
-
 def _printed_ids(ids: set[str], basics: set[Basic], edges: list[HyperEdge]) -> list[str]:
     """The ids a chart writer prints, in no particular order: the node ids
     *ids*, the places of *basics* and each edge's id and transition."""
@@ -642,6 +614,7 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
     lines = [f"<statechart name={_xml_attr(chart.name)}>"]
     ids: set[str] = set()
     basics: set[Basic] = set()
+    violations: list[str] = []
     # explicit stack: containment can nest deeper than Python's recursion cap
     stack: list[tuple[Node, int, bool]] = [(top, 1, False)]
     while stack:
@@ -666,7 +639,8 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
                 lines.append(f'{pad}<basic id="{node.id}" place="{node.origin_place}"/>')
             continue
         children = node.children
-        if _misplaced_children(node, children, top):
+        child_faults(node, top, violations)
+        if violations:
             return None
         tag = "and" if isinstance(node, AndState) else "or"
         if strict:
@@ -677,7 +651,8 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
         for child in reversed(children):
             stack.append((child, depth + 1, False))
     edges = chart.hyperedges
-    if not _sound_edges(edges, basics):
+    edge_faults(edges, basics, violations)
+    if violations:
         return None
     if not strict:
         # the sides list basic states of the tree, so their ids are tested too
@@ -713,6 +688,7 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
     emit(f'{{\n  "name": {_quote(chart.name)},\n  "topstate": '.encode())
     ids: set[str] = set()
     basics: set[Basic] = set()
+    violations: list[str] = []
     # explicit stack of (state, indent level of its braces) and literal
     # text: containment can nest deeper than Python's recursion cap
     stack: list[tuple[Node, int] | bytes] = [(top, 1)]
@@ -734,9 +710,10 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
                 f'{pad}  "place": {_quote(node.origin_place)}\n{pad}}}'.encode()
             )
             continue
-        children = list(node.children)
-        if _misplaced_children(node, children, top):
+        child_faults(node, top, violations)
+        if violations:
             return None
+        children = list(node.children)
         kind = "and" if isinstance(node, AndState) else "or"
         emit(
             f'{{\n{pad}  "kind": "{kind}",\n{pad}  "id": {_quote(node.id)},\n'
@@ -749,7 +726,8 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
             stack.append(separator)
         stack.append((children[0], level + 2))
     edges = chart.hyperedges
-    if not _sound_edges(edges, basics):
+    edge_faults(edges, basics, violations)
+    if violations:
         return None
     if not _valid_ids(_printed_ids(ids, basics, edges)):
         # `write_chart` names the first id `check_id` refuses

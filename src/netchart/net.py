@@ -205,12 +205,16 @@ def check_net(net: PetriNet) -> list[str]:
             violations.append(f"transition {tid!r}: empty preset")
         if not t.postset:
             violations.append(f"transition {tid!r}: empty postset")
-        for place in t.preset:
-            if net.places.get(place.id) is not place:
-                violations.append(f"transition {tid!r}: preset place {place.id!r} is not a member of the net")
-        for place in t.postset:
-            if net.places.get(place.id) is not place:
-                violations.append(f"transition {tid!r}: postset place {place.id!r} is not a member of the net")
+        for side, places in (("preset", t.preset), ("postset", t.postset)):
+            for place in places:
+                try:
+                    member = net.places.get(place.id) is place
+                except TypeError:  # an id no hash takes is no key of the net
+                    member = False
+                if not member:
+                    violations.append(
+                        f"transition {tid!r}: {side} place {place.id!r} is not a member of the net"
+                    )
     return violations
 
 

@@ -7,7 +7,8 @@ order is exactly the order described.  The golden family digest and the
 scaling test reduce the same nets.  `NON_CONFLUENT` holds the small nets
 whose reduced shape depends on the order the rules are tried in, and
 `keyed_order` a net whose seeded chart pins the order in which `reduce`
-keeps the transitions around a fused place.  This
+keeps the transitions around a fused place, and `appended_arcs` one
+whose charts pin how a fusion moves arcs into a keyed slot.  This
 module imports only netchart, so a child interpreter can time it without
 the test dependencies.
 """
@@ -248,6 +249,72 @@ KEYED_ORDER_CHART = b"""\
 """
 KEYED_ORDER_TRACE_SHA256 = "cf74e687cda6c62b6d35654184e71c1271675a837426b6a35ab5e86fea423f53"
 
+
+
+def appended_arcs() -> PetriNet:
+    """A net whose reduction calls `pipeline._Graph._append` to move the
+    arcs of the fused place: a place of the fusion has keyed adjacency
+    entries (a slot in `mixed`), so the fusion cannot take the plain
+    `dict.update` path.  Random general nets of a few places rarely need
+    `_append` to reduce right.  With `_append` doing nothing, `reduce`
+    applies 3 OR rules and no AND rule and leaves 6 places, not 4."""
+    net = PetriNet("append")
+    for i in range(9):
+        net.add_place(f"p{i}")
+    for tid, src, tgt in (
+        ("t0", "p8", "p5 p4 p2"),
+        ("t1", "p3", "p1"),
+        ("t2", "p2 p1", "p4"),
+        ("t3", "p1 p6 p5", "p0"),
+        ("t4", "p8", "p7 p6"),
+        ("t5", "p3", "p2"),
+    ):
+        net.add_transition(tid, src.split(), tgt.split())
+    return net
+
+
+# `appended_arcs` reduced first-in first-out: the chart it writes as XML;
+# reduced with `random.Random(APPENDED_ARCS_SEED)` picks: the SHA-256 of
+# that chart document; the SHA-256 of the trace document, which is the
+# same under both orders
+APPENDED_ARCS_CHART = b"""\
+<statechart name="append">
+  <and id="s0">
+    <or id="s1">
+      <basic id="s2" place="p0"/>
+    </or>
+    <or id="s13">
+      <basic id="s14" place="p6"/>
+    </or>
+    <or id="s15">
+      <basic id="s16" place="p7"/>
+    </or>
+    <or id="s17">
+      <basic id="s18" place="p8"/>
+      <and id="s19">
+        <or id="s7">
+          <basic id="s8" place="p3"/>
+          <basic id="s4" place="p1"/>
+          <basic id="s6" place="p2"/>
+          <basic id="s10" place="p4"/>
+        </or>
+        <or id="s11">
+          <basic id="s12" place="p5"/>
+        </or>
+      </and>
+    </or>
+  </and>
+  <hyperedge id="h0" transition="t0" src="s18" tgt="s6 s10 s12"/>
+  <hyperedge id="h1" transition="t1" src="s8" tgt="s4"/>
+  <hyperedge id="h2" transition="t2" src="s4 s6" tgt="s10"/>
+  <hyperedge id="h3" transition="t3" src="s4 s12 s14" tgt="s2"/>
+  <hyperedge id="h4" transition="t4" src="s18" tgt="s14 s16"/>
+  <hyperedge id="h5" transition="t5" src="s8" tgt="s6"/>
+</statechart>
+"""
+APPENDED_ARCS_SEED = 0
+APPENDED_ARCS_SEEDED_CHART_SHA256 = "0dd8a819b193999f9e0f3760fb9ee1c446cbeb50b13c79357300999b0f819eb9"
+APPENDED_ARCS_TRACE_SHA256 = "206d17e849b647cb3054635c9158f652a2bde89dfab639bf151ecc463ec204eb"
 
 def reduce_seconds(net: PetriNet) -> float:
     """Wall time of `reduce` alone on a fresh flat chart of *net*, with

@@ -18,15 +18,26 @@ over the result.
 
 `reference_write_chart` is the chart writers as they were before they
 tested ids once per document: each id is checked, and for XML quoted
-with `_xml_id`, as it is printed.  It fixes the bytes, exceptions,
+with `_xml_id`, as it is printed, and its own yes-or-no checks of child
+lists and hyperedges stop the walk.  Its `ValidationError` carries
+`reference_validate_chart`'s list.  It fixes the bytes, exceptions,
 messages and violations that `write_chart` must give.
 
 `reference_add_place`, `reference_add_transition`,
 `reference_net_from_xml` and `reference_net_from_json` build nets the
 straightforward way: `check_id` on every id, one lookup per side entry,
-`_attrs` on every element.  They share the model classes and the
-readers' small helpers, and fix the nets, exceptions and messages, in
-their precedence, that the package's builders and readers must give.
+`_attrs` on every element.  They fix the nets, exceptions and messages,
+in their precedence, that the package's builders and readers must give.
+
+What the references still share with the package: the model classes,
+the errors, `check_id`, `detect_format` and `FORMATS`, and the document
+helpers that read and print text.  To read: `_xml_root`, `_attrs`,
+`_reject_text`, `_json_document`, `_json_object`, `_string`,
+`_string_list`, `_chart_document_from_xml`, and `_resolve_endpoints`,
+the chart reader's lookup of endpoint ids.  To print: `_xml_attr`,
+`_xml_id`, `_json_strings` and `_json_records`.  No reference imports a
+rule it restates (`validate_chart`, `check_net`, `child_faults`,
+`edge_faults`, `_invalid_chart`); `test_oracle.py` checks the imports.
 """
 
 from __future__ import annotations
@@ -58,15 +69,12 @@ from netchart.formats import (
     FORMATS,
     _attrs,
     _chart_document_from_xml,
-    _invalid_chart,
     _json_document,
     _json_object,
     _json_records,
     _json_strings,
-    _misplaced_children,
     _reject_text,
     _resolve_endpoints,
-    _sound_edges,
     _string,
     _string_list,
     _xml_attr,
@@ -203,9 +211,12 @@ def reference_validate_chart(chart) -> list[str]:
             violations.append(f"node {node.id!r}: reached twice (containment is not a tree)")
             continue
         members.add(id(node))
-        if node.id in seen and seen[node.id] is not node:
-            violations.append(f"duplicate node id {node.id!r}")
-        seen[node.id] = node
+        try:
+            if node.id in seen and seen[node.id] is not node:
+                violations.append(f"duplicate node id {node.id!r}")
+            seen[node.id] = node
+        except TypeError:  # an id no hash takes repeats none: `check_id` refuses it
+            pass
 
         if isinstance(node, Basic):
             continue
@@ -226,9 +237,12 @@ def reference_validate_chart(chart) -> list[str]:
 
     edge_ids: set[str] = set()
     for edge in chart.hyperedges:
-        if edge.id in edge_ids:
-            violations.append(f"duplicate hyperedge id {edge.id!r}")
-        edge_ids.add(edge.id)
+        try:
+            if edge.id in edge_ids:
+                violations.append(f"duplicate hyperedge id {edge.id!r}")
+            edge_ids.add(edge.id)
+        except TypeError:
+            pass
         if not edge.sources:
             violations.append(f"hyperedge {edge.id!r}: no sources")
         if not edge.targets:
@@ -239,6 +253,12 @@ def reference_validate_chart(chart) -> list[str]:
             elif id(endpoint) not in members:
                 violations.append(f"hyperedge {edge.id!r}: endpoint {endpoint.id!r} is not in the chart")
     return violations
+
+
+def _reference_invalid_chart(chart) -> ValidationError:
+    return ValidationError(
+        f"chart {chart.name!r} is not well formed", reference_validate_chart(chart)
+    )
 
 
 def reference_parse_chart(data) -> StateChart:
@@ -314,7 +334,7 @@ def reference_write_chart(chart: StateChart, format: str = "xml") -> bytes:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
     top = chart.topstate
     if not isinstance(top, AndState):
-        raise _invalid_chart(chart)
+        raise _reference_invalid_chart(chart)
     try:
         if format == "xml":
             data = _reference_chart_to_xml(chart, top)
@@ -323,7 +343,7 @@ def reference_write_chart(chart: StateChart, format: str = "xml") -> bytes:
     except (ModelError, TypeError):
         # a violation outranks any id; then the first id `check_id`
         # refuses, or that is no string, in document order
-        error = _invalid_chart(chart)
+        error = _reference_invalid_chart(chart)
         if error.violations:
             raise error from None
         for node in chart.states():
@@ -335,8 +355,26 @@ def reference_write_chart(chart: StateChart, format: str = "xml") -> bytes:
             check_id("transition", edge.origin_transition)
         raise
     if data is None:
-        raise _invalid_chart(chart)
+        raise _reference_invalid_chart(chart)
     return data
+
+
+def _misplaced_children(node, children, top: AndState) -> bool:
+    """Whether the *children* of the composite *node* are too few or of a
+    wrong kind, one yes or no for what `reference_validate_chart` lists."""
+    if isinstance(node, AndState):
+        minimum = 1 if node is top else 2
+        return len(children) < minimum or not all(isinstance(c, OrState) for c in children)
+    return not children or any(isinstance(c, OrState) for c in children)
+
+
+def _sound_edges(edges: list[HyperEdge], basics: set[Basic]) -> bool:
+    """Whether *edges* have distinct ids and nonempty sides of *basics*."""
+    for edge in edges:
+        sides = (edge.sources, edge.targets)
+        if not all(sides) or not all(basics.issuperset(side) for side in sides):
+            return False
+    return len({edge.id for edge in edges}) == len(edges)
 
 
 def _reference_chart_to_xml(chart: StateChart, top: AndState) -> bytes | None:

@@ -189,6 +189,19 @@ def test_validate_reports_foreign_and_unhashable_endpoints():
     ]
 
 
+def test_validate_skips_the_duplicate_test_for_unhashable_ids():
+    # a chart changed by hand can hold an id no hash takes; it repeats no
+    # other id, and `check_id` refuses it where the chart is written
+    chart = _tiny_chart()
+    basic = list(list(chart.topstate.children)[0].children)[0]
+    basic.id = ["x"]
+    edge = HyperEdge(["x"], "t")
+    edge.sources.append(basic)
+    chart.hyperedges.append(edge)
+    assert validate_chart(chart) == ["hyperedge ['x']: no targets"]
+    assert validate_chart(chart) == reference_validate_chart(chart)
+
+
 def _nodes(chart: StateChart) -> list:
     """Every node reachable from the topstate once, cycles included."""
     found, seen, stack = [], set(), [chart.topstate]

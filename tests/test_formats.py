@@ -38,6 +38,7 @@ from netchart import (
     parse_net,
     parse_trace,
     transform,
+    validate_chart,
     write_chart,
     write_net,
     write_trace,
@@ -556,6 +557,20 @@ def test_write_chart_refuses_invalid_charts():
     del top_or.children[list(top_or.children)[0]]
     with pytest.raises(ValidationError):
         write_chart(chart)
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_write_chart_refuses_unhashable_ids_as_check_id_does(format):
+    chart = transform(diamond()).chart
+    list(chart.states())[2].id = ["x"]
+    with pytest.raises(PreconditionError, match=re.escape(
+            "state id ['x'] must be a nonempty string without whitespace")):
+        write_chart(chart, format)
+    chart = transform(diamond()).chart
+    chart.hyperedges[1].id = ["x"]
+    with pytest.raises(PreconditionError, match=re.escape(
+            "hyperedge id ['x'] must be a nonempty string without whitespace")):
+        write_chart(chart, format)
 
 
 def test_a_transform_and_its_documents_leave_no_cyclic_garbage():
@@ -1117,7 +1132,7 @@ _ID_PREFIXES = st.one_of(
     st.text(_XML_ID_CHARS, max_size=3),
     st.text(_XML_ID_CHARS + " \t\x1c\x85\xa0\u2028\u3000", max_size=3),
 )
-_REFUSED_IDS = st.sampled_from(["", " ", "\u3000", 0, 7, None])
+_REFUSED_IDS = st.sampled_from(["", " ", "\u3000", 0, 7, None, ["x"]])
 
 
 @st.composite
@@ -1211,35 +1226,41 @@ def test_valid_ids_cost_no_check_of_their_own(monkeypatch):
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_net_documents_work_scales_linearly_on_every_family(name):
-    """`parse_net` of the XML and the JSON net document at 8 times the
-    size executes at most 8.4 times the lines of netchart's code, the
-    gate `test_reduce_work_scales_linearly_on_every_family` puts on
-    `reduce`.  Work inside C calls is not counted (see `line_events`):
+    """`write_net` and `parse_net` of the XML and the JSON net document at
+    8 times the size execute at most 8.4 times the lines of netchart's
+    code, the gate `test_reduce_work_scales_linearly_on_every_family` puts
+    on `reduce`.  Work inside C calls is not counted (see `line_events`):
     tokenizing by ElementTree or `json` counts as the one line that calls
     it, and the collector's passes, which run in C too, count nothing."""
-    counts: dict[str, list[int]] = {"xml": [], "json": []}
+    counts: dict[str, list[int]] = {}
     for k in (1000, 8000):
         net = FAMILIES[name](k)
         for format in ("xml", "json"):
-            counts[format].append(line_events(parse_net, write_net(net, format))[1])
-    for format, (small, large) in counts.items():
-        assert large <= 8.4 * small, (format, small, large)
+            data, count = line_events(write_net, net, format)
+            counts.setdefault(f"write {format}", []).append(count)
+            counts.setdefault(f"parse {format}", []).append(line_events(parse_net, data)[1])
+    for layer, (small, large) in counts.items():
+        assert large <= 8.4 * small, (layer, small, large)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_chart_documents_work_scales_linearly_on_every_family(name):
-    """`write_chart` in both formats, and `parse_chart` of the JSON chart,
-    at 8 times the size execute at most 8.4 times the lines of netchart's
-    code, the gate `test_reduce_work_scales_linearly_on_every_family`
-    puts on `reduce`.  Work inside C calls is not counted (see
-    `line_events`): the `join` and `split` that test a document's ids
-    together count as one line each, whatever the document's size."""
-    counts: dict[str, list[int]] = {"xml": [], "json": [], "parse json": []}
+    """`validate_chart`, `write_chart` and `parse_chart` in both formats,
+    and `write_trace`, at 8 times the size execute at most 8.4 times the
+    lines of netchart's code, the gate
+    `test_reduce_work_scales_linearly_on_every_family` puts on `reduce`.
+    Work inside C calls is not counted (see `line_events`): the `join` and
+    `split` that test a document's ids together count as one line each,
+    whatever the document's size, and so do ElementTree's tokenizing and
+    the `sorted` that orders a trace."""
+    counts: dict[str, list[int]] = {}
     for k in (1000, 8000):
-        chart = transform(FAMILIES[name](k)).chart
+        chart, _, trace = transform(FAMILIES[name](k))
+        counts.setdefault("validate", []).append(line_events(validate_chart, chart)[1])
         for format in ("xml", "json"):
             data, count = line_events(write_chart, chart, format)
-            counts[format].append(count)
-        counts["parse json"].append(line_events(parse_chart, data)[1])
+            counts.setdefault(f"write {format}", []).append(count)
+            counts.setdefault(f"parse {format}", []).append(line_events(parse_chart, data)[1])
+        counts.setdefault("trace", []).append(line_events(write_trace, trace)[1])
     for layer, (small, large) in counts.items():
         assert large <= 8.4 * small, (layer, small, large)

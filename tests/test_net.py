@@ -139,6 +139,33 @@ def test_self_loops_are_warnings_not_violations():
     assert find_self_loops(diamond()) == []
 
 
+def test_check_net_reports_a_side_place_with_an_unhashable_id():
+    net = diamond()
+    net.places["q"].id = ["x"]
+    assert check_net(net) == [
+        "place 'q': stored under key 'q' but has id ['x']",
+        "transition 't1': preset place ['x'] is not a member of the net",
+    ]
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_write_net_refuses_a_place_with_an_unhashable_id(format):
+    net = diamond()
+    net.places["r"].id = ["x"]
+    with pytest.raises(ValidationError) as caught:
+        write_net(net, format)
+    assert caught.value.violations == check_net(net)
+
+
+def test_initialize_refuses_a_place_with_an_unhashable_id():
+    net = diamond()
+    net.places["a"].id = ["x"]
+    with pytest.raises(ValidationError) as caught:
+        initialize(net, Trace())
+    assert "transition 't2': preset place ['x'] is not a member of the net" in (
+        caught.value.violations)
+
+
 # ids for the builders: known ones, unknown ones, ids no document can
 # carry, and values that are no string at all
 _BUILD_IDS = st.sampled_from(["p0", "p1", "p2", "t0", "", " ", "a\tb", 5, None, b"p0"])

@@ -31,11 +31,16 @@ from netchart import (
     write_trace,
 )
 from families import (
+    APPENDED_ARCS_CHART,
+    APPENDED_ARCS_SEED,
+    APPENDED_ARCS_SEEDED_CHART_SHA256,
+    APPENDED_ARCS_TRACE_SHA256,
     FAMILIES,
     KEYED_ORDER_CHART,
     KEYED_ORDER_SEED,
     KEYED_ORDER_TRACE_SHA256,
     NON_CONFLUENT,
+    appended_arcs,
     keyed_order,
     two_way_choice,
 )
@@ -478,6 +483,22 @@ def test_seeded_reduction_keeps_the_keyed_adjacency_order():
     assert hashlib.sha256(write_trace(trace)).hexdigest() == KEYED_ORDER_TRACE_SHA256
 
 
+def test_fusion_into_a_keyed_slot_moves_the_fused_places_arcs():
+    # an OR fusion in which a place has keyed adjacency entries moves the
+    # other place's arcs with `_Graph._append`; dropping them blocks the
+    # AND rule and leaves six places instead of four
+    expected = oracle_reduce(*net_to_plain(appended_arcs()))
+    fifo = transform(appended_arcs())
+    seeded = transform(appended_arcs(), rng=random.Random(APPENDED_ARCS_SEED))
+    for chart, report, trace in (fifo, seeded):
+        assert chart_signature(chart) == expected.signature
+        assert (report.and_applications, report.remaining_places) == (1, 4)
+        assert hashlib.sha256(write_trace(trace)).hexdigest() == APPENDED_ARCS_TRACE_SHA256
+    assert write_chart(fifo.chart, "xml") == APPENDED_ARCS_CHART
+    seeded_chart = write_chart(seeded.chart, "xml")
+    assert hashlib.sha256(seeded_chart).hexdigest() == APPENDED_ARCS_SEEDED_CHART_SHA256
+
+
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_initialize_work_scales_linearly_on_every_family(name):
     """`initialize` at 8 times the size executes at most 8.4 times the
@@ -511,6 +532,14 @@ def test_transform_leaves_the_input_untouched():
     assert set(net.places) == {"q", "a", "b", "r"}
     assert set(net.transitions) == {"t1", "t2"}
     assert check_net(net) == []
+
+
+def test_transform_refuses_a_place_with_an_unhashable_id():
+    net = diamond()
+    net.places["b"].id = ["x"]
+    with pytest.raises(ValidationError) as info:
+        transform(net)
+    assert info.value.violations == check_net(net)
 
 
 def test_transform_diamond_end_to_end():
