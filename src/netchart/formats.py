@@ -7,9 +7,10 @@ fixed attribute order, so equal models produce identical bytes.
 The JSON writers emit their text directly, walking charts with an
 explicit stack, and produce the bytes of `json.dumps(doc, indent=2)`
 plus a newline, so any nesting depth writes.  Parsers are strict:
-unknown elements, attributes or keys are syntax errors; semantic
-problems (duplicate ids, dangling references, empty transition sides)
-raise model errors naming the offending id.  The XML chart reader only
+unknown elements, attributes or keys, and text inside or between XML
+elements, are syntax errors; semantic problems (duplicate ids,
+dangling references, empty transition sides) raise model errors
+naming the offending id.  The XML chart reader only
 translates its document into what `json.loads` gives for the same chart
 in JSON, and one builder makes the chart from either.  The chart builder
 and the writers check well-formedness in the walk they make anyway and
@@ -17,12 +18,17 @@ run `validate_chart` or `check_net` only to raise its list.
 
 Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; the readers refuse other ids and the
-writers refuse to print them.  The chart writers and the chart reader
-collect the ids they print or read and test them together, once per
-document; only a document that test refuses, or an XML chart with an id
-that needs escaping, is walked again with each id checked on its own,
-to name the first fault.  An id the check refuses outranks any other
-fault of the document, such as a character XML cannot carry.
+writers refuse to print them.  The readers and the chart writers
+collect the ids they read or print and test them together, once per
+document.  The readers build the model in one fast walk that stops at
+any fault; the XML net reader tests the whole tree at once for text and
+for nesting.  Only a document that walk or the id test refuses, or an
+XML chart with an id that needs escaping, is walked again with each
+element and id checked on its own, to name the first fault; the net
+readers then build through `add_place` and `add_transition`.  An id
+the check refuses outranks any other fault of a written document, such
+as a character XML cannot carry.  `write_net` checks each id as it
+prints it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .chart import AndState, Basic, HyperEdge, Node, OrState, StateChart
-from .chart import child_faults, edge_faults, validate_chart
+from .chart import _id_of, child_faults, edge_faults, validate_chart
 from .errors import (
     MembershipError,
     ModelError,
@@ -46,7 +52,8 @@ from .errors import (
     TreeError,
     ValidationError,
 )
-from .net import PetriNet, _collector_paused, _valid_ids, check_id, check_net, invalid_net
+from .net import PetriNet, Place, Transition, _collector_paused, _valid_ids
+from .net import check_id, check_net, invalid_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
@@ -211,10 +218,6 @@ def _json_records(records: list[str], pad: str) -> str:
 # -- Petri nets ------------------------------------------------------------
 
 
-_PLACE_KEYS = {"id"}
-_TRANSITION_KEYS = {"id", "src", "tgt"}
-
-
 @_collector_paused
 def parse_net(data: bytes | str) -> PetriNet:
     """Read a net document in the format `detect_format` finds."""
@@ -223,35 +226,128 @@ def parse_net(data: bytes | str) -> PetriNet:
     return _net_from_json(data)
 
 
+# the attributes of a transition element, or the values of a transition
+# entry of a JSON net, in order; the id of a place entry
+_TRANSITION_ENTRY = itemgetter("id", "src", "tgt")
+_PLACE_ENTRY = itemgetter("id")
+
+
 def _net_from_xml(data: bytes | str) -> PetriNet:
     root = _xml_root(data, "petrinet")
     (name,) = _attrs(root, ("name",))
-    _reject_text(root)
+    try:
+        net = _net_from_tree(root, name)
+    except Exception:  # any fault stops the fast walk; the strict one names it
+        net = None
+    return _net_from_tree_strictly(root, name) if net is None else net
+
+
+def _net_from_tree(root: ET.Element, name: str) -> PetriNet | None:
+    """The net the `<petrinet>` element *root* describes, or None at a fault.
+
+    One walk builds each place and transition straight into the net; a
+    transition resolves its sides against the places read before it.
+    Two tests over the whole tree stand in for the checks each element
+    would get: no text but whitespace anywhere, and no element below a
+    child.  Every id read is tested at the end, in one `_valid_ids` call,
+    and one count finds a repeated id."""
+    if "".join(root.itertext()).strip() or len(list(root.iter())) != len(root) + 1:
+        return None
     net = PetriNet(name)
-    add_place, add_transition = net.add_place, net.add_transition
-    # an element's attributes are read directly once their names fit;
-    # `_attrs` runs only to raise its message
+    places, transitions = net.places, net.transitions
+    get = places.get
+    ids: list[str] = []
     for elem in root:
         tag, attrib = elem.tag, elem.attrib
-        if tag == "place":
-            if attrib.keys() != _PLACE_KEYS:
-                _attrs(elem, ("id",))
-            if len(elem):
-                raise ParseError("element <place> cannot contain child elements")
-            add_place(attrib["id"])
-        elif tag == "transition":
-            if attrib.keys() != _TRANSITION_KEYS:
-                _attrs(elem, ("id", "src", "tgt"))
-            if len(elem):
-                raise ParseError("element <transition> cannot contain child elements")
-            add_transition(attrib["id"], attrib["src"].split(), attrib["tgt"].split())
+        if tag == "place" and len(attrib) == 1:
+            pid = attrib["id"]
+            places[pid] = Place(pid)
+            ids.append(pid)
+        elif tag == "transition" and len(attrib) == 3:
+            tid, src, tgt = _TRANSITION_ENTRY(attrib)
+            pre, post = list(map(get, src.split())), list(map(get, tgt.split()))
+            if not (pre and post) or None in pre or None in post:
+                return None
+            transitions[tid] = Transition(tid, dict.fromkeys(pre), dict.fromkeys(post))
+            ids.append(tid)
         else:
-            raise ParseError(f"unexpected element <{tag}> inside <petrinet>")
+            return None
+    if len(places) + len(transitions) != len(ids) or not _valid_ids(ids):
+        return None
     return net
+
+
+def _net_from_tree_strictly(root: ET.Element, name: str) -> PetriNet:
+    """The net *root* describes, read element by element through
+    `add_place` and `add_transition`; raises the document's first fault."""
+    _reject_text(root)
+    net = PetriNet(name)
+    for elem in root:
+        if elem.tag == "place":
+            (pid,) = _attrs(elem, ("id",))
+            _reject_inner(elem)
+            net.add_place(pid)
+        elif elem.tag == "transition":
+            tid, src, tgt = _attrs(elem, ("id", "src", "tgt"))
+            _reject_inner(elem)
+            net.add_transition(tid, src.split(), tgt.split())
+        else:
+            raise ParseError(f"unexpected element <{elem.tag}> inside <petrinet>")
+    return net
+
+
+def _reject_inner(elem: ET.Element) -> None:
+    """Refuse a child element or text inside *elem*, an element that is
+    a leaf of its document."""
+    if len(elem):
+        raise ParseError(f"element <{elem.tag}> cannot contain child elements")
+    _reject_text(elem)
 
 
 def _net_from_json(data: bytes | str) -> PetriNet:
     obj = _json_document(data)
+    try:
+        net = _net_from_object(obj)
+    except Exception:  # any fault stops the fast walk; the strict one names it
+        net = None
+    return _net_from_object_strictly(obj) if net is None else net
+
+
+def _net_from_object(obj) -> PetriNet | None:
+    """The net a parsed JSON net document describes, or None at a fault;
+    builds it in one walk and tests its ids once, as `_net_from_tree` does."""
+    name, place_entries, transition_entries = _json_object(
+        obj, "net document", ("name", "places", "transitions")
+    )
+    if (type(name) is not str or type(place_entries) is not list
+            or type(transition_entries) is not list):
+        return None
+    net = PetriNet(name)
+    places, transitions = net.places, net.transitions
+    get = places.get
+    # each entry is an object with an id, and with nothing else when the
+    # lengths of all entries add up to their count
+    ids = list(map(_PLACE_ENTRY, place_entries))
+    if sum(map(len, place_entries)) != len(ids):
+        return None
+    places.update(zip(ids, map(Place, ids)))
+    for entry in transition_entries:
+        tid, src, tgt = _TRANSITION_ENTRY(entry)
+        if len(entry) != 3 or type(src) is not list or type(tgt) is not list:
+            return None
+        pre, post = list(map(get, src)), list(map(get, tgt))
+        if not (pre and post) or None in pre or None in post:
+            return None
+        transitions[tid] = Transition(tid, dict.fromkeys(pre), dict.fromkeys(post))
+        ids.append(tid)
+    if len(places) + len(transitions) != len(ids) or not _valid_ids(ids):
+        return None
+    return net
+
+
+def _net_from_object_strictly(obj) -> PetriNet:
+    """The net a parsed JSON net document describes, read entry by entry
+    through `add_place` and `add_transition`; raises its first fault."""
     name, places, transitions = _json_object(
         obj, "net document", ("name", "places", "transitions")
     )
@@ -315,8 +411,8 @@ def _net_to_xml(net: PetriNet) -> bytes | None:
     for tid, t in net.transitions.items():
         if not _sound_transition(tid, t, members):
             return None
-        src = " ".join(p.id for p in t.preset)
-        tgt = " ".join(p.id for p in t.postset)
+        src = " ".join(map(_id_of, t.preset))
+        tgt = " ".join(map(_id_of, t.postset))
         lines.append(
             f"  <transition id={_xml_id('transition', t.id)} src={_xml_attr(src)}"
             f" tgt={_xml_attr(tgt)}/>"
@@ -339,8 +435,8 @@ def _net_to_json(net: PetriNet) -> bytes | None:
             return None
         transitions.append(
             f'    {{\n      "id": {_quote(check_id("transition", t.id))},\n'
-            f'      "src": {_json_strings((p.id for p in t.preset), "      ")},\n'
-            f'      "tgt": {_json_strings((p.id for p in t.postset), "      ")}\n    }}'
+            f'      "src": {_json_strings(map(_id_of, t.preset), "      ")},\n'
+            f'      "tgt": {_json_strings(map(_id_of, t.postset), "      ")}\n    }}'
         )
     return (
         f'{{\n  "name": {_quote(net.name)},\n'
@@ -661,8 +757,8 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
             return _chart_to_xml(chart, top, strict=True)
     del ids, basics  # not held while the document is joined
     for edge in edges:
-        src = " ".join(b.id for b in edge.sources)
-        tgt = " ".join(b.id for b in edge.targets)
+        src = " ".join(map(_id_of, edge.sources))
+        tgt = " ".join(map(_id_of, edge.targets))
         if strict:
             lines.append(
                 f"  <hyperedge id={_xml_id('hyperedge', edge.id)}"
@@ -736,8 +832,8 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
     records = [
         f'    {{\n      "id": {_quote(edge.id)},\n'
         f'      "transition": {_quote(edge.origin_transition)},\n'
-        f'      "src": {_json_strings((b.id for b in edge.sources), "      ")},\n'
-        f'      "tgt": {_json_strings((b.id for b in edge.targets), "      ")}\n'
+        f'      "src": {_json_strings(map(_id_of, edge.sources), "      ")},\n'
+        f'      "tgt": {_json_strings(map(_id_of, edge.targets), "      ")}\n'
         "    }"
         for edge in edges
     ]

@@ -12,14 +12,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
 from typing import NamedTuple
 
-from .chart import AndState, Basic, HyperEdge, OrState, StateChart
+from .chart import AndState, Basic, HyperEdge, OrState, StateChart, _id_of
 from .errors import PreconditionError, TraceError
 from .net import PetriNet, _collector_paused, check_net, invalid_net
-
-_id_of = attrgetter("id")
 
 
 class TraceEntry(NamedTuple):

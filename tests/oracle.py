@@ -26,7 +26,8 @@ messages and violations that `write_chart` must give.
 `reference_add_place`, `reference_add_transition`,
 `reference_net_from_xml` and `reference_net_from_json` build nets the
 straightforward way: `check_id` on every id, one lookup per side entry,
-`_attrs` on every element.  They fix the nets, exceptions and messages,
+`_attrs` on every element, and their own test for text inside a place
+or transition.  They fix the nets, exceptions and messages,
 in their precedence, that the package's builders and readers must give.
 
 What the references still share with the package: the model classes,
@@ -508,11 +509,15 @@ def reference_net_from_xml(data) -> PetriNet:
             (pid,) = _attrs(elem, ("id",))
             if len(elem):
                 raise ParseError("element <place> cannot contain child elements")
+            if elem.text and elem.text.strip():
+                raise ParseError("unexpected text inside <place>")
             reference_add_place(net, pid)
         elif elem.tag == "transition":
             tid, src, tgt = _attrs(elem, ("id", "src", "tgt"))
             if len(elem):
                 raise ParseError("element <transition> cannot contain child elements")
+            if elem.text and elem.text.strip():
+                raise ParseError("unexpected text inside <transition>")
             reference_add_transition(net, tid, src.split(), tgt.split())
         else:
             raise ParseError(f"unexpected element <{elem.tag}> inside <petrinet>")

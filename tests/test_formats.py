@@ -46,7 +46,7 @@ from netchart import (
 from netchart import formats
 from netchart import net as net_module
 from netchart.cli import main
-from netchart.formats import _NOT_XML_CHAR, _net_from_json, _net_from_xml, _xml_attr
+from netchart.formats import FORMATS, _NOT_XML_CHAR, _net_from_json, _net_from_xml, _xml_attr
 from netchart.net import _valid_ids, check_id
 from families import FAMILIES
 from oracle import (
@@ -194,6 +194,11 @@ def test_parse_net_rejects_foreign_structure():
         parse_net(b'<petrinet name="n"><place id="p"><x/></place></petrinet>')
     with pytest.raises(ParseError, match="^unexpected text after <place>$"):
         parse_net(b'<petrinet name="n"><place id="p"/>tail</petrinet>')
+    with pytest.raises(ParseError, match="^unexpected text inside <place>$"):
+        parse_net(b'<petrinet name="n"><place id="a">hello</place></petrinet>')
+    with pytest.raises(ParseError, match="^unexpected text inside <transition>$"):
+        parse_net(b'<petrinet name="n"><place id="p"/>'
+                  b'<transition id="t" src="p" tgt="p">hello</transition></petrinet>')
     with pytest.raises(
         ParseError, match="^element <transition> cannot contain child elements$"
     ):
@@ -1222,6 +1227,46 @@ def test_valid_ids_cost_no_check_of_their_own(monkeypatch):
     assert passes == [False, True]
     assert b'place="a&amp;b"' in data
     assert data == reference_write_chart(chart, "xml")
+
+
+def test_net_readers_test_ids_once_per_document(monkeypatch):
+    """Reading a valid net, in either format, builds it in one walk and
+    tests its ids together: neither `check_id` nor the builders
+    `add_place` and `add_transition` run, whatever the id alphabet."""
+    nets = [*round_trip_corpus(), fork_join_nest(30)]
+    odd = PetriNet("ids")
+    for pid in ("p_0", "p-1", "p.2", "3", "\xe9t\xe9", "\u5b57_x", "\u03a9.\u0416-9"):
+        odd.add_place(pid)
+    odd.add_transition("t_1", ["p_0"], ["p-1", "p.2"])
+    odd.add_transition("t-2.\xe9", ["p-1", "p.2"], ["3"])
+    odd.add_transition("\u5b57", ["3"], ["\xe9t\xe9", "\u5b57_x"])
+    documents = [(net, write_net(net, format)) for net in [*nets, odd] for format in FORMATS]
+    calls = []
+    for module, name in ((net_module, "check_id"), (formats, "check_id"),
+                         (PetriNet, "add_place"), (PetriNet, "add_transition")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: (
+            calls.append(name) or real(*args)))
+    for net, data in documents:
+        assert _net_outcome(parse_net, data) == _net_outcome(lambda _: net, data)
+    assert calls == []
+
+
+def test_xml_net_elements_may_interleave():
+    """A transition may follow a place it does not name; it resolves its
+    sides against the places read before it, as the reference does, so
+    naming a place read only later is an unknown place."""
+    data = (b'<petrinet name="n"><place id="a"/><place id="b"/>'
+            b'<transition id="t" src="a" tgt="b"/><place id="c"/>'
+            b'<transition id="u" src="b" tgt="c"/></petrinet>')
+    assert _net_outcome(parse_net, data) == _net_outcome(reference_net_from_xml, data)
+    net = parse_net(data)
+    assert list(net.places) == ["a", "b", "c"] and list(net.transitions) == ["t", "u"]
+    forward = (b'<petrinet name="n"><place id="a"/>'
+               b'<transition id="t" src="a" tgt="b"/><place id="b"/></petrinet>')
+    with pytest.raises(MembershipError, match="^unknown place 'b'$"):
+        parse_net(forward)
+    assert _net_outcome(parse_net, forward) == _net_outcome(reference_net_from_xml, forward)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
