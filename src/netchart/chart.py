@@ -13,14 +13,13 @@ reshapes a chart after it is built.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import attrgetter
 from typing import Iterator
 
 # the id of the node, or hyperedge, a chart hands out n-th
 _NODE_ID = "s{}".format
 _EDGE_ID = "h{}".format
-_id_of, _sources_of, _targets_of = attrgetter("id"), attrgetter("sources"), attrgetter("targets")
+_id_of = attrgetter("id")
 
 
 class Basic:
@@ -202,20 +201,7 @@ def child_faults(node: OrState | AndState, top: AndState, violations: list[str])
 
 def edge_faults(edges: list[HyperEdge], basics: set[Basic], violations: list[str]) -> None:
     """Append to *violations* what `validate_chart` reports about *edges*: a
-    repeated id, an empty side, an endpoint not in *basics*, the tree's basic states.
-
-    All edges are tested together first; only when that test refuses
-    are they walked one by one to report each fault."""
-    sides = [*map(_sources_of, edges), *map(_targets_of, edges)]
-    try:
-        if (
-            len(set(map(_id_of, edges))) == len(edges)
-            and all(sides)
-            and basics.issuperset(chain.from_iterable(sides))
-        ):
-            return
-    except TypeError:  # an id or an endpoint no hash takes: reported below
-        pass
+    repeated id, an empty side, an endpoint not in *basics*, the tree's basic states."""
     report = violations.append
     ids: set[str] = set()
     for edge in edges:
