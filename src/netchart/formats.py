@@ -13,22 +13,24 @@ dangling references, empty transition sides) raise model errors
 naming the offending id.  The XML chart reader only
 translates its document into what `json.loads` gives for the same chart
 in JSON, and one builder makes the chart from either.  The chart builder
-and the writers check well-formedness in the walk they make anyway and
-run `validate_chart` or `check_net` only to raise its list.
+and the chart writers check well-formedness in the walk they make anyway
+and run `validate_chart` only to raise its list; `write_net` runs
+`check_net` once, before it prints.
 
 Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; the readers refuse other ids and the
-writers refuse to print them.  The readers and the chart writers
-collect the ids they read or print and test them together, once per
-document.  The readers build the model in one fast walk that stops at
-any fault; the XML net reader tests the whole tree at once for text and
-for nesting.  Only a document that walk or the id test refuses, or an
-XML chart with an id that needs escaping, is walked again with each
-element and id checked on its own, to name the first fault; the net
-readers then build through `add_place` and `add_transition`.  An id
-the check refuses outranks any other fault of a written document, such
-as a character XML cannot carry.  `write_net` checks each id as it
-prints it.
+writers refuse to print them.  The readers and the writers collect the
+ids they read or print and test them together, once per document.  The
+readers build the model in one fast walk that stops at any fault; the
+XML net reader tests the whole tree at once for text and for nesting.
+Only a document that walk or the id test refuses is walked again, with
+each element and id checked on its own, to name the first fault; the
+net readers then build through `add_place` and `add_transition`.  A
+writer names the first id `check_id` refuses, in document order, only
+once the test has refused one, and the XML chart writer walks again
+only to escape an id that needs it.  A model violation outranks a
+refused id, which outranks any other fault of a written document, such
+as a character XML cannot carry.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .net import PetriNet, Place, Transition, _collector_paused, _valid_ids
-from .net import check_id, check_net, invalid_net
+from .net import check_id, check_net
 from .pipeline import TraceEntry
 
 FORMATS = ("xml", "json")
@@ -63,9 +65,6 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 # what `_xml_attr` cannot copy verbatim: what `_NOT_XML_CHAR` refuses, the
 # tab, line feed and carriage return a reader would turn into spaces, & < > "
 _XML_ATTR_SPECIAL = re.compile('[\x00-\x1f&<>"\ud800-\udfff\ufffe\uffff]')
-# an id `_xml_id` prints verbatim: nonempty, free of whitespace and of what
-# `_XML_ATTR_SPECIAL` finds
-_XML_PLAIN_ID = re.compile('[^\\s&<>"\x00-\x1f\ud800-\udfff\ufffe\uffff]+')
 
 
 def detect_format(data: bytes | str) -> str:
@@ -139,14 +138,6 @@ def _xml_attr(value: str) -> str:
     if "'" not in value:
         return "'" + value + "'"
     return '"' + value.replace('"', "&quot;") + '"'
-
-
-def _xml_id(kind: str, value: str) -> str:
-    """`value` quoted as `_xml_attr` quotes it, after `check_id` for a
-    value it cannot print verbatim."""
-    if _XML_PLAIN_ID.fullmatch(value):
-        return '"' + value + '"'
-    return _xml_attr(check_id(kind, value))
 
 
 def _reject_text(elem: ET.Element) -> None:
@@ -369,75 +360,46 @@ def _net_from_object_strictly(obj) -> PetriNet:
 
 @_collector_paused
 def write_net(net: PetriNet, format: str = "xml") -> bytes:
-    """Serialize a net; refuses nets with structural violations."""
+    """Serialize a net; refuses nets with structural violations, then ids
+    its reader refuses, then, in XML, a character XML cannot carry."""
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}, expected one of {FORMATS}")
-    try:
-        data = _net_to_xml(net) if format == "xml" else _net_to_json(net)
-    except (ModelError, TypeError):
-        # a structural violation outranks any id; then an id `check_id`
-        # refuses, or one that is no string (TypeError), outranks any other
-        # fault: raise the first such id in document order
-        if check_net(net):
-            raise invalid_net(net) from None
+    violations = check_net(net)
+    if violations:
+        raise ValidationError(f"net {net.name!r} is not well formed", violations)
+    # every key is now its element's id: test them together, and only on
+    # a refusal name the first in document order
+    if not _valid_ids([*net.places, *net.transitions]):
         for place in net.places.values():
             check_id("place", place.id)
         for transition in net.transitions.values():
             check_id("transition", transition.id)
-        raise
-    if data is None:
-        raise invalid_net(net)
-    return data
+    return _net_to_xml(net) if format == "xml" else _net_to_json(net)
 
 
-def _sound_transition(tid: str, transition, members: set) -> bool:
-    """Whether *transition*, stored under *tid*, passes `check_net`: its
-    id is its key and both sides are nonempty sets of *members*."""
-    src, tgt = transition.preset, transition.postset
-    if transition.id != tid or not src or not tgt:
-        return False
-    return members.issuperset(src) and members.issuperset(tgt)
-
-
-def _net_to_xml(net: PetriNet) -> bytes | None:
-    """The net as XML, or None at the first fault `check_net` reports."""
+def _net_to_xml(net: PetriNet) -> bytes:
+    """The net as XML, once `write_net` has checked it."""
     lines = [f"<petrinet name={_xml_attr(net.name)}>"]
-    members = set()
-    for pid, place in net.places.items():
-        if place.id != pid:
-            return None
-        members.add(place)
-        lines.append(f"  <place id={_xml_id('place', place.id)}/>")
+    lines += [f"  <place id={_xml_attr(pid)}/>" for pid in net.places]
     for tid, t in net.transitions.items():
-        if not _sound_transition(tid, t, members):
-            return None
         src = " ".join(map(_id_of, t.preset))
         tgt = " ".join(map(_id_of, t.postset))
         lines.append(
-            f"  <transition id={_xml_id('transition', t.id)} src={_xml_attr(src)}"
-            f" tgt={_xml_attr(tgt)}/>"
+            f"  <transition id={_xml_attr(tid)} src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
         )
     lines.append("</petrinet>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _net_to_json(net: PetriNet) -> bytes | None:
-    """The net as JSON, or None at the first fault `check_net` reports."""
-    places, members = [], set()
-    for pid, place in net.places.items():
-        if place.id != pid:
-            return None
-        members.add(place)
-        places.append(f'    {{\n      "id": {_quote(check_id("place", place.id))}\n    }}')
-    transitions = []
-    for tid, t in net.transitions.items():
-        if not _sound_transition(tid, t, members):
-            return None
-        transitions.append(
-            f'    {{\n      "id": {_quote(check_id("transition", t.id))},\n'
-            f'      "src": {_json_strings(map(_id_of, t.preset), "      ")},\n'
-            f'      "tgt": {_json_strings(map(_id_of, t.postset), "      ")}\n    }}'
-        )
+def _net_to_json(net: PetriNet) -> bytes:
+    """The net as JSON, once `write_net` has checked it."""
+    places = [f'    {{\n      "id": {_quote(pid)}\n    }}' for pid in net.places]
+    transitions = [
+        f'    {{\n      "id": {_quote(tid)},\n'
+        f'      "src": {_json_strings(map(_id_of, t.preset), "      ")},\n'
+        f'      "tgt": {_json_strings(map(_id_of, t.postset), "      ")}\n    }}'
+        for tid, t in net.transitions.items()
+    ]
     return (
         f'{{\n  "name": {_quote(net.name)},\n'
         f'  "places": {_json_records(places, "  ")},\n'
@@ -688,13 +650,19 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     return data
 
 
-def _printed_ids(ids: set[str], basics: set[Basic], edges: list[HyperEdge]) -> list[str]:
-    """The ids a chart writer prints, in no particular order: the node ids
-    *ids*, the places of *basics* and each edge's id and transition."""
+def _printed_ids(
+    chart: StateChart, ids: set[str], basics: set[Basic], edges: list[HyperEdge]
+) -> list[str]:
+    """The ids a writer of *chart* prints, in no particular order: the node
+    ids *ids*, the places of *basics* and each edge's id and transition.
+    Raises when `check_id` would refuse one; `write_chart` then names the
+    first such id."""
     printed = list(ids)
     printed += [basic.origin_place for basic in basics]
     for edge in edges:
         printed += edge.id, edge.origin_transition
+    if not _valid_ids(printed):
+        raise PreconditionError(f"chart {chart.name!r} holds an id no reader accepts")
     return printed
 
 
@@ -703,10 +671,9 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
     `validate_chart` reports.
 
     Ids are printed verbatim and tested together before the hyperedges
-    are printed.  When that test refuses one, or finds one that needs
-    escaping, the chart is written again with *strict* set, which quotes
-    each id with `_xml_id` and so escapes it or raises at the first id
-    it refuses."""
+    are printed, and an id the test refuses raises.  When one needs
+    escaping, the chart is written again with *strict* set, a walk that
+    only escapes: it quotes each id with `_xml_attr`."""
     lines = [f"<statechart name={_xml_attr(chart.name)}>"]
     ids: set[str] = set()
     basics: set[Basic] = set()
@@ -728,8 +695,8 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
             basics.add(node)
             if strict:
                 lines.append(
-                    f"{pad}<basic id={_xml_id('state', node.id)}"
-                    f" place={_xml_id('place', node.origin_place)}/>"
+                    f"{pad}<basic id={_xml_attr(node.id)}"
+                    f" place={_xml_attr(node.origin_place)}/>"
                 )
             else:
                 lines.append(f'{pad}<basic id="{node.id}" place="{node.origin_place}"/>')
@@ -740,7 +707,7 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
             return None
         tag = "and" if isinstance(node, AndState) else "or"
         if strict:
-            lines.append(f"{pad}<{tag} id={_xml_id('state', node.id)}>")
+            lines.append(f"{pad}<{tag} id={_xml_attr(node.id)}>")
         else:
             lines.append(f'{pad}<{tag} id="{node.id}">')
         stack.append((node, depth, True))
@@ -752,8 +719,8 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
         return None
     if not strict:
         # the sides list basic states of the tree, so their ids are tested too
-        printed = _printed_ids(ids, basics, edges)
-        if not _valid_ids(printed) or _XML_ATTR_SPECIAL.search(" ".join(printed)):
+        printed = _printed_ids(chart, ids, basics, edges)
+        if _XML_ATTR_SPECIAL.search(" ".join(printed)):
             return _chart_to_xml(chart, top, strict=True)
     del ids, basics  # not held while the document is joined
     for edge in edges:
@@ -761,8 +728,8 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
         tgt = " ".join(map(_id_of, edge.targets))
         if strict:
             lines.append(
-                f"  <hyperedge id={_xml_id('hyperedge', edge.id)}"
-                f" transition={_xml_id('transition', edge.origin_transition)}"
+                f"  <hyperedge id={_xml_attr(edge.id)}"
+                f" transition={_xml_attr(edge.origin_transition)}"
                 f" src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
             )
         else:
@@ -825,9 +792,7 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
     edge_faults(edges, basics, violations)
     if violations:
         return None
-    if not _valid_ids(_printed_ids(ids, basics, edges)):
-        # `write_chart` names the first id `check_id` refuses
-        raise PreconditionError(f"chart {chart.name!r} holds an id no reader accepts")
+    _printed_ids(chart, ids, basics, edges)
     del ids, basics  # not held while the document is copied out
     records = [
         f'    {{\n      "id": {_quote(edge.id)},\n'

@@ -191,8 +191,8 @@ def check_net(net: PetriNet) -> list[str]:
     Checks id-key consistency, nonempty transition sides and that every
     place on a transition's side is a member of the net.  Self-loops are
     legal and reported separately by `find_self_loops`.  `initialize`
-    and `write_net` check the same invariants inline and call it only to
-    raise its list.
+    checks the same invariants inline and calls it only to raise its
+    list; `write_net` calls it once, before it prints.
     """
     violations = []
     for pid, place in net.places.items():
@@ -221,8 +221,8 @@ def check_net(net: PetriNet) -> list[str]:
 def invalid_net(net: PetriNet) -> ValidationError:
     """The error that refuses *net*, carrying `check_net`'s list.
 
-    `initialize` and `write_net` flag a broken net inline, in the walk
-    they already make, and build this error only to raise it, in the
+    `initialize` flags a broken net inline, in the walk it already
+    makes, and builds this error only to raise it, in the
     `raise` statement: a local holding it would form a cycle with the
     frame its traceback keeps, which only the collector frees."""
     return ValidationError(f"net {net.name!r} is not well formed", check_net(net))

@@ -1067,23 +1067,30 @@ def test_chart_reader_refuses_what_the_reference_refuses(net, breaks):
 
 
 def test_full_checks_run_only_on_invalid_input(monkeypatch):
-    """Each boundary checks in the walk it already makes: on valid nets and
-    charts, read, transformed, written and read back in both formats,
-    neither `check_net` nor `validate_chart` runs; on invalid ones each
-    runs once per refusal, to raise its list."""
+    """Each boundary checks a model once: on valid nets and charts, read,
+    transformed, written and read back in both formats, reading,
+    `transform`, `write_chart` and `parse_chart` run neither `check_net`
+    nor `validate_chart`, and `write_net` runs `check_net` exactly once
+    per call, before it prints; on invalid ones each full check runs once
+    per refusal, to raise its list.  Every module's binding of the two
+    checks is counted, as modules import them by name."""
     calls = []
-    check_net, validate_chart = net_module.check_net, formats.validate_chart
-    monkeypatch.setattr(net_module, "check_net",
-                        lambda net: calls.append("check_net") or check_net(net))
-    monkeypatch.setattr(formats, "validate_chart",
-                        lambda chart: calls.append("validate_chart") or validate_chart(chart))
+    for name in ("check_net", "validate_chart"):
+        real = getattr(net_module if name == "check_net" else formats, name)
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "netchart" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, lambda model, real=real, name=name: (
+                    calls.append(name) or real(model)))
     for net in [*round_trip_corpus(), fork_join_nest(30)]:
-        for in_format in ("xml", "json"):
-            chart, _, trace = transform(parse_net(write_net(net, in_format)))
+        for in_format in FORMATS:
+            data = write_net(net, in_format)
+            assert calls == ["check_net"]
+            calls.clear()
+            chart, _, trace = transform(parse_net(data))
             write_trace(trace)
-            for out_format in ("xml", "json"):
+            for out_format in FORMATS:
                 parse_chart(write_chart(chart, out_format))
-    assert calls == []
+            assert calls == []
 
     broken = diamond()
     broken.transitions["t1"].preset.clear()
@@ -1189,14 +1196,12 @@ def test_writers_match_the_reference_on_any_ids(chart):
 def test_valid_ids_cost_no_check_of_their_own(monkeypatch):
     """The valid path costs the same whatever the id alphabet: writing and
     reading back a chart whose ids use punctuation, digits and non-ASCII
-    letters calls neither `check_id` nor `_xml_id`.  An id that XML
-    escapes sends the XML writer through one strict walk, which writes
-    the reference's bytes."""
+    letters never calls `check_id`.  An id that XML escapes sends the XML
+    writer through one strict walk, which only escapes and writes the
+    reference's bytes."""
     calls, passes = [], []
-    for name in ("check_id", "_xml_id"):
-        real = getattr(formats, name)
-        monkeypatch.setattr(formats, name, lambda *args, real=real, name=name: (
-            calls.append(name) or real(*args)))
+    real = formats.check_id
+    monkeypatch.setattr(formats, "check_id", lambda *args: calls.append(args) or real(*args))
     to_xml = formats._chart_to_xml
     monkeypatch.setattr(formats, "_chart_to_xml", lambda chart, top, strict=False: (
         passes.append(strict) or to_xml(chart, top, strict)))
@@ -1224,15 +1229,15 @@ def test_valid_ids_cost_no_check_of_their_own(monkeypatch):
     net.add_transition("t", ["q"], ["a&b"])
     chart = transform(net).chart
     data = write_chart(chart, "xml")
-    assert passes == [False, True]
+    assert calls == [] and passes == [False, True]
     assert b'place="a&amp;b"' in data
     assert data == reference_write_chart(chart, "xml")
 
 
 def test_net_readers_test_ids_once_per_document(monkeypatch):
-    """Reading a valid net, in either format, builds it in one walk and
-    tests its ids together: neither `check_id` nor the builders
-    `add_place` and `add_transition` run, whatever the id alphabet."""
+    """Writing a valid net and reading it back, in either format, tests
+    its ids together: `check_id` never runs, and neither do the builders
+    `add_place` and `add_transition`, whatever the id alphabet."""
     nets = [*round_trip_corpus(), fork_join_nest(30)]
     odd = PetriNet("ids")
     for pid in ("p_0", "p-1", "p.2", "3", "\xe9t\xe9", "\u5b57_x", "\u03a9.\u0416-9"):
@@ -1240,15 +1245,16 @@ def test_net_readers_test_ids_once_per_document(monkeypatch):
     odd.add_transition("t_1", ["p_0"], ["p-1", "p.2"])
     odd.add_transition("t-2.\xe9", ["p-1", "p.2"], ["3"])
     odd.add_transition("\u5b57", ["3"], ["\xe9t\xe9", "\u5b57_x"])
-    documents = [(net, write_net(net, format)) for net in [*nets, odd] for format in FORMATS]
     calls = []
     for module, name in ((net_module, "check_id"), (formats, "check_id"),
                          (PetriNet, "add_place"), (PetriNet, "add_transition")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: (
             calls.append(name) or real(*args)))
-    for net, data in documents:
-        assert _net_outcome(parse_net, data) == _net_outcome(lambda _: net, data)
+    for net in [*nets, odd]:
+        for format in FORMATS:
+            data = write_net(net, format)
+            assert _net_outcome(parse_net, data) == _net_outcome(lambda _: net, data)
     assert calls == []
 
 

@@ -17,7 +17,7 @@ SHARED = {
     "ValidationError", "check_id", "detect_format", "FORMATS",
     "_attrs", "_chart_document_from_xml", "_json_document", "_json_object", "_json_records",
     "_json_strings", "_reject_text", "_resolve_endpoints", "_string", "_string_list",
-    "_xml_attr", "_xml_id", "_xml_root",
+    "_xml_attr", "_xml_root",
 }
 # the rules the references restate, which they must not import
 RESTATED = {"validate_chart", "check_net", "child_faults", "edge_faults", "_invalid_chart"}
