@@ -18,10 +18,10 @@ over the result.
 
 `reference_write_chart` is the chart writers as they were before they
 tested ids once per document: each id is checked, and for XML quoted
-with its own `_xml_id`, as it is printed, and its own yes-or-no checks of child
-lists and hyperedges stop the walk.  Its `ValidationError` carries
-`reference_validate_chart`'s list.  It fixes the bytes, exceptions,
-messages and violations that `write_chart` must give.
+with its own `_xml_id`, as it is printed, and its own yes-or-no checks
+of child lists and hyperedges stop the walk.  Its `ValidationError`
+carries `reference_validate_chart`'s list.  It fixes the bytes,
+exceptions, messages and violations that `write_chart` must give.
 
 `reference_add_place`, `reference_add_transition`,
 `reference_net_from_xml` and `reference_net_from_json` build nets the
