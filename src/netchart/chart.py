@@ -16,9 +16,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator
 
-# the id of the node, or hyperedge, a chart hands out n-th
-_NODE_ID = "s{}".format
-_EDGE_ID = "h{}".format
 _id_of = attrgetter("id")
 
 
@@ -96,17 +93,17 @@ class StateChart:
         self._next_node = 0
         self._next_edge = 0
 
-    def node_ids(self, count: int) -> Iterator[str]:
+    def node_ids(self, count: int) -> list[str]:
         """The ids of the next *count* nodes, in creation order."""
         first = self._next_node
         self._next_node += count
-        return map(_NODE_ID, range(first, first + count))
+        return [f"s{n}" for n in range(first, first + count)]
 
-    def edge_ids(self, count: int) -> Iterator[str]:
+    def edge_ids(self, count: int) -> list[str]:
         """The ids of the next *count* hyperedges, in creation order."""
         first = self._next_edge
         self._next_edge += count
-        return map(_EDGE_ID, range(first, first + count))
+        return [f"h{n}" for n in range(first, first + count)]
 
     # -- traversal ---------------------------------------------------------
 

@@ -22,7 +22,8 @@ carry space-separated id lists; the readers refuse other ids and the
 writers refuse to print them.  The readers and the writers collect the
 ids they read or print and test them together, once per document.  The
 readers build the model in one fast walk that stops at any fault; the
-XML net reader tests the whole tree at once for text and for nesting.
+XML readers test the whole tree at once for text, and the net reader
+for nesting too.
 Only a document that walk or the id test refuses is walked again, with
 each element and id checked on its own, to name the first fault; the
 net readers then build through `add_place` and `add_transition`.  A
@@ -240,30 +241,30 @@ def _net_from_tree(root: ET.Element, name: str) -> PetriNet | None:
     transition resolves its sides against the places read before it.
     Two tests over the whole tree stand in for the checks each element
     would get: no text but whitespace anywhere, and no element below a
-    child.  Every id read is tested at the end, in one `_valid_ids` call,
-    and one count finds a repeated id."""
+    child.  Each side goes straight into its dict, where an unknown
+    place shows as the key None.  A repeated id leaves fewer places and
+    transitions than elements, and the ids are tested at the end, in one
+    `_valid_ids` call."""
     if "".join(root.itertext()).strip() or len(list(root.iter())) != len(root) + 1:
         return None
     net = PetriNet(name)
     places, transitions = net.places, net.transitions
     get = places.get
-    ids: list[str] = []
     for elem in root:
         tag, attrib = elem.tag, elem.attrib
         if tag == "place" and len(attrib) == 1:
             pid = attrib["id"]
             places[pid] = Place(pid)
-            ids.append(pid)
         elif tag == "transition" and len(attrib) == 3:
             tid, src, tgt = _TRANSITION_ENTRY(attrib)
-            pre, post = list(map(get, src.split())), list(map(get, tgt.split()))
+            pre = dict.fromkeys(map(get, src.split()))
+            post = dict.fromkeys(map(get, tgt.split()))
             if not (pre and post) or None in pre or None in post:
                 return None
-            transitions[tid] = Transition(tid, dict.fromkeys(pre), dict.fromkeys(post))
-            ids.append(tid)
+            transitions[tid] = Transition(tid, pre, post)
         else:
             return None
-    if len(places) + len(transitions) != len(ids) or not _valid_ids(ids):
+    if len(places) + len(transitions) != len(root) or not _valid_ids([*places, *transitions]):
         return None
     return net
 
@@ -318,20 +319,20 @@ def _net_from_object(obj) -> PetriNet | None:
     get = places.get
     # each entry is an object with an id, and with nothing else when the
     # lengths of all entries add up to their count
-    ids = list(map(_PLACE_ENTRY, place_entries))
-    if sum(map(len, place_entries)) != len(ids):
+    pids = list(map(_PLACE_ENTRY, place_entries))
+    if sum(map(len, place_entries)) != len(pids):
         return None
-    places.update(zip(ids, map(Place, ids)))
+    places.update(zip(pids, map(Place, pids)))
     for entry in transition_entries:
         tid, src, tgt = _TRANSITION_ENTRY(entry)
         if len(entry) != 3 or type(src) is not list or type(tgt) is not list:
             return None
-        pre, post = list(map(get, src)), list(map(get, tgt))
+        pre, post = dict.fromkeys(map(get, src)), dict.fromkeys(map(get, tgt))
         if not (pre and post) or None in pre or None in post:
             return None
-        transitions[tid] = Transition(tid, dict.fromkeys(pre), dict.fromkeys(post))
-        ids.append(tid)
-    if len(places) + len(transitions) != len(ids) or not _valid_ids(ids):
+        transitions[tid] = Transition(tid, pre, post)
+    if (len(places) + len(transitions) != len(pids) + len(transition_entries)
+            or not _valid_ids([*places, *transitions])):
         return None
     return net
 
@@ -436,10 +437,16 @@ def _invalid_chart(chart: StateChart) -> ValidationError:
 
 def _chart_document_from_xml(data: bytes | str) -> dict:
     """The object `json.loads` gives for the same chart written as JSON;
-    checks the XML syntax only and leaves the model to the builder."""
+    checks the XML syntax only and leaves the model to the builder.
+
+    One test over the whole tree finds any text but whitespace; only
+    when it does is each element tested on its own, in the walk, so
+    that the first fault in document order is the one named."""
     root = _xml_root(data, "statechart")
     (name,) = _attrs(root, ("name",))
-    _reject_text(root)
+    texts = bool("".join(root.itertext()).strip())
+    if texts:
+        _reject_text(root)
     children = list(root)
     if not children or children[0].tag not in ("and", "or", "basic"):
         raise ParseError("<statechart> must start with its topstate element")
@@ -454,7 +461,8 @@ def _chart_document_from_xml(data: bytes | str) -> dict:
     stack: list[tuple[ET.Element, list[dict]]] = [(children[0], top)]
     while stack:
         elem, siblings = stack.pop()
-        _reject_text(elem)
+        if texts:
+            _reject_text(elem)
         if elem.tag == "basic":
             node_id, place = _attrs(elem, ("id", "place"))
             if len(elem):
@@ -473,7 +481,8 @@ def _chart_document_from_xml(data: bytes | str) -> dict:
         edge_id, transition, src, tgt = _attrs(elem, ("id", "transition", "src", "tgt"))
         if len(elem):
             raise ParseError("element <hyperedge> cannot contain child elements")
-        _reject_text(elem)
+        if texts:
+            _reject_text(elem)
         hyperedges.append(
             {"id": edge_id, "transition": transition, "src": src.split(), "tgt": tgt.split()}
         )

@@ -97,7 +97,7 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     chart = StateChart(name)
     # the ids come in one block: the topstate's, then an OR's and its
     # basic's for each place
-    ids = list(chart.node_ids(1 + 2 * len(places)))
+    ids = chart.node_ids(1 + 2 * len(places))
     top = AndState(ids[0])
     or_ids, basic_ids = ids[1::2], ids[2::2]
     ors = list(map(OrState, or_ids))
@@ -107,7 +107,7 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     top.children = dict.fromkeys(ors)
     chart.topstate = top
 
-    edge_ids = list(chart.edge_ids(len(transitions)))
+    edge_ids = chart.edge_ids(len(transitions))
     edges = chart.hyperedges
     edges.extend(map(HyperEdge, edge_ids, transitions))
     # what `check_net` checks is flagged here, and `check_net` runs only
@@ -316,15 +316,19 @@ class _Graph:
         group = src if len(src) >= 2 else tgt if len(tgt) >= 2 else None
         if group is None:
             return None
-        group = sorted(group, key=self.rank.__getitem__)
+        # the adjacency sets are compared against any one member, and the
+        # group is put in rank order only once it qualifies
         pre, post = self.pre, self.post
-        first = group[0]
-        pre_keys, post_keys = pre[first].keys(), post[first].keys()
-        for member in group[1:]:
+        others = iter(group)
+        some = next(others)
+        pre_keys, post_keys = pre[some].keys(), post[some].keys()
+        for member in others:
             if pre[member].keys() != pre_keys or post[member].keys() != post_keys:
                 return None
         if not pre_keys.isdisjoint(post_keys):
             return None
+        group = sorted(group, key=self.rank.__getitem__)
+        first = group[0]
 
         fresh, members = len(pre), set(group)
         for u in pre_keys:

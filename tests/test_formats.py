@@ -464,6 +464,16 @@ def test_parse_chart_rejects_foreign_structure():
     ):
         with pytest.raises(ParseError, match=f"^unexpected text {where}$"):
             parse_chart(doc)
+    # text anywhere in the document does not outrank an earlier fault
+    with pytest.raises(ParseError, match=r"^element <or>: bad attributes"):
+        parse_chart(b'<statechart name="c"><and id="s0"><or ID="s1"><basic id="s2" place="p"/>'
+                    b'</or><or id="s3">x<basic id="s4" place="q"/></or></and></statechart>')
+    with pytest.raises(
+        ParseError, match="^element <hyperedge> cannot contain child elements$"
+    ):
+        parse_chart(head + b'<hyperedge id="h0" transition="t" src="s2" tgt="s2"><x/>'
+                    b'</hyperedge><hyperedge id="h1" transition="t" src="s2" tgt="s2">'
+                    b'x</hyperedge></statechart>')
     with pytest.raises(
         ParseError, match="^element <hyperedge> cannot contain child elements$"
     ):
@@ -851,9 +861,10 @@ def _net_elements(draw):
     first, with up to two faults: an attribute lost, added or renamed, a
     child element, text inside or after the element, a foreign tag, an id
     that is empty, holds whitespace, is made of it or repeats, an unknown
-    place, an empty side."""
+    place, an empty side.  A side may name a place more than once, which
+    reads as one arc."""
     pids = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
-    side = st.lists(st.sampled_from(pids), min_size=1, max_size=3, unique=True).map(" ".join)
+    side = st.lists(st.sampled_from(pids), min_size=1, max_size=4).map(" ".join)
     records = [["place", {"id": pid}, False, None] for pid in pids]
     records += [
         ["transition", {"id": f"t{j}", "src": draw(side), "tgt": draw(side)}, False, None]
