@@ -316,8 +316,8 @@ class _Graph:
         group = src if len(src) >= 2 else tgt if len(tgt) >= 2 else None
         if group is None:
             return None
-        # the adjacency sets are compared against any one member, and the
-        # group is put in rank order only once it qualifies
+        # most groups fail this test, so they are compared against any one
+        # member and put in rank order only once they qualify
         pre, post = self.pre, self.post
         others = iter(group)
         some = next(others)
