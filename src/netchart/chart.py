@@ -213,8 +213,10 @@ def edge_faults(edges: list[HyperEdge], basics: set[Basic], violations: list[str
             report(f"hyperedge {edge.id!r}: no sources")
         if not targets:
             report(f"hyperedge {edge.id!r}: no targets")
-        try:
-            if basics.issuperset(sources) and basics.issuperset(targets):
+        try:  # a one-endpoint side is one membership test
+            if ((sources[0] in basics if len(sources) == 1 else basics.issuperset(sources))
+                    and (targets[0] in basics if len(targets) == 1
+                         else basics.issuperset(targets))):
                 continue
         except TypeError:  # an unhashable endpoint: report it below
             pass

@@ -241,10 +241,13 @@ def _net_from_tree(root: ET.Element, name: str) -> PetriNet | None:
     transition resolves its sides against the places read before it.
     Two tests over the whole tree stand in for the checks each element
     would get: no text but whitespace anywhere, and no element below a
-    child.  Each side goes straight into its dict, where an unknown
-    place shows as the key None.  A repeated id leaves fewer places and
-    transitions than elements, and the ids are tested at the end, in one
-    `_valid_ids` call."""
+    child.  A side that is a place key is that one place, found in one
+    lookup; only a side the lookup misses is split, and goes straight
+    into its dict, where an unknown place shows as the key None.  A key
+    holding whitespace could match a side that names several places,
+    but the ids are tested at the end, in one `_valid_ids` call, which
+    refuses such a key and so sends the document to the strict walk.  A
+    repeated id leaves fewer places and transitions than elements."""
     if "".join(root.itertext()).strip() or len(list(root.iter())) != len(root) + 1:
         return None
     net = PetriNet(name)
@@ -257,8 +260,10 @@ def _net_from_tree(root: ET.Element, name: str) -> PetriNet | None:
             places[pid] = Place(pid)
         elif tag == "transition" and len(attrib) == 3:
             tid, src, tgt = _TRANSITION_ENTRY(attrib)
-            pre = dict.fromkeys(map(get, src.split()))
-            post = dict.fromkeys(map(get, tgt.split()))
+            place = get(src)
+            pre = {place: None} if place is not None else dict.fromkeys(map(get, src.split()))
+            place = get(tgt)
+            post = {place: None} if place is not None else dict.fromkeys(map(get, tgt.split()))
             if not (pre and post) or None in pre or None in post:
                 return None
             transitions[tid] = Transition(tid, pre, post)
@@ -327,7 +332,9 @@ def _net_from_object(obj) -> PetriNet | None:
         tid, src, tgt = _TRANSITION_ENTRY(entry)
         if len(entry) != 3 or type(src) is not list or type(tgt) is not list:
             return None
-        pre, post = dict.fromkeys(map(get, src)), dict.fromkeys(map(get, tgt))
+        # a one-place side is one lookup
+        pre = {get(src[0]): None} if len(src) == 1 else dict.fromkeys(map(get, src))
+        post = {get(tgt[0]): None} if len(tgt) == 1 else dict.fromkeys(map(get, tgt))
         if not (pre and post) or None in pre or None in post:
             return None
         transitions[tid] = Transition(tid, pre, post)
@@ -612,7 +619,9 @@ def _chart_from_document(obj, strict: bool = False) -> StateChart | None:
                 return None
             read += edge_id, transition
             edge = HyperEdge(edge_id, transition)
-            edge.sources, edge.targets = list(map(get, src)), list(map(get, tgt))
+            # a one-endpoint side is one lookup
+            edge.sources = [get(src[0])] if len(src) == 1 else list(map(get, src))
+            edge.targets = [get(tgt[0])] if len(tgt) == 1 else list(map(get, tgt))
             if None in edge.sources or None in edge.targets:
                 return None
         if not (edge.sources and edge.targets):
@@ -733,8 +742,9 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
             return _chart_to_xml(chart, top, strict=True)
     del ids, basics  # not held while the document is joined
     for edge in edges:
-        src = " ".join(map(_id_of, edge.sources))
-        tgt = " ".join(map(_id_of, edge.targets))
+        sources, targets = edge.sources, edge.targets
+        src = sources[0].id if len(sources) == 1 else " ".join(map(_id_of, sources))
+        tgt = targets[0].id if len(targets) == 1 else " ".join(map(_id_of, targets))
         if strict:
             lines.append(
                 f"  <hyperedge id={_xml_attr(edge.id)}"
@@ -803,14 +813,19 @@ def _chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
         return None
     _printed_ids(chart, ids, basics, edges)
     del ids, basics  # not held while the document is copied out
-    records = [
-        f'    {{\n      "id": {_quote(edge.id)},\n'
-        f'      "transition": {_quote(edge.origin_transition)},\n'
-        f'      "src": {_json_strings(map(_id_of, edge.sources), "      ")},\n'
-        f'      "tgt": {_json_strings(map(_id_of, edge.targets), "      ")}\n'
-        "    }"
-        for edge in edges
-    ]
+    records = []
+    for edge in edges:
+        sources, targets = edge.sources, edge.targets
+        # a one-endpoint side is printed as `_json_strings` prints it
+        src = (f"[\n        {_quote(sources[0].id)}\n      ]" if len(sources) == 1
+               else _json_strings(map(_id_of, sources), "      "))
+        tgt = (f"[\n        {_quote(targets[0].id)}\n      ]" if len(targets) == 1
+               else _json_strings(map(_id_of, targets), "      "))
+        records.append(
+            f'    {{\n      "id": {_quote(edge.id)},\n'
+            f'      "transition": {_quote(edge.origin_transition)},\n'
+            f'      "src": {src},\n      "tgt": {tgt}\n    }}'
+        )
     emit(f',\n  "hyperedges": {_json_records(records, "  ")}\n}}\n'.encode())
     return out.getvalue()
 

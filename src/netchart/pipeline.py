@@ -193,13 +193,32 @@ class _Graph:
         self.net, self.chart, self.trace, self.ors = net, chart, trace, ors
         self.pre = pre = [{} for _ in places]
         self.post = post = [{} for _ in places]
-        self.tpre = [set(map(slot, t.preset)) for t in transitions]
-        self.tpost = [set(map(slot, t.postset)) for t in transitions]
-        for j, (src, tgt) in enumerate(zip(self.tpre, self.tpost)):
-            for i in src:
+        self.tpre = tpre = []
+        self.tpost = tpost = []
+        # one pass in net order, so each slot dict gets its transitions in
+        # net order; a one-place side is one slot lookup
+        for j, transition in enumerate(transitions):
+            src, tgt = transition.preset, transition.postset
+            if len(src) == 1:
+                (place,) = src
+                i = slot(place)
                 post[i][j] = 0
-            for i in tgt:
+                tpre.append({i})
+            else:
+                src = set(map(slot, src))
+                for i in src:
+                    post[i][j] = 0
+                tpre.append(src)
+            if len(tgt) == 1:
+                (place,) = tgt
+                i = slot(place)
                 pre[i][j] = 0
+                tpost.append({i})
+            else:
+                tgt = set(map(slot, tgt))
+                for i in tgt:
+                    pre[i][j] = 0
+                tpost.append(tgt)
         self.rank = list(range(len(places)))
         self.idle = [0] * len(places)
         self.mixed: set[int] = set()

@@ -861,10 +861,14 @@ def _net_elements(draw):
     first, with up to two faults: an attribute lost, added or renamed, a
     child element, text inside or after the element, a foreign tag, an id
     that is empty, holds whitespace, is made of it or repeats, an unknown
-    place, an empty side.  A side may name a place more than once, which
-    reads as one arc."""
+    place, an empty side.  A side is a list of place ids and may name a
+    place more than once, which reads as one arc.  A place given an odd
+    id is renamed in every side that names it, so a side can be exactly
+    a key the readers refuse.  An empty side is [], [""] or ["", ""]:
+    XML spells them "", "" and " ", and in JSON the last two name the
+    empty id."""
     pids = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
-    side = st.lists(st.sampled_from(pids), min_size=1, max_size=4).map(" ".join)
+    side = st.lists(st.sampled_from(pids), min_size=1, max_size=4)
     records = [["place", {"id": pid}, False, None] for pid in pids]
     records += [
         ["transition", {"id": f"t{j}", "src": draw(side), "tgt": draw(side)}, False, None]
@@ -888,23 +892,33 @@ def _net_elements(draw):
         elif fault == "tag":
             record[0] = "arc"
         elif fault == "odd id":
-            attrs["id"] = draw(st.sampled_from(["", " ", "a b", "p0\t", "\u3000"]))
+            old = attrs.get("id")
+            attrs["id"] = new = draw(st.sampled_from(["", " ", "a b", "p0\t", "\u3000"]))
+            if record[0] == "place":
+                for other in records:
+                    for key in ("src", "tgt"):
+                        if key in other[1]:
+                            other[1][key] = [new if pid == old else pid for pid in other[1][key]]
         elif fault == "repeated id":
             attrs["id"] = draw(st.sampled_from(pids + ["t0"]))
         elif fault == "unknown place" and record[0] == "transition":
             key = draw(st.sampled_from(["src", "tgt"]))
             if key in attrs:  # an earlier fault can have removed or renamed it
-                attrs[key] += " zz"
+                attrs[key] = [*attrs[key], "zz"]
         elif fault == "empty side" and record[0] == "transition":
-            attrs[draw(st.sampled_from(["src", "tgt"]))] = draw(st.sampled_from(["", " "]))
+            attrs[draw(st.sampled_from(["src", "tgt"]))] = [""] * draw(st.integers(0, 2))
     return records
 
 
 def _xml_net(records, syntax_fault: bool) -> str:
-    """The records as an XML net; a syntax fault cuts the closing tag."""
+    """The records as an XML net, sides joined by spaces; a syntax fault
+    cuts the closing tag."""
     lines = ['<petrinet name="n">']
     for tag, attrs, child, text in records:
-        quoted = "".join(f" {key}={quoteattr(value)}" for key, value in attrs.items())
+        quoted = "".join(
+            f" {key}={quoteattr(' '.join(value) if isinstance(value, list) else value)}"
+            for key, value in attrs.items()
+        )
         inner = "<x/>" if child else "stray" if text == "text inside" else ""
         after = "stray" if text == "text after" else ""
         lines.append(f"  <{tag}{quoted}>{inner}</{tag}>{after}" if inner
@@ -915,12 +929,11 @@ def _xml_net(records, syntax_fault: bool) -> str:
 
 
 def _json_net(records, syntax_fault: bool, bad) -> str:
-    """The records as a JSON net, side strings split into lists; *bad*,
-    a (value, index) pair, replaces the first entry of a side, or else
-    the id, of the index-th record."""
+    """The records as a JSON net; *bad*, a (value, index) pair, replaces
+    the first entry of a side, or else the id, of the index-th record."""
     places, transitions = [], []
     for tag, attrs, child, _ in records:
-        obj = {key: value.split() if key in ("src", "tgt") else value
+        obj = {key: list(value) if isinstance(value, list) else value
                for key, value in attrs.items()}
         if child:
             obj["children"] = []
@@ -974,7 +987,7 @@ def test_net_readers_match_the_reference(records, syntax_fault, bad):
 
 _CHART_BREAKS = ["duplicate node id", "duplicate edge id", "or topstate", "basic topstate",
                  "one-child inner and", "empty or", "empty side", "alternation breach",
-                 "odd id"]
+                 "odd id", "lone endpoint"]
 
 
 def _state_dicts(state: dict) -> list[dict]:
@@ -1014,6 +1027,9 @@ def _break_chart(doc: dict, kind: str, k: int, j: int) -> None:
         pick(ands, k)["children"].append({"kind": "or", "id": f"e{k}", "children": []})
     elif kind == "empty side" and edges:
         pick(edges, k)["src" if j % 2 else "tgt"] = []
+    elif kind == "lone endpoint" and edges:
+        # a side of one id that names a composite state or no state
+        pick(edges, k)["src" if j % 2 else "tgt"] = [pick([*ors, *ands, {"id": "zz"}], j)["id"]]
     elif kind == "alternation breach":
         if j % 2 and ands:
             pick(ands, k)["children"].append({"kind": "basic", "id": f"b{k}", "place": "p"})
