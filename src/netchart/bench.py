@@ -146,7 +146,9 @@ class BenchReport:
     def render_json(self) -> str:
         """Every case's phases and layers as median, minimum and
         interquartile range, with the seed, the sizes and the Python
-        version, platform and git revision that produced them."""
+        version, platform, machine type, CPU count and git revision that
+        produced them."""
+        import os
         import platform  # only the JSON report pays for it, not every import
 
         cases = []
@@ -163,6 +165,8 @@ class BenchReport:
             {
                 "python": platform.python_version(),
                 "platform": platform.platform(),
+                "machine": platform.machine(),
+                "cpus": os.cpu_count(),
                 "revision": _revision(),
                 "seed": self.seed,
                 "sizes": self.sizes,

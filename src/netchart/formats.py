@@ -21,12 +21,15 @@ Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; the readers refuse other ids and the
 writers refuse to print them.  The readers and the writers collect the
 ids they read or print and test them together, once per document.  The
-readers build the model in one fast walk that stops at any fault; the
-XML readers test the whole tree at once for text, and the net reader
-for nesting too.
-Only a document that walk or the id test refuses is walked again, with
-each element and id checked on its own, to name the first fault; the
-net readers then build through `add_place` and `add_transition`.  A
+readers build the model in one fast walk that stops at any fault.  The
+XML net reader walks the document text: one regular expression matches
+the layout `write_net` prints and another finds its elements, so no
+tree is built; the XML chart reader tests its whole tree at once for
+text.  Only a document that walk or the id test refuses is walked
+again, with each element and id checked on its own, to name the first
+fault; the net readers then build through `add_place` and
+`add_transition`.  So an XML net in any other layout, with a comment or
+an entity say, is parsed by ElementTree and still reads, strictly.  A
 writer names the first id `check_id` refuses, in document order, only
 once the test has refused one, and the XML chart writer walks again
 only to escape an id that needs it.  A model violation outranks a
@@ -218,65 +221,84 @@ def parse_net(data: bytes | str) -> PetriNet:
     return _net_from_json(data)
 
 
-# the attributes of a transition element, or the values of a transition
-# entry of a JSON net, in order; the id of a place entry
-_TRANSITION_ENTRY = itemgetter("id", "src", "tgt")
-_PLACE_ENTRY = itemgetter("id")
-
-
 def _net_from_xml(data: bytes | str) -> PetriNet:
-    root = _xml_root(data, "petrinet")
-    (name,) = _attrs(root, ("name",))
-    try:
-        net = _net_from_tree(root, name)
-    except Exception:  # any fault stops the fast walk; the strict one names it
-        net = None
-    return _net_from_tree_strictly(root, name) if net is None else net
+    net = _net_from_text(data)
+    if net is None:  # another layout, or a fault: the strict walk names it
+        net = _net_from_tree_strictly(_xml_root(data, "petrinet"))
+    return net
 
 
-def _net_from_tree(root: ET.Element, name: str) -> PetriNet | None:
-    """The net the `<petrinet>` element *root* describes, or None at a fault.
+# an attribute value XML returns verbatim, as `_xml_attr` prints it: none
+# of the characters `_XML_ATTR_SPECIAL` names, so no entity, no tab, line
+# feed or carriage return to normalize, no character XML refuses, no `"`
+_VERBATIM = "[^" + _XML_ATTR_SPECIAL.pattern[1:] + "*"
+# a net document in the layout `write_net` prints, an XML declaration
+# naming UTF-8 allowed; no value admits the `"` that ends it, so each
+# element has one parse, and a match or a failed one takes linear time
+_NET_LAYOUT = re.compile(
+    f'(?:<\\?xml version="1\\.0" encoding="UTF-8"\\?>)?[ \t\r\n]*<petrinet name="({_VERBATIM})">'
+    f'(?:[ \t\r\n]*(?:<place id="{_VERBATIM}"/>'
+    f'|<transition id="{_VERBATIM}" src="{_VERBATIM}" tgt="{_VERBATIM}"/>))*'
+    "[ \t\r\n]*</petrinet>[ \t\r\n]*"
+)
+# the elements of such a document: (place id, "", "", "") for a place,
+# ("", transition id, src, tgt) for a transition
+_NET_ELEMENT = re.compile(
+    f'<place id="({_VERBATIM})"/>'
+    f'|<transition id="({_VERBATIM})" src="({_VERBATIM})" tgt="({_VERBATIM})"/>'
+)
 
-    One walk builds each place and transition straight into the net; a
-    transition resolves its sides against the places read before it.
-    Two tests over the whole tree stand in for the checks each element
-    would get: no text but whitespace anywhere, and no element below a
-    child.  A side that is a place key is that one place, found in one
-    lookup; only a side the lookup misses is split, and goes straight
-    into its dict, where an unknown place shows as the key None.  A key
-    holding whitespace could match a side that names several places,
-    but the ids are tested at the end, in one `_valid_ids` call, which
-    refuses such a key and so sends the document to the strict walk.  A
-    repeated id leaves fewer places and transitions than elements."""
-    if "".join(root.itertext()).strip() or len(list(root.iter())) != len(root) + 1:
+
+def _net_from_text(data: bytes | str) -> PetriNet | None:
+    """The net an XML net document in `write_net`'s layout describes, read
+    from its text; None for any other document, or at a fault.
+
+    A UTF-8 document that `_NET_LAYOUT` matches holds the values
+    ElementTree would read and only whitespace between its elements, so
+    one `findall` finds them, and each is built straight into the net; a
+    transition resolves its sides against the places read before it, and
+    an element with no transition id is built as a place, whose empty id
+    the id test refuses.  A side that is a place key is that one place,
+    found in one lookup; only a side the lookup misses is split, and goes
+    straight into its dict, where an unknown place shows as the key None.
+    A key holding whitespace could match a side that names several
+    places, but the ids are tested at the end, in one `_valid_ids` call,
+    which refuses such a key and so sends the document to the strict
+    walk.  A repeated id leaves fewer places and transitions than
+    elements."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    layout = _NET_LAYOUT.fullmatch(data)
+    if layout is None:
         return None
-    net = PetriNet(name)
+    elements = _NET_ELEMENT.findall(data)
+    net = PetriNet(layout.group(1))
     places, transitions = net.places, net.transitions
     get = places.get
-    for elem in root:
-        tag, attrib = elem.tag, elem.attrib
-        if tag == "place" and len(attrib) == 1:
-            pid = attrib["id"]
+    for pid, tid, src, tgt in elements:
+        if not tid:
             places[pid] = Place(pid)
-        elif tag == "transition" and len(attrib) == 3:
-            tid, src, tgt = _TRANSITION_ENTRY(attrib)
-            place = get(src)
-            pre = {place: None} if place is not None else dict.fromkeys(map(get, src.split()))
-            place = get(tgt)
-            post = {place: None} if place is not None else dict.fromkeys(map(get, tgt.split()))
-            if not (pre and post) or None in pre or None in post:
-                return None
-            transitions[tid] = Transition(tid, pre, post)
-        else:
+            continue
+        place = get(src)
+        pre = {place: None} if place is not None else dict.fromkeys(map(get, src.split()))
+        place = get(tgt)
+        post = {place: None} if place is not None else dict.fromkeys(map(get, tgt.split()))
+        if not (pre and post) or None in pre or None in post:
             return None
-    if len(places) + len(transitions) != len(root) or not _valid_ids([*places, *transitions]):
+        transitions[tid] = Transition(tid, pre, post)
+    if len(places) + len(transitions) != len(elements) or not _valid_ids([*places, *transitions]):
         return None
     return net
 
 
-def _net_from_tree_strictly(root: ET.Element, name: str) -> PetriNet:
-    """The net *root* describes, read element by element through
-    `add_place` and `add_transition`; raises the document's first fault."""
+def _net_from_tree_strictly(root: ET.Element) -> PetriNet:
+    """The net the `<petrinet>` element *root* describes, read element by
+    element through `add_place` and `add_transition`; raises the
+    document's first fault."""
+    (name,) = _attrs(root, ("name",))
     _reject_text(root)
     net = PetriNet(name)
     for elem in root:
@@ -301,6 +323,12 @@ def _reject_inner(elem: ET.Element) -> None:
     _reject_text(elem)
 
 
+# the values of a transition entry of a JSON net, in order; the id of a
+# place entry
+_TRANSITION_ENTRY = itemgetter("id", "src", "tgt")
+_PLACE_ENTRY = itemgetter("id")
+
+
 def _net_from_json(data: bytes | str) -> PetriNet:
     obj = _json_document(data)
     try:
@@ -312,7 +340,7 @@ def _net_from_json(data: bytes | str) -> PetriNet:
 
 def _net_from_object(obj) -> PetriNet | None:
     """The net a parsed JSON net document describes, or None at a fault;
-    builds it in one walk and tests its ids once, as `_net_from_tree` does."""
+    builds it in one walk and tests its ids once, as `_net_from_text` does."""
     name, place_entries, transition_entries = _json_object(
         obj, "net document", ("name", "places", "transitions")
     )

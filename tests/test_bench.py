@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
 import re
 
 import pytest
@@ -118,7 +120,10 @@ def test_render_handles_synthetic_rows():
 def test_render_json_keys():
     report = bench([5, 0], reps=3, seed=3, discard_first=True)
     doc = json.loads(report.render_json())
-    assert set(doc) == {"python", "platform", "revision", "seed", "sizes", "cases"}
+    assert set(doc) == {
+        "python", "platform", "machine", "cpus", "revision", "seed", "sizes", "cases"
+    }
+    assert doc["machine"] == platform.machine() and doc["cpus"] == os.cpu_count()
     assert (doc["seed"], doc["sizes"]) == (3, [5, 0])
     assert doc["python"].count(".") == 2
     assert doc["revision"] is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", doc["revision"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,20 @@ def test_bench_json_output(capsys):
                  "--report", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["sizes"] == [5] and doc["cases"][0]["case"] == "sp5"
+
+
+def test_documented_bench_command_measures_five_repetitions(capsys):
+    """The bench command the README documents, at small sizes, keeps at
+    least 5 measured repetitions per case once its warm-up is discarded."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (command,) = re.findall(r"^\$ netchart (bench .*)$", readme, re.MULTILINE)
+    args = command.split()
+    args[args.index("--sizes") + 1] = "5,9"
+    assert main([*args, "--report", "json"]) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert [case["case"] for case in cases] == ["sp5", "sp9"]
+    for case in cases:
+        assert case["discarded"] == 1 and case["samples"] >= 5
 
 
 def test_bench_reports_case_failures_on_stderr(capsys):

@@ -910,9 +910,38 @@ def _net_elements(draw):
     return records
 
 
-def _xml_net(records, syntax_fault: bool) -> str:
-    """The records as an XML net, sides joined by spaces; a syntax fault
-    cuts the closing tag."""
+# ways to write an XML net other than `write_net`'s layout, each a change
+# to the document text: `parse_net` reads the writers' layout from the
+# text and every other document through ElementTree, and both must read
+# as the reference does.  Only the UTF-8 declaration, the non-ASCII ids
+# and the extra spaces between elements keep the writers' layout.
+_XML_LAYOUTS = {
+    "utf-8 declaration": lambda text: '<?xml version="1.0" encoding="UTF-8"?>\n' + text,
+    "latin-1 declaration": lambda text: '<?xml version="1.0" encoding="latin-1"?>\n' + text,
+    "byte-order mark": lambda text: "\ufeff" + text,
+    "comment": lambda text: text.replace("\n", "\n<!-- c -->", 1),
+    "processing instruction": lambda text: text.replace("\n", "\n<?pi x?>", 1),
+    "character references": lambda text: text.replace(' id="p', ' id="&#112;').replace(
+        ' src="p', ' src="&#112;'),
+    "ampersand in an id": lambda text: text.replace(' id="p', ' id="&amp;p', 1),
+    "tab in src": lambda text: text.replace(' src="', ' src="\t'),
+    "newline in src": lambda text: text.replace(' src="', ' src="\n'),
+    "tab in the name": lambda text: text.replace(' name="n"', ' name="n\tm"'),
+    "single quotes": lambda text: text.replace('"', "'"),
+    "reordered attributes": lambda text: re.sub(
+        r'<transition (id="[^"]*") (src="[^"]*" tgt="[^"]*")', r"<transition \2 \1", text),
+    "spaces inside tags": lambda text: text.replace("<place ", "<place  ").replace('"/>', '" />'),
+    "spaces between elements": lambda text: text.replace("\n", "\r\n\t"),
+    "ideographic space": lambda text: text.replace("\n  <", "\n\u3000<", 1),
+    "junk after the root": lambda text: text + "junk",
+    "non-ASCII ids": lambda text: re.sub("p(?=[0-9])", "\xfe", text),
+}
+
+
+def _xml_net(records, syntax_fault: bool, layouts=()) -> str:
+    """The records as an XML net, sides joined by spaces and written in
+    each of the *layouts* in turn; a syntax fault cuts the last 3
+    characters."""
     lines = ['<petrinet name="n">']
     for tag, attrs, child, text in records:
         quoted = "".join(
@@ -925,6 +954,8 @@ def _xml_net(records, syntax_fault: bool) -> str:
                      else f"  <{tag}{quoted}/>{after}")
     lines.append("</petrinet>")
     text = "\n".join(lines)
+    for layout in layouts:
+        text = _XML_LAYOUTS[layout](text)
     return text[:-3] if syntax_fault else text
 
 
@@ -976,9 +1007,10 @@ def _net_outcome(read, data):
         st.none(), st.none(), st.none(),
         st.tuples(st.sampled_from([7, None, [], {}, 1.5]), st.integers(0, 8)),
     ),
+    st.lists(st.sampled_from(sorted(_XML_LAYOUTS)), max_size=2),
 )
-def test_net_readers_match_the_reference(records, syntax_fault, bad):
-    text = _xml_net(records, syntax_fault)
+def test_net_readers_match_the_reference(records, syntax_fault, bad, layouts):
+    text = _xml_net(records, syntax_fault, layouts)
     for data in (text, text.encode()):
         assert _net_outcome(_net_from_xml, data) == _net_outcome(reference_net_from_xml, data)
     text = _json_net(records, syntax_fault, bad)
@@ -1300,6 +1332,34 @@ def test_xml_net_elements_may_interleave():
     with pytest.raises(MembershipError, match="^unknown place 'b'$"):
         parse_net(forward)
     assert _net_outcome(parse_net, forward) == _net_outcome(reference_net_from_xml, forward)
+
+
+def test_written_xml_nets_read_from_their_text():
+    """Every XML net `write_net` prints, for sp2000 and each family, reads
+    to the same net through `_net_from_text`, with or without an XML
+    declaration naming UTF-8, and so never reaches the strict walk."""
+    nets = [generate_sp(SpSpec(places=2000, seed=11)), *(build(60) for build in FAMILIES.values())]
+    for net in nets:
+        data = write_net(net, "xml")
+        for document in (data, b'<?xml version="1.0" encoding="UTF-8"?>\n' + data):
+            assert formats._net_from_text(document) is not None
+            assert _net_outcome(formats._net_from_text, document) == _net_outcome(
+                lambda _: net, document)
+
+
+def test_xml_nets_that_miss_the_layout_at_the_end_read_as_the_reference_reads():
+    """At sp20000, a document whose last element is cut short or names an
+    unknown place, or that ends in a comment after `</petrinet>`, fails
+    the text path only at its end and reads as the reference reads it:
+    the same error, or for the comment the same net."""
+    data = write_net(generate_sp(SpSpec(places=20000, seed=11)), "xml")
+    last = data.rindex(b"<transition")
+    damaged = data[:data.rindex(b'tgt="')] + b'tgt="zz"/>\n</petrinet>\n'
+    for document in (data[:last + 20] + b"\n</petrinet>\n", damaged, data + b"<!-- end -->\n"):
+        assert formats._net_from_text(document) is None
+        outcome = _net_outcome(parse_net, document)
+        assert outcome == _net_outcome(reference_net_from_xml, document)
+    assert outcome == _net_outcome(parse_net, data)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
