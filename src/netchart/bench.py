@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import statistics
 import tempfile
 import time
@@ -148,7 +149,6 @@ class BenchReport:
         interquartile range, with the seed, the sizes and the Python
         version, platform, machine type, CPU count and git revision that
         produced them."""
-        import os
         import platform  # only the JSON report pays for it, not every import
 
         cases = []
