@@ -109,6 +109,7 @@ class BenchReport:
     rows: list[BenchRow]
     sizes: list[int] = field(default_factory=list)
     seed: int | None = None
+    max_branch: int | None = None
 
     def render_table(self) -> str:
         case_width = max([4] + [len(row.case) for row in self.rows])
@@ -146,9 +147,9 @@ class BenchReport:
 
     def render_json(self) -> str:
         """Every case's phases and layers as median, minimum and
-        interquartile range, with the seed, the sizes and the Python
-        version, platform, machine type, CPU count and git revision that
-        produced them."""
+        interquartile range, with the seed, the sizes, the branch cap and
+        the Python version, platform, machine type, CPU count and git
+        revision that produced them."""
         import platform  # only the JSON report pays for it, not every import
 
         cases = []
@@ -170,16 +171,19 @@ class BenchReport:
                 "revision": _revision(),
                 "seed": self.seed,
                 "sizes": self.sizes,
+                "max_branch": self.max_branch,
                 "cases": cases,
             },
             indent=2,
         )
 
 
-def _run_case(size: int, reps: int, seed: int, discard_first: bool) -> BenchRow:
+def _run_case(
+    size: int, reps: int, seed: int, discard_first: bool, max_branch: int
+) -> BenchRow:
     row = BenchRow(case=f"sp{size}")
     try:
-        net = generate_sp(SpSpec(places=size, seed=seed))
+        net = generate_sp(SpSpec(places=size, seed=seed, max_branch=max_branch))
         document = write_net(net, "xml")
         with tempfile.TemporaryDirectory(prefix="netchart-bench-") as tmp:
             in_path = Path(tmp) / "net.xml"
@@ -234,12 +238,16 @@ def bench(
     reps: int,
     seed: int,
     discard_first: bool = False,
+    max_branch: int = 4,
 ) -> BenchReport:
-    """Measure every size in `sizes`, one case after another; per-case
-    failures land in the row."""
+    """Measure every size in `sizes`, one case after another, on nets whose
+    parallel splits take at most `max_branch` branches; per-case failures
+    land in the row."""
     if not sizes:
         raise PreconditionError("sizes must be nonempty")
     if reps < 1:
         raise PreconditionError(f"reps must be >= 1, got {reps}")
-    rows = [_run_case(size, reps, seed, discard_first) for size in sizes]
-    return BenchReport(rows=rows, sizes=list(sizes), seed=seed)
+    if max_branch < 2:
+        raise PreconditionError(f"max_branch must be >= 2, got {max_branch}")
+    rows = [_run_case(size, reps, seed, discard_first, max_branch) for size in sizes]
+    return BenchReport(rows=rows, sizes=list(sizes), seed=seed, max_branch=max_branch)

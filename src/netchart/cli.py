@@ -115,6 +115,9 @@ def _build_parser() -> _ArgumentParser:
         action="store_true",
         help="report the median of all but the first repetition",
     )
+    p.add_argument(
+        "--max-branch", type=int, default=4, help="parallel branch cap (default 4)"
+    )
     p.set_defaults(handler=_cmd_bench)
     return parser
 
@@ -183,6 +186,7 @@ def _cmd_bench(args) -> int:
         reps=args.reps,
         seed=args.seed,
         discard_first=args.discard_first,
+        max_branch=args.max_branch,
     )
     for row in report.rows:
         if row.error is not None:

@@ -1,9 +1,10 @@
 """Net-to-statechart transformation pipeline.
 
 Builds the flat chart in one pass over the net, recording every
-correspondence in a trace, then derives the hierarchy with the AND/OR
-reduction rules, run on a private index graph of the net, until nothing
-more applies. The input net is never changed.
+correspondence in a trace and filling, in the same pass, the index graph
+of the net that the reduction runs on; then derives the hierarchy with
+the AND/OR reduction rules until nothing more applies. The input net is
+never changed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 from .chart import AndState, Basic, HyperEdge, OrState, StateChart, _id_of
@@ -36,12 +37,17 @@ class Trace:
     place id of the input net to the OR state `initialize` built for it.
     `entries` holds the records in the order the pass made them, which
     `initialize` does rule by rule; only the order `export` gives is a
-    contract.
+    contract. Between `initialize` and `reduce` the trace also holds the
+    index graph `initialize` built for `reduce`, and the net object it
+    was built from; `reduce` takes it off.
     """
 
     def __init__(self) -> None:
         self.entries: list[TraceEntry] = []
         self.ors: dict[str, OrState] = {}
+        # `reduce`'s index graph as (net, ors, pre, post, tpre, tpost), see
+        # `_Graph`; set by `initialize`, taken off by `reduce`
+        self._graph: tuple | None = None
 
     def export(self) -> list[TraceEntry]:
         """The whole trace, sorted; a pass records each (rule, input) pair once."""
@@ -79,7 +85,9 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     by its basic, then the hyperedges, so ids follow net order. Each
     hyperedge lists its sources and targets in place-declaration order.
     The trace records are appended rule by rule, each rule's in net
-    order; only `Trace.export` fixes their order.
+    order; only `Trace.export` fixes their order. The same walk over the
+    transitions fills `reduce`'s index graph (see `_Graph`), which the
+    trace holds until `reduce` runs.
 
     Raises
     ------
@@ -118,27 +126,46 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         list(map(_id_of, places.values())) == list(places)
         and list(map(_id_of, transitions.values())) == list(transitions)
     )
-    # a one-place side maps straight to its basic; a longer one is put in
-    # place-declaration order by slot
-    basic_of = dict(zip(places.values(), basics))
-    slot = dict(zip(places.values(), range(len(basics)))).__getitem__
+    # each side's slots give the hyperedge's endpoints and `reduce`'s
+    # index graph (see `_Graph`) in the same walk: a one-place side is one
+    # slot lookup, a longer one is put in place-declaration order by slot
+    slot_of = dict(zip(places.values(), range(len(basics))))
+    slot = slot_of.__getitem__
     basic_at = basics.__getitem__
+    pre: list[dict] = [{} for _ in basics]
+    post: list[dict] = [{} for _ in basics]
+    tpre: list[set] = []
+    tpost: list[set] = []
     try:
-        for edge, transition in zip(edges, transitions.values()):
+        for j, edge, transition in zip(count(), edges, transitions.values()):
             src, tgt = transition.preset, transition.postset
             if not (src and tgt):
                 sound = False
                 break
             if len(src) == 1:
                 (place,) = src
-                edge.sources = [basic_of[place]]
+                i = slot_of[place]
+                edge.sources = [basics[i]]
+                post[i][j] = 0
+                tpre.append({i})
             else:
-                edge.sources = list(map(basic_at, sorted(map(slot, src))))
+                slots = sorted(map(slot, src))
+                edge.sources = list(map(basic_at, slots))
+                for i in slots:
+                    post[i][j] = 0
+                tpre.append(set(slots))
             if len(tgt) == 1:
                 (place,) = tgt
-                edge.targets = [basic_of[place]]
+                i = slot_of[place]
+                edge.targets = [basics[i]]
+                pre[i][j] = 0
+                tpost.append({i})
             else:
-                edge.targets = list(map(basic_at, sorted(map(slot, tgt))))
+                slots = sorted(map(slot, tgt))
+                edge.targets = list(map(basic_at, slots))
+                for i in slots:
+                    pre[i][j] = 0
+                tpost.append(set(slots))
     except KeyError:
         sound = False
     if not sound:
@@ -156,11 +183,16 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         ("Transition2HyperEdge", transitions, edge_ids),
     ):
         entries.extend(map(tuple.__new__, repeat(TraceEntry), zip(repeat(rule), inputs, outputs)))
+    trace._graph = (net, ors, pre, post, tpre, tpost)
     return chart
 
 
 class _Graph:
     """The net as integer-indexed adjacency, private to one `reduce` call.
+
+    `initialize` fills the adjacency lists in its walk over the net, with
+    slot i for the i-th place and index j for the j-th transition, and
+    hands them over on the trace; this class takes them off it.
 
     `pre[i]` and `post[i]` map the transitions around place slot i to
     order keys; `tpre[j]` and `tpost[j]` are the place slots of transition
@@ -187,40 +219,12 @@ class _Graph:
     __slots__ = ("net", "chart", "trace", "pre", "post", "tpre", "tpost", "ors", "rank",
                  "idle", "mixed", "first_key", "merges", "after", "tail")
 
-    def __init__(self, net: PetriNet, chart: StateChart, trace: Trace, ors: list):
-        places, transitions = net.places.values(), net.transitions.values()
-        slot = dict(zip(places, range(len(places)))).__getitem__
-        self.net, self.chart, self.trace, self.ors = net, chart, trace, ors
-        self.pre = pre = [{} for _ in places]
-        self.post = post = [{} for _ in places]
-        self.tpre = tpre = []
-        self.tpost = tpost = []
-        # one pass in net order, so each slot dict gets its transitions in
-        # net order; a one-place side is one slot lookup
-        for j, transition in enumerate(transitions):
-            src, tgt = transition.preset, transition.postset
-            if len(src) == 1:
-                (place,) = src
-                i = slot(place)
-                post[i][j] = 0
-                tpre.append({i})
-            else:
-                src = set(map(slot, src))
-                for i in src:
-                    post[i][j] = 0
-                tpre.append(src)
-            if len(tgt) == 1:
-                (place,) = tgt
-                i = slot(place)
-                pre[i][j] = 0
-                tpost.append({i})
-            else:
-                tgt = set(map(slot, tgt))
-                for i in tgt:
-                    pre[i][j] = 0
-                tpost.append(tgt)
-        self.rank = list(range(len(places)))
-        self.idle = [0] * len(places)
+    def __init__(self, chart: StateChart, trace: Trace):
+        self.net, ors, self.pre, self.post, self.tpre, self.tpost = trace._graph
+        trace._graph = None
+        self.chart, self.trace, self.ors = chart, trace, ors
+        self.rank = list(range(len(ors)))
+        self.idle = [0] * len(ors)
         self.mixed: set[int] = set()
         self.first_key = 0
         self.merges = 0
@@ -397,8 +401,9 @@ def reduce(
     """Apply the OR and AND rules from a transition worklist until it drains.
 
     *chart* and *trace* must be the flat chart and the trace that
-    `initialize` built for *net*. The rules run on a private graph built
-    from *net*, which stays untouched; only the chart changes. The
+    `initialize` built for *net*, the same net object. The rules run on
+    the index graph `initialize` left on the trace, which `reduce` takes
+    off it; *net* stays untouched and only the chart changes. The
     worklist starts with every transition in insertion order and is
     consumed first-in first-out; passing *rng* switches to random picks,
     which exercises confluence without changing the result's shape. After
@@ -412,17 +417,26 @@ def reduce(
     Raises
     ------
     TraceError
-        If the topstate's children are not the OR states *trace* recorded
-        for the places of *net*, in net order: a chart built for another
-        net, or one that was already reduced.
+        If *trace* holds no index graph for *net*: a trace built for
+        another net object, including a copy of *net* with the same ids,
+        or one already reduced. Or if the topstate's children are not the
+        OR states *trace* recorded for the places of *net*, in net order:
+        a chart built by another pass. Chart and trace are left as they
+        were.
     """
+    handed = trace._graph
+    if handed is None or handed[0] is not net:
+        raise TraceError(
+            f"trace holds no index graph for net {net.name!r}: reduce the net object "
+            "`initialize` read, once"
+        )
     top = chart.topstate
-    ors = list(map(trace.ors.get, net.places))
-    if top is None or list(top.children) != ors:
+    if top is None or list(top.children) != handed[1]:
         raise TraceError(
             f"chart {chart.name!r} is not the flat chart traced for net {net.name!r}"
         )
-    graph = _Graph(net, chart, trace, ors)
+    graph = _Graph(chart, trace)
+    ors = graph.ors
     or_rule, and_rule = graph.or_rule, graph.and_rule
     tpre, tpost, idle = graph.tpre, graph.tpost, graph.idle
     queue: deque[int] = deque(range(len(tpre)))

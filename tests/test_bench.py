@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import platform
@@ -15,7 +16,11 @@ from netchart import (
     PhaseSample,
     PreconditionError,
     bench,
+    generate_sp,
 )
+
+# the package exports the `bench` function under the submodule's name
+bench_module = importlib.import_module("netchart.bench")
 
 
 def _sample(r: float, t: float, w: float) -> PhaseSample:
@@ -56,6 +61,23 @@ def test_bench_validates_arguments():
         bench([], reps=1, seed=0)
     with pytest.raises(PreconditionError):
         bench([5], reps=0, seed=0)
+    with pytest.raises(PreconditionError, match="max_branch"):
+        bench([5], reps=1, seed=0, max_branch=1)
+
+
+def test_bench_passes_its_branch_cap_to_the_generator(monkeypatch):
+    specs = []
+
+    def generate(spec):
+        specs.append(spec)
+        return generate_sp(spec)
+
+    monkeypatch.setattr(bench_module, "generate_sp", generate)
+    assert bench([12], reps=1, seed=3).max_branch == 4
+    assert bench([12], reps=1, seed=3, max_branch=64).max_branch == 64
+    assert [(spec.places, spec.seed, spec.max_branch) for spec in specs] == [
+        (12, 3, 4), (12, 3, 64)
+    ]
 
 
 def test_bench_measures_every_size():
@@ -121,10 +143,11 @@ def test_render_json_keys():
     report = bench([5, 0], reps=3, seed=3, discard_first=True)
     doc = json.loads(report.render_json())
     assert set(doc) == {
-        "python", "platform", "machine", "cpus", "revision", "seed", "sizes", "cases"
+        "python", "platform", "machine", "cpus", "revision", "seed", "sizes", "max_branch",
+        "cases",
     }
     assert doc["machine"] == platform.machine() and doc["cpus"] == os.cpu_count()
-    assert (doc["seed"], doc["sizes"]) == (3, [5, 0])
+    assert (doc["seed"], doc["sizes"], doc["max_branch"]) == (3, [5, 0], 4)
     assert doc["python"].count(".") == 2
     assert doc["revision"] is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", doc["revision"])
     good, bad = doc["cases"]

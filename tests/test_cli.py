@@ -299,6 +299,20 @@ def test_bench_json_output(capsys):
                  "--report", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["sizes"] == [5] and doc["cases"][0]["case"] == "sp5"
+    assert doc["max_branch"] == 4
+
+
+def test_bench_max_branch_is_recorded_and_checked(capsys):
+    assert main(["bench", "--sizes", "40", "--reps", "1", "--seed", "1",
+                 "--max-branch", "64", "--report", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_branch"] == 64 and doc["cases"][0]["error"] is None
+    assert main(["bench", "--sizes", "5", "--reps", "1", "--seed", "1",
+                 "--max-branch", "64", "--report", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "case,reading_ms,transformation_ms,writing_ms"
+    assert main(["bench", "--sizes", "5", "--reps", "1", "--seed", "1",
+                 "--max-branch", "1"]) == 2
+    assert "max_branch must be >= 2" in capsys.readouterr().err
 
 
 def test_documented_bench_command_measures_five_repetitions(capsys):

@@ -22,6 +22,7 @@ from netchart import (
     find_self_loops,
     initialize,
     parse_net,
+    reduce,
     write_net,
 )
 from oracle import reference_add_place, reference_add_transition
@@ -274,11 +275,15 @@ def test_initialize_and_write_net_refuse_exactly_what_check_net_reports(net, cha
     expected = check_net(net)
     trace = Trace()
     if not expected:
-        initialize(net, trace)
+        chart = initialize(net, trace)
         for format in ("xml", "json"):
             assert write_net(parse_net(write_net(net, format)), format) == write_net(net, format)
         with pytest.raises(PreconditionError, match="fresh Trace"):
             initialize(net, trace)
+        # `reduce` takes the index graph `initialize` left on the trace
+        assert trace._graph is not None
+        reduce(net, chart, trace)
+        assert trace._graph is None
         return
     used = Trace()
     used.entries.append(("PetriNet2StateChart", "n", "n"))
@@ -292,6 +297,6 @@ def test_initialize_and_write_net_refuse_exactly_what_check_net_reports(net, cha
             call()
         assert str(info.value) == f"net {net.name!r} is not well formed"
         assert info.value.violations == expected
-    assert trace.entries == [] and trace.ors == {}
-    assert len(used.entries) == 1 and used.ors == {}
+    assert trace.entries == [] and trace.ors == {} and trace._graph is None
+    assert len(used.entries) == 1 and used.ors == {} and used._graph is None
 

@@ -23,6 +23,7 @@ from netchart import (
     check_net,
     generate_sp,
     initialize,
+    parse_net,
     reduce,
     transform,
     validate_chart,
@@ -292,30 +293,42 @@ def test_and_rule_skips_wrong_arities():
     assert [e for e in trace.export() if e.rule == "AndRulePlace2Or"] == []
 
 
+def _refused(net, chart, trace):
+    """Assert that `reduce` raises `TraceError` and changes neither the
+    chart's bytes nor the trace's export."""
+    before, entries = write_chart(chart, "xml"), trace.export()
+    with pytest.raises(TraceError):
+        reduce(net, chart, trace)
+    assert write_chart(chart, "xml") == before
+    assert trace.export() == entries
+
+
 def test_rules_refuse_untraced_places():
     net = two_chain()
     chart, trace = _initialized(net)
-    before = write_chart(chart, "xml")
     foreign = PetriNet("other")
     foreign.add_place("x")
     foreign.add_place("y")
     foreign.add_transition("t9", ["x"], ["y"])
-    with pytest.raises(TraceError):
-        reduce(foreign, chart, trace)
-    assert write_chart(chart, "xml") == before
+    _refused(foreign, chart, trace)
+
+
+def test_reduce_refuses_a_copy_of_its_net():
+    # the index graph `initialize` handed over belongs to the net object
+    # it read; a copy with the same ids is another net
+    net = two_chain()
+    chart, trace = _initialized(net)
+    _refused(parse_net(write_net(net)), chart, trace)
+    assert reduce(net, chart, trace).or_applications == 1
 
 
 def test_reduce_refuses_a_second_pass():
     net = two_chain()
     chart, trace = _initialized(net)
     assert reduce(net, chart, trace).or_applications == 1
-    after = write_chart(chart, "xml")
-    entries = trace.export()
-    # the chart no longer has one OR state per place of the net
-    with pytest.raises(TraceError):
-        reduce(net, chart, trace)
-    assert write_chart(chart, "xml") == after
-    assert trace.export() == entries
+    # `reduce` took the index graph off the trace, and the chart no longer
+    # has one OR state per place of the net
+    _refused(net, chart, trace)
 
 
 @pytest.mark.parametrize(
