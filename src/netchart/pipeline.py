@@ -127,15 +127,15 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
         and list(map(_id_of, transitions.values())) == list(transitions)
     )
     # each side's slots give the hyperedge's endpoints and `reduce`'s
-    # index graph (see `_Graph`) in the same walk: a one-place side is one
+    # index graph (see `_Graph`) in the same walk, in net order, so each
+    # slot dict gets its transitions in net order: a one-place side is one
     # slot lookup, a longer one is put in place-declaration order by slot
     slot_of = dict(zip(places.values(), range(len(basics))))
     slot = slot_of.__getitem__
     basic_at = basics.__getitem__
-    pre: list[dict] = [{} for _ in basics]
-    post: list[dict] = [{} for _ in basics]
-    tpre: list[set] = []
-    tpost: list[set] = []
+    pre = [{} for _ in basics]
+    post = [{} for _ in basics]
+    tpre, tpost = [], []
     try:
         for j, edge, transition in zip(count(), edges, transitions.values()):
             src, tgt = transition.preset, transition.postset
