@@ -417,12 +417,11 @@ def reduce(
     Raises
     ------
     TraceError
-        If *trace* holds no index graph for *net*: a trace built for
-        another net object, including a copy of *net* with the same ids,
-        or one already reduced. Or if the topstate's children are not the
-        OR states *trace* recorded for the places of *net*, in net order:
-        a chart built by another pass. Chart and trace are left as they
-        were.
+        If *trace* holds no index graph for *net* (it was built for
+        another net object, a copy of *net* with the same ids included,
+        or it was already reduced), or if the topstate's children are not
+        the OR states `initialize` built with *trace*, in net order (a
+        chart from another pass). Chart and trace are left as they were.
     """
     handed = trace._graph
     if handed is None or handed[0] is not net:
