@@ -1086,12 +1086,12 @@ def _xml_chart(doc: dict) -> bytes | None:
         attrs = {key: value for key, value in state.items() if key not in ("kind", "children")}
         elem = ET.SubElement(parent, state["kind"], attrs)
         stack.extend((child, elem) for child in reversed(state.get("children", [])))
-    for edge in doc["hyperedges"]:
-        ET.SubElement(root, "hyperedge", id=edge["id"], transition=edge["transition"],
-                      src=" ".join(edge["src"]), tgt=" ".join(edge["tgt"]))
     try:
+        for edge in doc["hyperedges"]:
+            ET.SubElement(root, "hyperedge", id=edge["id"], transition=edge["transition"],
+                          src=" ".join(edge["src"]), tgt=" ".join(edge["tgt"]))
         return ET.tostring(root)
-    except TypeError:  # a value that is no string
+    except TypeError:  # a value that is no string, an endpoint id included
         return None
 
 
