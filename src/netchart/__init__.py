@@ -36,7 +36,7 @@ from .formats import (
     write_trace,
 )
 from .generator import SpSpec, generate_sp
-from .net import PetriNet, Place, Transition, check_net, find_self_loops
+from .net import PetriNet, Transition, check_net, find_self_loops
 from .pipeline import (
     ReductionReport,
     Trace,
@@ -62,7 +62,6 @@ __all__ = [
     "ParseError",
     "PetriNet",
     "PhaseSample",
-    "Place",
     "PreconditionError",
     "ReductionReport",
     "SpSpec",

@@ -58,7 +58,7 @@ from .errors import (
     TreeError,
     ValidationError,
 )
-from .net import PetriNet, Place, Transition, _collector_paused, _valid_ids
+from .net import PetriNet, Transition, _collector_paused, _valid_ids
 from .net import check_id, check_net
 from .pipeline import TraceEntry
 
@@ -256,16 +256,16 @@ def _net_from_text(data: bytes | str) -> PetriNet | None:
     A UTF-8 document that `_NET_LAYOUT` matches holds the values
     ElementTree would read and only whitespace between its elements, so
     one `findall` finds them, and each is built straight into the net; a
-    transition resolves its sides against the places read before it, and
-    an element with no transition id is built as a place, whose empty id
-    the id test refuses.  A side that is a place key is that one place,
-    found in one lookup; only a side the lookup misses is split, and goes
-    straight into its dict, where an unknown place shows as the key None.
-    A key holding whitespace could match a side that names several
-    places, but the ids are tested at the end, in one `_valid_ids` call,
-    which refuses such a key and so sends the document to the strict
-    walk.  A repeated id leaves fewer places and transitions than
-    elements."""
+    transition's sides must name places read before it, and an element
+    with no transition id is built as a place, whose empty id the id test
+    refuses.  A side that is a place key is that one place, found in one
+    lookup; only a side the lookup misses is split, and goes straight
+    into its dict, where an unknown place fails the subset test against
+    the net's places.  A key holding whitespace could match a side that
+    names several places, but the ids are tested at the end, in one
+    `_valid_ids` call, which refuses such a key and so sends the document
+    to the strict walk.  A repeated id leaves fewer places and
+    transitions than elements."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -277,16 +277,14 @@ def _net_from_text(data: bytes | str) -> PetriNet | None:
     elements = _NET_ELEMENT.findall(data)
     net = PetriNet(layout.group(1))
     places, transitions = net.places, net.transitions
-    get = places.get
+    known = places.keys()
     for pid, tid, src, tgt in elements:
         if not tid:
-            places[pid] = Place(pid)
+            places[pid] = None
             continue
-        place = get(src)
-        pre = {place: None} if place is not None else dict.fromkeys(map(get, src.split()))
-        place = get(tgt)
-        post = {place: None} if place is not None else dict.fromkeys(map(get, tgt.split()))
-        if not (pre and post) or None in pre or None in post:
+        pre = {src: None} if src in places else dict.fromkeys(src.split())
+        post = {tgt: None} if tgt in places else dict.fromkeys(tgt.split())
+        if not (pre and post and pre.keys() <= known and post.keys() <= known):
             return None
         transitions[tid] = Transition(tid, pre, post)
     if len(places) + len(transitions) != len(elements) or not _valid_ids([*places, *transitions]):
@@ -349,21 +347,21 @@ def _net_from_object(obj) -> PetriNet | None:
         return None
     net = PetriNet(name)
     places, transitions = net.places, net.transitions
-    get = places.get
+    known = places.keys()
     # each entry is an object with an id, and with nothing else when the
     # lengths of all entries add up to their count
     pids = list(map(_PLACE_ENTRY, place_entries))
     if sum(map(len, place_entries)) != len(pids):
         return None
-    places.update(zip(pids, map(Place, pids)))
+    places.update(dict.fromkeys(pids))
     for entry in transition_entries:
         tid, src, tgt = _TRANSITION_ENTRY(entry)
         if len(entry) != 3 or type(src) is not list or type(tgt) is not list:
             return None
-        # a one-place side is one lookup
-        pre = {get(src[0]): None} if len(src) == 1 else dict.fromkeys(map(get, src))
-        post = {get(tgt[0]): None} if len(tgt) == 1 else dict.fromkeys(map(get, tgt))
-        if not (pre and post) or None in pre or None in post:
+        # a one-place side skips the call to `dict.fromkeys`
+        pre = {src[0]: None} if len(src) == 1 else dict.fromkeys(src)
+        post = {tgt[0]: None} if len(tgt) == 1 else dict.fromkeys(tgt)
+        if not (pre and post and pre.keys() <= known and post.keys() <= known):
             return None
         transitions[tid] = Transition(tid, pre, post)
     if (len(places) + len(transitions) != len(pids) + len(transition_entries)
@@ -406,8 +404,8 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
     # every key is now its element's id: test them together, and only on
     # a refusal name the first in document order
     if not _valid_ids([*net.places, *net.transitions]):
-        for place in net.places.values():
-            check_id("place", place.id)
+        for pid in net.places:
+            check_id("place", pid)
         for transition in net.transitions.values():
             check_id("transition", transition.id)
     return _net_to_xml(net) if format == "xml" else _net_to_json(net)
@@ -418,8 +416,8 @@ def _net_to_xml(net: PetriNet) -> bytes:
     lines = [f"<petrinet name={_xml_attr(net.name)}>"]
     lines += [f"  <place id={_xml_attr(pid)}/>" for pid in net.places]
     for tid, t in net.transitions.items():
-        src = " ".join(map(_id_of, t.preset))
-        tgt = " ".join(map(_id_of, t.postset))
+        src = " ".join(t.preset)
+        tgt = " ".join(t.postset)
         lines.append(
             f"  <transition id={_xml_attr(tid)} src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
         )
@@ -432,8 +430,8 @@ def _net_to_json(net: PetriNet) -> bytes:
     places = [f'    {{\n      "id": {_quote(pid)}\n    }}' for pid in net.places]
     transitions = [
         f'    {{\n      "id": {_quote(tid)},\n'
-        f'      "src": {_json_strings(map(_id_of, t.preset), "      ")},\n'
-        f'      "tgt": {_json_strings(map(_id_of, t.postset), "      ")}\n    }}'
+        f'      "src": {_json_strings(t.preset, "      ")},\n'
+        f'      "tgt": {_json_strings(t.postset, "      ")}\n    }}'
         for tid, t in net.transitions.items()
     ]
     return (
@@ -698,18 +696,20 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
 
 def _printed_ids(
     chart: StateChart, ids: set[str], basics: set[Basic], edges: list[HyperEdge]
-) -> list[str]:
-    """The ids a writer of *chart* prints, in no particular order: the node
-    ids *ids*, the places of *basics* and each edge's id and transition.
-    Raises when `check_id` would refuse one; `write_chart` then names the
+) -> str:
+    """The ids a writer of *chart* prints, joined by spaces in no particular
+    order: the node ids *ids*, the places of *basics* and each edge's id
+    and transition.  Raises when `check_id` would refuse one, tested as
+    `_valid_ids` tests, on the same join; `write_chart` then names the
     first such id."""
     printed = list(ids)
     printed += [basic.origin_place for basic in basics]
     for edge in edges:
         printed += edge.id, edge.origin_transition
-    if not _valid_ids(printed):
+    text = " ".join(printed)  # raises TypeError on an id that is no string
+    if text.split() != printed:
         raise PreconditionError(f"chart {chart.name!r} holds an id no reader accepts")
-    return printed
+    return text
 
 
 def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> bytes | None:
@@ -765,8 +765,7 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
         return None
     if not strict:
         # the sides list basic states of the tree, so their ids are tested too
-        printed = _printed_ids(chart, ids, basics, edges)
-        if _XML_ATTR_SPECIAL.search(" ".join(printed)):
+        if _XML_ATTR_SPECIAL.search(_printed_ids(chart, ids, basics, edges)):
             return _chart_to_xml(chart, top, strict=True)
     del ids, basics  # not held while the document is joined
     for edge in edges:

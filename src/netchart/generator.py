@@ -86,7 +86,8 @@ def generate_sp(spec: SpSpec) -> PetriNet:
             nodes[parent][1][slot] = index
 
     # build pass: each entry of `ends` is the (entry, exit) place id pair
-    # of the finished sub-net; `add_transition` resolves ids in one lookup
+    # of the finished sub-net; `add_transition` takes these lists of
+    # known ids in bulk
     net = PetriNet(f"sp{spec.places}-mt19937-seed{spec.seed}")
     ends: list[tuple | None] = [None] * len(nodes)
     next_place = 0
@@ -94,7 +95,7 @@ def generate_sp(spec: SpSpec) -> PetriNet:
     for index in range(len(nodes) - 1, -1, -1):
         kind, children = nodes[index]
         if kind == _ATOM:
-            place = net.add_place(f"p{next_place}").id
+            place = net.add_place(f"p{next_place}")
             next_place += 1
             ends[index] = (place, place)
         elif kind == _SERIES:
@@ -105,8 +106,8 @@ def generate_sp(spec: SpSpec) -> PetriNet:
             next_transition += 1
             ends[index] = (ends[left][0], ends[right][1])
         else:
-            entry = net.add_place(f"p{next_place}").id
-            exit_ = net.add_place(f"p{next_place + 1}").id
+            entry = net.add_place(f"p{next_place}")
+            exit_ = net.add_place(f"p{next_place + 1}")
             next_place += 2
             net.add_transition(
                 f"t{next_transition}", [entry], [ends[child][0] for child in children]

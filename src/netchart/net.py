@@ -1,8 +1,8 @@
 """In-memory Petri nets: the read-only input model of the pipeline.
 
-Arcs are stored once, on the transitions; a place carries only its id.
-Each side of a transition is a plain dict mapping a place, hashed by
-identity, to None: amortized O(1) membership and a deterministic
+Arcs are stored once, on the transitions; a place is its id.  The
+places of a net and each side of a transition are plain dicts mapping
+place ids to None: amortized O(1) membership and a deterministic
 insertion order, which the writers and the reduction rely on.  Nets are
 built with `add_place` and `add_transition`, which refuse ids that no
 document can carry; nothing in the pipeline changes them afterwards.
@@ -66,24 +66,6 @@ def _valid_ids(ids: list) -> bool:
         return False
 
 
-class Place:
-    """A place of a Petri net.
-
-    Attributes
-    ----------
-    id : str
-        Identifier, unique among the places of its net.
-    """
-
-    __slots__ = ("id",)
-
-    def __init__(self, id: str):
-        self.id = id
-
-    def __repr__(self) -> str:
-        return f"Place({self.id!r})"
-
-
 class Transition:
     """A transition of a Petri net.
 
@@ -91,10 +73,10 @@ class Transition:
     ----------
     id : str
         Identifier, unique among the transitions of its net.
-    preset : dict of Place to None
-        Input places.
-    postset : dict of Place to None
-        Output places.
+    preset : dict of str to None
+        Input place ids.
+    postset : dict of str to None
+        Output place ids.
     """
 
     __slots__ = ("id", "preset", "postset")
@@ -102,8 +84,8 @@ class Transition:
     def __init__(
         self,
         id: str,
-        preset: dict[Place, None] | None = None,
-        postset: dict[Place, None] | None = None,
+        preset: dict[str, None] | None = None,
+        postset: dict[str, None] | None = None,
     ):
         self.id = id
         self.preset = {} if preset is None else preset
@@ -120,84 +102,76 @@ class PetriNet:
     ----------
     name : str
         Net name, carried into serialized documents.
-    places : dict of str to Place
-        Places keyed by id, in insertion order.
+    places : dict of str to None
+        Place ids, in insertion order.
     transitions : dict of str to Transition
         Transitions keyed by id, in insertion order.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self.places: dict[str, Place] = {}
+        self.places: dict[str, None] = {}
         self.transitions: dict[str, Transition] = {}
 
     def __repr__(self) -> str:
-        sides = {t.id: ([p.id for p in t.preset], [p.id for p in t.postset])
+        sides = {t.id: (list(t.preset), list(t.postset))
                  for t in self.transitions.values()}
         return f"PetriNet({self.name!r}, places={list(self.places)!r}, transitions={sides!r})"
 
-    def add_place(self, id: str) -> Place:
+    def add_place(self, id: str) -> str:
         # `check_id` runs only to raise, so a valid id costs no extra call
         if not (isinstance(id, str) and _ID.fullmatch(id)):
             check_id("place", id)
         places = self.places
         if id in places:
             raise DuplicateIdError(f"duplicate place id {id!r}")
-        place = places[id] = Place(id)
-        return place
+        places[id] = None
+        return id
 
     def add_transition(
-        self,
-        id: str,
-        preset: Iterable[Place | str],
-        postset: Iterable[Place | str],
+        self, id: str, preset: Iterable[str], postset: Iterable[str]
     ) -> Transition:
-        """Add a transition wired to existing places (given as Place or id)."""
+        """Add a transition wired to existing places, given by id."""
         if not (isinstance(id, str) and _ID.fullmatch(id)):
             check_id("transition", id)
         if id in self.transitions:
             raise DuplicateIdError(f"duplicate transition id {id!r}")
-        # a list of known ids resolves in one `map`; anything else, or a
-        # list holding a Place, an unknown id or an unhashable entry, goes
-        # entry by entry through `_resolve_place`, in one pass, so the first
-        # fault raises and any iterable works
-        get = self.places.get
+        # lists of known ids go in bulk; anything else, or a list holding
+        # an unknown id or an unhashable entry, goes entry by entry, in
+        # one pass, so the first fault raises and any iterable works
+        places = self.places
         try:
-            pre = list(map(get, preset)) if type(preset) is list else [None]
-            post = list(map(get, postset)) if type(postset) is list else [None]
+            pre = dict.fromkeys(preset) if type(preset) is list else None
+            post = dict.fromkeys(postset) if type(postset) is list else None
         except TypeError:  # an unhashable entry
-            pre = [None]
-        if None in pre or None in post:
-            resolve = self._resolve_place
-            pre = [get(p) or resolve(p) for p in preset]
-            post = [get(p) or resolve(p) for p in postset]
+            pre = None
+        if pre is None or post is None or not (
+            pre.keys() <= places.keys() and post.keys() <= places.keys()
+        ):
+            pre, post = {}, {}
+            for side, entries in ((pre, preset), (post, postset)):
+                for pid in entries:
+                    if pid not in places:
+                        raise MembershipError(f"unknown place {pid!r}")
+                    side[pid] = None
         if not pre or not post:
             raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
-        transition = Transition(id, dict.fromkeys(pre), dict.fromkeys(post))
+        transition = Transition(id, pre, post)
         self.transitions[id] = transition
         return transition
-
-    def _resolve_place(self, ref: Place | str) -> Place:
-        pid = ref.id if isinstance(ref, Place) else ref
-        try:
-            return self.places[pid]
-        except KeyError:
-            raise MembershipError(f"unknown place {pid!r}") from None
 
 
 def check_net(net: PetriNet) -> list[str]:
     """Report every broken structural invariant; empty list means the net is sound.
 
-    Checks id-key consistency, nonempty transition sides and that every
-    place on a transition's side is a member of the net.  Self-loops are
-    legal and reported separately by `find_self_loops`.  `initialize`
-    checks the same invariants inline and calls it only to raise its
-    list; `write_net` calls it once, before it prints.
+    Checks that each transition is stored under its id, that its sides
+    are nonempty and that every place id on them is a member of the net.
+    Self-loops are legal and reported separately by `find_self_loops`.
+    `initialize` checks the same invariants inline and calls it only to
+    raise its list; `write_net` calls it once, before it prints.
     """
+    places = net.places
     violations = []
-    for pid, place in net.places.items():
-        if place.id != pid:
-            violations.append(f"place {pid!r}: stored under key {pid!r} but has id {place.id!r}")
     for tid, t in net.transitions.items():
         if t.id != tid:
             violations.append(f"transition {tid!r}: stored under key {tid!r} but has id {t.id!r}")
@@ -205,15 +179,11 @@ def check_net(net: PetriNet) -> list[str]:
             violations.append(f"transition {tid!r}: empty preset")
         if not t.postset:
             violations.append(f"transition {tid!r}: empty postset")
-        for side, places in (("preset", t.preset), ("postset", t.postset)):
-            for place in places:
-                try:
-                    member = net.places.get(place.id) is place
-                except TypeError:  # an id no hash takes is no key of the net
-                    member = False
-                if not member:
+        for side, pids in (("preset", t.preset), ("postset", t.postset)):
+            for pid in pids:
+                if pid not in places:
                     violations.append(
-                        f"transition {tid!r}: {side} place {place.id!r} is not a member of the net"
+                        f"transition {tid!r}: {side} place {pid!r} is not a member of the net"
                     )
     return violations
 
@@ -234,7 +204,7 @@ def find_self_loops(net: PetriNet) -> list[str]:
     Self-looped places are valid input but the reduction rules refuse to
     fire on them, so the net around them cannot collapse.
     """
-    order = {place: i for i, place in enumerate(net.places.values())}
+    order = {pid: i for i, pid in enumerate(net.places)}
     loops = []
     for t in net.transitions.values():
         # scan the smaller side, so a hub's large side costs nothing extra
@@ -243,6 +213,6 @@ def find_self_loops(net: PetriNet) -> list[str]:
             small, large = large, small
         loops.extend((p, t) for p in small if p in large)
     return [
-        f"place {p.id!r} is on a self-loop through transition {t.id!r}"
+        f"place {p!r} is on a self-loop through transition {t.id!r}"
         for p, t in sorted(loops, key=lambda loop: order[loop[0]])
     ]

@@ -33,18 +33,16 @@ class Trace:
 
     Records (rule, input id, output id) triples under the six rule names
     of the case (PetriNet2StateChart, PetriNet2TopState, Place2Or,
-    Place2Basic, Transition2HyperEdge, AndRulePlace2Or), and maps every
-    place id of the input net to the OR state `initialize` built for it.
-    `entries` holds the records in the order the pass made them, which
-    `initialize` does rule by rule; only the order `export` gives is a
-    contract. Between `initialize` and `reduce` the trace also holds the
-    index graph `initialize` built for `reduce`, and the net object it
-    was built from; `reduce` takes it off.
+    Place2Basic, Transition2HyperEdge, AndRulePlace2Or). `entries` holds
+    the records in the order the pass made them, which `initialize` does
+    rule by rule; only the order `export` gives is a contract. Between
+    `initialize` and `reduce` the trace also holds the index graph
+    `initialize` built for `reduce`, and the net object it was built
+    from; `reduce` takes it off.
     """
 
     def __init__(self) -> None:
         self.entries: list[TraceEntry] = []
-        self.ors: dict[str, OrState] = {}
         # `reduce`'s index graph as (net, ors, pre, post, tpre, tpost), see
         # `_Graph`; set by `initialize`, taken off by `reduce`
         self._graph: tuple | None = None
@@ -119,18 +117,15 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     edges = chart.hyperedges
     edges.extend(map(HyperEdge, edge_ids, transitions))
     # what `check_net` checks is flagged here, and `check_net` runs only
-    # to raise its list: an element stored under a key other than its id,
-    # an empty side, and a place that is not the net's (a KeyError where
-    # the sides' places are looked up, by identity)
-    sound = (
-        list(map(_id_of, places.values())) == list(places)
-        and list(map(_id_of, transitions.values())) == list(transitions)
-    )
+    # to raise its list: a transition stored under a key other than its
+    # id, an empty side, and a place that is not the net's (a KeyError
+    # where the sides' place ids are looked up)
+    sound = list(map(_id_of, transitions.values())) == list(transitions)
     # each side's slots give the hyperedge's endpoints and `reduce`'s
     # index graph (see `_Graph`) in the same walk, in net order, so each
     # slot dict gets its transitions in net order: a one-place side is one
     # slot lookup, a longer one is put in place-declaration order by slot
-    slot_of = dict(zip(places.values(), range(len(basics))))
+    slot_of = dict(zip(places, range(len(basics))))
     slot = slot_of.__getitem__
     basic_at = basics.__getitem__
     pre = [{} for _ in basics]
@@ -171,7 +166,6 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     if not sound:
         raise invalid_net(net)
 
-    trace.ors.update(zip(places, ors))
     # the trace, rule by rule; the bulk rules skip TraceEntry's own
     # __new__, which only adds a Python call per record
     entries = trace.entries
@@ -405,8 +399,9 @@ def reduce(
     the index graph `initialize` left on the trace, which `reduce` takes
     off it; *net* stays untouched and only the chart changes. The
     worklist starts with every transition in insertion order and is
-    consumed first-in first-out; passing *rng* switches to random picks,
-    which exercises confluence without changing the result's shape. After
+    consumed first-in first-out; passing *rng* switches to random picks.
+    On series-parallel nets the result's shape does not depend on the pick
+    order; on general nets it can, when one fusion blocks another. After
     a successful application the transitions around the surviving place
     that are off the worklist go back on it, in adjacency order. An OR
     fusion chains the two OR states in O(1) and renames the arcs of the

@@ -63,7 +63,7 @@ def fork_join(k: int) -> PetriNet:
     """s -> fork -> {x_0 .. x_<k-1>} -> join -> e: one AND of k branches."""
     net = PetriNet(f"forkjoin{k}")
     net.add_place("s")
-    branches = [net.add_place(f"x{i}").id for i in range(k)]
+    branches = [net.add_place(f"x{i}") for i in range(k)]
     net.add_place("e")
     net.add_transition("fork", ["s"], branches)
     net.add_transition("join", branches, ["e"])

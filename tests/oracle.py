@@ -25,10 +25,11 @@ exceptions, messages and violations that `write_chart` must give.
 
 `reference_add_place`, `reference_add_transition`,
 `reference_net_from_xml` and `reference_net_from_json` build nets the
-straightforward way: `check_id` on every id, one lookup per side entry,
-`_attrs` on every element, and their own test for text inside a place
-or transition.  They fix the nets, exceptions and messages,
-in their precedence, that the package's builders and readers must give.
+straightforward way: `check_id` on every id, their own membership test
+for every side entry, `_attrs` on every element, and their own test for
+text inside a place or transition.  They fix the nets, exceptions and
+messages, in their precedence, that the package's builders and readers
+must give.
 
 What the references still share with the package: the model classes,
 the errors, `check_id`, `detect_format` and `FORMATS`, and the document
@@ -38,7 +39,8 @@ helpers that read and print text.  To read: `_xml_root`, `_attrs`,
 the chart reader's lookup of endpoint ids.  To print: `_xml_attr`,
 `_json_strings` and `_json_records`.  No reference imports a
 rule it restates (`validate_chart`, `check_net`, `child_faults`,
-`edge_faults`, `_invalid_chart`); `test_oracle.py` checks the imports.
+`edge_faults`, `_invalid_chart`), nor reaches a private attribute of
+another object; `test_oracle.py` checks both.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from netchart import (
 )
 from netchart.errors import (
     DuplicateIdError,
+    MembershipError,
     ModelError,
     ParseError,
     PreconditionError,
@@ -81,7 +84,7 @@ from netchart.formats import (
     _xml_attr,
     _xml_root,
 )
-from netchart.net import Place, check_id
+from netchart.net import check_id
 
 
 @dataclass
@@ -479,26 +482,33 @@ def _reference_chart_to_json(chart: StateChart, top: AndState) -> bytes | None:
     return out.getvalue()
 
 
-def reference_add_place(net: PetriNet, id) -> Place:
+def reference_add_place(net: PetriNet, id) -> str:
     check_id("place", id)
     if id in net.places:
         raise DuplicateIdError(f"duplicate place id {id!r}")
-    place = Place(id)
-    net.places[id] = place
-    return place
+    net.places[id] = None
+    return id
+
+
+def _reference_side(net: PetriNet, entries) -> dict:
+    side = {}
+    for pid in entries:
+        if pid not in net.places:
+            raise MembershipError(f"unknown place {pid!r}")
+        side[pid] = None
+    return side
 
 
 def reference_add_transition(net: PetriNet, id, preset, postset) -> Transition:
     check_id("transition", id)
     if id in net.transitions:
         raise DuplicateIdError(f"duplicate transition id {id!r}")
-    get, resolve = net.places.get, net._resolve_place
-    pre = [get(p) or resolve(p) for p in preset]
-    post = [get(p) or resolve(p) for p in postset]
+    pre = _reference_side(net, preset)
+    post = _reference_side(net, postset)
     if not pre or not post:
         raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
     transition = Transition(id)
-    transition.preset, transition.postset = dict.fromkeys(pre), dict.fromkeys(post)
+    transition.preset, transition.postset = pre, post
     net.transitions[id] = transition
     return transition
 

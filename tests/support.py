@@ -67,9 +67,9 @@ def fork_join_nest(depth: int) -> PetriNet:
     next level in, and joins them again.  The reduced chart nests an OR
     and an AND state per level; depth 0 is a single place."""
     net = PetriNet(f"nest{depth}")
-    entry = exit_ = net.add_place("c0").id
+    entry = exit_ = net.add_place("c0")
     for level in range(1, depth + 1):
-        side, fork, join = (net.add_place(f"{kind}{level}").id for kind in "afj")
+        side, fork, join = (net.add_place(f"{kind}{level}") for kind in "afj")
         net.add_transition(f"fork{level}", [fork], [side, entry])
         net.add_transition(f"join{level}", [side, exit_], [join])
         entry, exit_ = fork, join
@@ -140,8 +140,8 @@ def net_edges_signature(net: PetriNet) -> frozenset:
     return frozenset(
         (
             t.id,
-            frozenset(p.id for p in t.preset),
-            frozenset(p.id for p in t.postset),
+            frozenset(t.preset),
+            frozenset(t.postset),
         )
         for t in net.transitions.values()
     )
@@ -161,8 +161,8 @@ def net_to_plain(net: PetriNet) -> tuple[set[str], dict[str, tuple[frozenset, fr
     places = set(net.places)
     transitions = {
         t.id: (
-            frozenset(p.id for p in t.preset),
-            frozenset(p.id for p in t.postset),
+            frozenset(t.preset),
+            frozenset(t.postset),
         )
         for t in net.transitions.values()
     }

@@ -180,6 +180,26 @@ def test_semantic_errors_exit_2(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    b'<petrinet name="n"/>',
+    b'{"name": "n", "places": [], "transitions": []}',
+], ids=["xml", "json"])
+def test_an_empty_net_validates_but_does_not_transform(tmp_path, capsys, data):
+    inp = tmp_path / "empty.net"
+    inp.write_bytes(data)
+    assert main(["validate", "--net", str(inp)]) == 0
+    assert capsys.readouterr().out == "net 'n': OK (0 places, 0 transitions)\n"
+    # the flat chart's topstate would have no children, which no chart may
+    out = tmp_path / "chart.xml"
+    assert main(["transform", "--input", str(inp), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: chart 'n' is not well formed\n  - and 's0': fewer than 1 children\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("char", ["\x01", "\ufffe", "\ud800"])
 def test_xml_output_refuses_characters_xml_cannot_carry(tmp_path, capsys, char):
     net = diamond()

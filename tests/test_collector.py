@@ -84,12 +84,10 @@ def _broken_net():
 
 
 def _broken_net_with_a_bad_id():
-    # the writer meets the id, which it refuses, before the empty preset,
-    # so the refusal is raised from its handler of the id's error
+    # a refused id beside the empty preset, which outranks it
     net = _broken_net()
-    place = net.places.pop("q")
-    place.id = "q q"
-    net.places[place.id] = place
+    del net.places["q"]
+    net.places["q q"] = None
     return net
 
 

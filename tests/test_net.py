@@ -13,7 +13,6 @@ from netchart import (
     DuplicateIdError,
     MembershipError,
     PetriNet,
-    Place,
     PreconditionError,
     Trace,
     Transition,
@@ -32,10 +31,11 @@ from support import diamond, general_nets
 def test_add_place_and_transition():
     net = PetriNet("n")
     p = net.add_place("p")
+    assert p == "p" and net.places == {"p": None}
     net.add_place("q")
     t = net.add_transition("t", [p], ["q"])
-    assert [x.id for x in t.preset] == ["p"]
-    assert [x.id for x in t.postset] == ["q"]
+    assert list(t.preset) == ["p"]
+    assert list(t.postset) == ["q"]
     assert check_net(net) == []
 
 
@@ -43,9 +43,8 @@ def test_transition_sides_default_to_fresh_empty_dicts():
     t, u = Transition("t"), Transition("u")
     assert t.preset == t.postset == {}
     assert t.preset is not t.postset and t.preset is not u.preset
-    p = Place("p")
-    v = Transition("v", {p: None}, {})
-    assert list(v.preset) == [p] and v.postset == {}
+    v = Transition("v", {"p": None}, {})
+    assert list(v.preset) == ["p"] and v.postset == {}
 
 
 def test_ids_no_document_can_carry_are_rejected():
@@ -119,11 +118,11 @@ def test_check_net_reports_empty_sides():
 
 def test_check_net_reports_ids_that_differ_from_their_keys():
     net = diamond()
-    net.places["q"].id = "z"
+    del net.places["q"]
+    net.places["z"] = None
     net.transitions["t2"].id = "t9"
     assert check_net(net) == [
-        "place 'q': stored under key 'q' but has id 'z'",
-        "transition 't1': preset place 'z' is not a member of the net",
+        "transition 't1': preset place 'q' is not a member of the net",
         "transition 't2': stored under key 't2' but has id 't9'",
     ]
 
@@ -140,55 +139,25 @@ def test_self_loops_are_warnings_not_violations():
     assert find_self_loops(diamond()) == []
 
 
-def test_check_net_reports_a_side_place_with_an_unhashable_id():
-    net = diamond()
-    net.places["q"].id = ["x"]
-    assert check_net(net) == [
-        "place 'q': stored under key 'q' but has id ['x']",
-        "transition 't1': preset place ['x'] is not a member of the net",
-    ]
-
-
-@pytest.mark.parametrize("format", ["xml", "json"])
-def test_write_net_refuses_a_place_with_an_unhashable_id(format):
-    net = diamond()
-    net.places["r"].id = ["x"]
-    with pytest.raises(ValidationError) as caught:
-        write_net(net, format)
-    assert caught.value.violations == check_net(net)
-
-
-def test_initialize_refuses_a_place_with_an_unhashable_id():
-    net = diamond()
-    net.places["a"].id = ["x"]
-    with pytest.raises(ValidationError) as caught:
-        initialize(net, Trace())
-    assert "transition 't2': preset place ['x'] is not a member of the net" in (
-        caught.value.violations)
-
-
 # ids for the builders: known ones, unknown ones, ids no document can
 # carry, and values that are no string at all
 _BUILD_IDS = st.sampled_from(["p0", "p1", "p2", "t0", "", " ", "a\tb", 5, None, b"p0"])
-# side entries: an id, the net's own Place of that id, a Place of another
-# net under that id, or an unhashable list
+# side entries: an id, an equal string built anew, or an unhashable list
 _ENTRIES = st.one_of(
-    st.tuples(st.sampled_from(["id", "own", "foreign"]), _BUILD_IDS),
+    st.tuples(st.sampled_from(["id", "copy"]), _BUILD_IDS),
     st.just(("unhashable", None)),
 )
 _SIDES = st.tuples(st.sampled_from(["list", "tuple", "generator"]), st.lists(_ENTRIES, max_size=3))
 
 
-def _side(net: PetriNet, foreign: dict, spec):
-    """The side *spec* describes, built for *net*."""
+def _side(spec):
+    """The side *spec* describes, built afresh."""
     how, entries = spec
     items = []
     for kind, value in entries:
-        if kind == "own":
-            # a known id gives the net's own Place, an unknown one a fresh Place
-            items.append(net.places.get(value) or foreign.setdefault(value, Place(value)))
-        elif kind == "foreign":
-            items.append(foreign.setdefault(value, Place(value)))
+        if kind == "copy" and isinstance(value, str):
+            # places are looked up by value, not by identity
+            items.append("".join(list(value)))
         elif kind == "unhashable":
             items.append([])
         else:
@@ -205,9 +174,9 @@ def _build_outcome(build):
         result = build()
     except Exception as exc:  # the reference fixes the type as well
         return type(exc), str(exc)
-    if isinstance(result, Place):
-        return result.id
-    return result.id, [p.id for p in result.preset], [p.id for p in result.postset]
+    if isinstance(result, str):
+        return result
+    return result.id, list(result.preset), list(result.postset)
 
 
 @settings(max_examples=400, deadline=None)
@@ -219,43 +188,41 @@ def _build_outcome(build):
 ))
 def test_builders_match_the_reference(steps):
     net, reference = PetriNet("n"), PetriNet("n")
-    foreign = {}  # one Place of another net per id, shared by both nets
     for kind, id, *sides in steps:
         if kind == "place":
             got = _build_outcome(lambda: net.add_place(id))
             want = _build_outcome(lambda: reference_add_place(reference, id))
         else:
             got = _build_outcome(
-                lambda: net.add_transition(id, *(_side(net, foreign, s) for s in sides))
+                lambda: net.add_transition(id, *map(_side, sides))
             )
-            want = _build_outcome(lambda: reference_add_transition(
-                reference, id, *(_side(reference, foreign, s) for s in sides)
-            ))
+            want = _build_outcome(
+                lambda: reference_add_transition(reference, id, *map(_side, sides))
+            )
         assert got == want
     assert repr(net) == repr(reference)
     assert check_net(net) == []
 
 
-_NET_CHANGES = ["rekey place", "rekey transition", "foreign twin", "foreign place",
-                "empty preset", "empty postset"]
+_NET_CHANGES = ["drop place", "rekey transition", "foreign place", "empty preset",
+                "empty postset"]
 
 
 def _change_net(net: PetriNet, kind: str, k: int) -> None:
     """Change *net* by hand, after building, in one of the ways
     `check_net` reports."""
-    places, transitions = list(net.places.values()), list(net.transitions.values())
-    if kind == "rekey place":
-        places[k % len(places)].id = f"z{k}"
+    places, transitions = list(net.places), list(net.transitions.values())
+    if kind == "drop place":  # the sides may still name it
+        if places:
+            del net.places[places[k % len(places)]]
         return
     if not transitions:
         return
     transition = transitions[k % len(transitions)]
     if kind == "rekey transition":
         transition.id = f"z{k}"
-    elif kind == "foreign twin":  # another net's place under a member's id
-        transition.postset[Place(places[k % len(places)].id)] = None
     elif kind == "foreign place":
-        transition.preset[Place(f"x{k}")] = None
+        transition.preset[f"x{k}"] = None
     elif kind == "empty preset":
         transition.preset.clear()
     elif kind == "empty postset":
@@ -297,6 +264,6 @@ def test_initialize_and_write_net_refuse_exactly_what_check_net_reports(net, cha
             call()
         assert str(info.value) == f"net {net.name!r} is not well formed"
         assert info.value.violations == expected
-    assert trace.entries == [] and trace.ors == {} and trace._graph is None
-    assert len(used.entries) == 1 and used.ors == {} and used._graph is None
+    assert trace.entries == [] and trace._graph is None
+    assert len(used.entries) == 1 and used._graph is None
 
