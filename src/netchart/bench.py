@@ -4,11 +4,13 @@ Each case is generated once and written to a temp file; every
 repetition runs the pipeline once and measures three disjoint intervals
 with a monotonic clock: reading (load + parse), transformation (the
 steps of `transform`: a fresh trace, initialize, reduce and the trace
-export) and writing (serialize + store the chart).  Four layers are
+export) and writing (serialize + store the chart).  Six layers are
 timed from the same contiguous timestamps: parse (the parse inside
-reading), and initialize, reduce and export, which add up to
-transformation.  A repetition builds its trace from scratch, so no
-state carries over.
+reading); initialize, reduce and export, which add up to
+transformation; write_chart (the serialization inside writing); and
+write_trace, the exported trace serialized as the CLI writes it, timed
+after writing and outside all three phases.  A repetition builds its
+trace from scratch, so no state carries over.
 Automatic garbage collection is paused inside the timed region, as
 `timeit` does, so collector scheduling does not leak into the phase
 times.
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import NetchartError, PreconditionError
-from .formats import parse_net, write_chart, write_net
+from .formats import parse_net, write_chart, write_net, write_trace
 from .generator import SpSpec, generate_sp
 from .pipeline import Trace, initialize, reduce
 
@@ -43,6 +45,8 @@ class PhaseSample:
     initialize_ms: float
     reduce_ms: float
     export_ms: float
+    write_chart_ms: float
+    write_trace_ms: float
 
 
 @dataclass
@@ -101,7 +105,7 @@ def _revision() -> str | None:
 
 _COLUMNS = ("Reading input", "Transformation", "Writing output")
 _PHASES = ("reading", "transformation", "writing")
-_LAYERS = ("parse", "initialize", "reduce", "export")
+_LAYERS = ("parse", "initialize", "reduce", "export", "write_chart", "write_trace")
 
 
 @dataclass
@@ -208,10 +212,14 @@ def _run_case(
                     t3 = time.perf_counter()
                     reduce(parsed, chart, trace)
                     t4 = time.perf_counter()
-                    trace.export()
+                    entries = trace.export()
                     t5 = time.perf_counter()
-                    out_path.write_bytes(write_chart(chart, "xml"))
+                    data = write_chart(chart, "xml")
                     t6 = time.perf_counter()
+                    out_path.write_bytes(data)
+                    t7 = time.perf_counter()
+                    write_trace(entries)
+                    t8 = time.perf_counter()
                 finally:
                     if was_enabled:
                         gc.enable()
@@ -219,11 +227,13 @@ def _run_case(
                     PhaseSample(
                         reading_ms=(t2 - t0) * 1e3,
                         transformation_ms=(t5 - t2) * 1e3,
-                        writing_ms=(t6 - t5) * 1e3,
+                        writing_ms=(t7 - t5) * 1e3,
                         parse_ms=(t2 - t1) * 1e3,
                         initialize_ms=(t3 - t2) * 1e3,
                         reduce_ms=(t4 - t3) * 1e3,
                         export_ms=(t5 - t4) * 1e3,
+                        write_chart_ms=(t6 - t5) * 1e3,
+                        write_trace_ms=(t8 - t7) * 1e3,
                     )
                 )
         if discard_first and len(row.samples) > 1:

@@ -4,9 +4,11 @@ Two self-contained formats per model: XML and a JSON mirror; a parser
 reads the one that the document's first character names.  Writers
 emit UTF-8 bytes with LF line endings, two-space indentation and a
 fixed attribute order, so equal models produce identical bytes.
-The JSON writers emit their text directly, walking charts with an
-explicit stack, and produce the bytes of `json.dumps(doc, indent=2)`
-plus a newline, so any nesting depth writes.  Parsers are strict:
+The chart writers walk the tree with an explicit stack, so any nesting
+depth writes: the XML one keeps an iterator over the children of each
+open composite, the JSON one a stack of nodes and literal text.  The
+JSON writers emit their text directly and produce the bytes of
+`json.dumps(doc, indent=2)` plus a newline.  Parsers are strict:
 unknown elements, attributes or keys, and text inside or between XML
 elements, are syntax errors; semantic problems (duplicate ids,
 dangling references, empty transition sides) raise model errors
@@ -20,17 +22,18 @@ and run `validate_chart` only to raise its list; `write_net` runs
 Ids must be nonempty and free of whitespace because the XML documents
 carry space-separated id lists; the readers refuse other ids and the
 writers refuse to print them.  The readers and the writers collect the
-ids they read or print and test them together, once per document.  The
-readers build the model in one fast walk that stops at any fault.  The
-XML net reader walks the document text: one regular expression matches
-the layout `write_net` prints and another finds its elements, so no
-tree is built; the XML chart reader tests its whole tree at once for
-text.  Only a document that walk or the id test refuses is walked
-again, with each element and id checked on its own, to name the first
-fault; the net readers then build through `add_place` and
-`add_transition`.  So an XML net in any other layout, with a comment or
-an entity say, is parsed by ElementTree and still reads, strictly.  A
-writer names the first id `check_id` refuses, in document order, only
+ids they read or print and test them together, once per document, on
+their join: C-level scans test an ASCII join, a split any other
+(`net._joined_ids`).  The readers build the model in one fast walk
+that stops at any fault.  The XML net reader walks the document text:
+one regular expression matches the layout `write_net` prints and
+another finds its elements, so no tree is built; the XML chart reader
+tests its whole tree at once for text.  Only a document that walk or
+the id test refuses is walked again, with each element and id checked
+on its own, to name the first fault; the net readers then build
+through `add_place` and `add_transition`.  So an XML net in any other
+layout, with a comment or an entity say, is parsed by ElementTree and
+still reads, strictly.  A writer names the first id `check_id` refuses, in document order, only
 once the test has refused one, and the XML chart writer walks again
 only to escape an id that needs it.  A model violation outranks a
 refused id, which outranks any other fault of a written document, such
@@ -45,7 +48,7 @@ import re
 import xml.etree.ElementTree as ET
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .chart import AndState, Basic, HyperEdge, Node, OrState, StateChart
@@ -58,7 +61,7 @@ from .errors import (
     TreeError,
     ValidationError,
 )
-from .net import PetriNet, Transition, _collector_paused, _valid_ids
+from .net import PetriNet, Transition, _collector_paused, _joined_ids, _valid_ids
 from .net import check_id, check_net
 from .pipeline import TraceEntry
 
@@ -694,20 +697,25 @@ def write_chart(chart: StateChart, format: str = "xml") -> bytes:
     return data
 
 
+# the place of a basic state; the transition of a hyperedge
+_place_of = attrgetter("origin_place")
+_transition_of = attrgetter("origin_transition")
+
+
 def _printed_ids(
     chart: StateChart, ids: set[str], basics: set[Basic], edges: list[HyperEdge]
 ) -> str:
     """The ids a writer of *chart* prints, joined by spaces in no particular
     order: the node ids *ids*, the places of *basics* and each edge's id
-    and transition.  Raises when `check_id` would refuse one, tested as
-    `_valid_ids` tests, on the same join; `write_chart` then names the
+    and transition.  Raises when `check_id` would refuse one, tested by
+    `_joined_ids`, which gives the join; `write_chart` then names the
     first such id."""
     printed = list(ids)
-    printed += [basic.origin_place for basic in basics]
-    for edge in edges:
-        printed += edge.id, edge.origin_transition
-    text = " ".join(printed)  # raises TypeError on an id that is no string
-    if text.split() != printed:
+    printed += map(_place_of, basics)
+    printed += map(_id_of, edges)
+    printed += map(_transition_of, edges)
+    text = _joined_ids(printed)
+    if text is None:
         raise PreconditionError(f"chart {chart.name!r} holds an id no reader accepts")
     return text
 
@@ -716,49 +724,60 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
     """The chart under its root *top* as XML, or None at the first fault
     `validate_chart` reports.
 
-    Ids are printed verbatim and tested together before the hyperedges
-    are printed, and an id the test refuses raises.  When one needs
-    escaping, the chart is written again with *strict* set, a walk that
-    only escapes: it quotes each id with `_xml_attr`."""
+    The tree is walked in preorder, children in order, with an explicit
+    stack, as containment can nest deeper than Python's recursion cap:
+    one iterator over the children of each open composite, with the
+    composite's closing tag, so a run of sibling basic states prints
+    with no push or pop.  Ids are printed verbatim and tested together
+    before the hyperedges are printed, and an id the test refuses raises.
+    When one needs escaping, the chart is written again with *strict*
+    set, a walk that only escapes: it quotes each id with `_xml_attr`."""
     lines = [f"<statechart name={_xml_attr(chart.name)}>"]
-    ids: set[str] = set()
+    append = lines.append
+    ids: set[str] = {top.id}
     basics: set[Basic] = set()
     violations: list[str] = []
-    # explicit stack: containment can nest deeper than Python's recursion cap
-    stack: list[tuple[Node, int, bool]] = [(top, 1, False)]
+    child_faults(top, top, violations)
+    if violations:
+        return None
+    append(f"  <and id={_xml_attr(top.id)}>" if strict else f'  <and id="{top.id}">')
+    stack = [(iter(top.children), "  </and>")]
+    pads = ["", "  "]  # the indentation of each depth, made once
     while stack:
-        node, depth, closing = stack.pop()
-        pad = "  " * depth
-        if closing:
-            lines.append(f"{pad}</{'and' if isinstance(node, AndState) else 'or'}>")
-            continue
-        # a repeated id is a fault, which also stops the walk on a node
-        # reached twice, so on a cyclic `children` graph
-        if node.id in ids:
-            return None
-        ids.add(node.id)
-        if isinstance(node, Basic):
-            basics.add(node)
-            if strict:
-                lines.append(
-                    f"{pad}<basic id={_xml_attr(node.id)}"
-                    f" place={_xml_attr(node.origin_place)}/>"
-                )
-            else:
-                lines.append(f'{pad}<basic id="{node.id}" place="{node.origin_place}"/>')
-            continue
-        children = node.children
-        child_faults(node, top, violations)
-        if violations:
-            return None
-        tag = "and" if isinstance(node, AndState) else "or"
-        if strict:
-            lines.append(f"{pad}<{tag} id={_xml_attr(node.id)}>")
+        children, closing = stack[-1]
+        depth = len(stack) + 1
+        if depth == len(pads):
+            pads.append(pads[-1] + "  ")
+        pad = pads[depth]
+        for node in children:
+            node_id = node.id
+            # a repeated id is a fault, which also stops the walk on a node
+            # reached twice, so on a cyclic `children` graph
+            if node_id in ids:
+                return None
+            ids.add(node_id)
+            if isinstance(node, Basic):
+                basics.add(node)
+                if strict:
+                    append(
+                        f"{pad}<basic id={_xml_attr(node_id)}"
+                        f" place={_xml_attr(node.origin_place)}/>"
+                    )
+                else:
+                    append(f'{pad}<basic id="{node_id}" place="{node.origin_place}"/>')
+                continue
+            child_faults(node, top, violations)
+            if violations:
+                return None
+            tag = "and" if isinstance(node, AndState) else "or"
+            append(f"{pad}<{tag} id={_xml_attr(node_id)}>" if strict
+                   else f'{pad}<{tag} id="{node_id}">')
+            # descend: the loop resumes this iterator once the child closes
+            stack.append((iter(node.children), f"{pad}</{tag}>"))
+            break
         else:
-            lines.append(f'{pad}<{tag} id="{node.id}">')
-        stack.append((node, depth, True))
-        for child in reversed(children):
-            stack.append((child, depth + 1, False))
+            stack.pop()
+            append(closing)
     edges = chart.hyperedges
     edge_faults(edges, basics, violations)
     if violations:
@@ -773,17 +792,17 @@ def _chart_to_xml(chart: StateChart, top: AndState, strict: bool = False) -> byt
         src = sources[0].id if len(sources) == 1 else " ".join(map(_id_of, sources))
         tgt = targets[0].id if len(targets) == 1 else " ".join(map(_id_of, targets))
         if strict:
-            lines.append(
+            append(
                 f"  <hyperedge id={_xml_attr(edge.id)}"
                 f" transition={_xml_attr(edge.origin_transition)}"
                 f" src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
             )
         else:
-            lines.append(
+            append(
                 f'  <hyperedge id="{edge.id}" transition="{edge.origin_transition}"'
                 f' src="{src}" tgt="{tgt}"/>'
             )
-    lines.append("</statechart>")
+    append("</statechart>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

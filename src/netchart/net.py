@@ -55,15 +55,39 @@ def check_id(kind: str, value: str) -> str:
     return value
 
 
-def _valid_ids(ids: list) -> bool:
-    """Whether `check_id` accepts every entry of *ids*, tested in one go:
-    `str.split` splits exactly where `\\s` matches, so the ids joined by
-    spaces split back into the same list only if each is a nonempty
-    string without whitespace; `join` refuses an entry that is no string."""
+def _joined_ids(ids: list) -> str | None:
+    """The entries of *ids* joined by spaces if `check_id` accepts every
+    one, else None; tested in one go, on the join.
+
+    `str.split` splits exactly where `\\s` matches, so the join splits
+    back into *ids* only if each is a nonempty string without whitespace;
+    `join` refuses an entry that is no string.  ASCII text is tested
+    without the split, which makes a string per id, by C-level scans:
+    each of the `len(ids) - 1` spaces is one the join put there, so no
+    id holds a space; no id holds the other ASCII whitespace `str.split`
+    splits on; and no id is empty, which would leave two spaces
+    together, one at either end, or an empty text."""
     try:
-        return " ".join(ids).split() == ids
+        text = " ".join(ids)
     except TypeError:
-        return False
+        return None
+    if not text.isascii():
+        return text if text.split() == ids else None
+    if not text:  # no ids, or one empty one
+        return None if ids else text
+    if (text.count(" ") != len(ids) - 1 or "  " in text
+            or text[0] == " " or text[-1] == " "
+            or "\t" in text or "\n" in text or "\x0b" in text or "\x0c" in text
+            or "\r" in text or "\x1c" in text or "\x1d" in text or "\x1e" in text
+            or "\x1f" in text):
+        return None
+    return text
+
+
+def _valid_ids(ids: list) -> bool:
+    """Whether `check_id` accepts every entry of *ids*, tested in one go,
+    as `_joined_ids` tests them."""
+    return _joined_ids(ids) is not None
 
 
 class Transition:

@@ -27,6 +27,7 @@ def _sample(r: float, t: float, w: float) -> PhaseSample:
     return PhaseSample(
         reading_ms=r, transformation_ms=t, writing_ms=w,
         parse_ms=r, initialize_ms=t, reduce_ms=0.0, export_ms=0.0,
+        write_chart_ms=w, write_trace_ms=0.0,
     )
 
 
@@ -154,8 +155,11 @@ def test_render_json_keys():
     assert set(good) == {"case", "error", "samples", "discarded", "phases", "layers"}
     assert (good["case"], good["error"], good["samples"], good["discarded"]) == ("sp5", None, 2, 1)
     assert list(good["phases"]) == ["reading", "transformation", "writing"]
-    assert list(good["layers"]) == ["parse", "initialize", "reduce", "export"]
+    assert list(good["layers"]) == [
+        "parse", "initialize", "reduce", "export", "write_chart", "write_trace"
+    ]
     assert good["layers"]["parse"]["min_ms"] <= good["phases"]["reading"]["median_ms"]
+    assert good["layers"]["write_chart"]["min_ms"] <= good["phases"]["writing"]["median_ms"]
     for spread in [*good["phases"].values(), *good["layers"].values()]:
         assert set(spread) == {"median_ms", "min_ms", "iqr_ms"}
         assert 0.0 <= spread["min_ms"] <= spread["median_ms"]
@@ -180,6 +184,9 @@ def test_bench_times_the_layers():
     for sample in row.samples:
         assert 0.0 < sample.parse_ms <= sample.reading_ms
         assert min(sample.initialize_ms, sample.reduce_ms, sample.export_ms) > 0.0
+        # the chart's serialization is inside writing; the trace's is outside it
+        assert 0.0 < sample.write_chart_ms <= sample.writing_ms
+        assert sample.write_trace_ms > 0.0
 
 
 def test_bench_layers_add_up_to_transformation():

@@ -1178,17 +1178,57 @@ _SPLIT_CHARS = st.one_of(
 )
 
 
+def _accepted(value) -> bool:
+    """Whether `check_id` accepts *value*."""
+    try:
+        check_id("state", value)
+    except PreconditionError:
+        return False
+    return True
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.one_of(st.text(_SPLIT_CHARS, max_size=4), st.integers(), st.none())))
 def test_bulk_id_test_agrees_with_check_id(ids):
-    def accepted(value) -> bool:
-        try:
-            check_id("state", value)
-        except PreconditionError:
-            return False
-        return True
+    assert _valid_ids(ids) == all(map(_accepted, ids))
 
-    assert _valid_ids(ids) == all(map(accepted, ids))
+
+# the ASCII whitespace `str.split` splits on besides the space
+_OTHER_ASCII_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+@pytest.mark.parametrize("ids", [
+    [], [""], ["", "a"], ["a", ""], ["a", "", "b"], ["a", "b"],
+    ["a b"], ["a  b"], ["a b", "c"], [" a"], ["a "],
+    *(["x", bad] for c in _OTHER_ASCII_SPACES for bad in (f"a{c}b", f"{c}a", f"a{c}")),
+    *([f"a{c}b"] for c in "\x85\xa0\u3000\u2028"),
+    ["\xe9", "b"], ["\xe9", ""],
+    ["a", 7], [None], [b"a"],
+], ids=repr)
+def test_bulk_id_test_agrees_with_check_id_at_its_corners(ids):
+    """The corners of the ASCII test that random lists reach only by
+    chance: empty ids at either end, spaces inside an id, each other
+    ASCII whitespace character, non-ASCII whitespace, which the split
+    path tests, and entries that are no string."""
+    assert _valid_ids(ids) == all(map(_accepted, ids))
+
+
+@pytest.mark.parametrize("slot", ["state", "place", "hyperedge", "transition"])
+def test_writers_refuse_an_id_with_an_information_separator(slot):
+    """An id holding `\\x1f`, ASCII whitespace to `str.split` but not to
+    XML's escaping, is refused in both formats as the reference refuses it."""
+    chart = transform(diamond()).chart
+    basic = next(node for node in chart.states() if isinstance(node, Basic))
+    edge = chart.hyperedges[0]
+    target, name = {
+        "state": (basic, "id"), "place": (basic, "origin_place"),
+        "hyperedge": (edge, "id"), "transition": (edge, "origin_transition"),
+    }[slot]
+    setattr(target, name, "a\x1fb")
+    for format in ("xml", "json"):
+        outcome = _write_outcome(write_chart, chart, format)
+        assert outcome == _write_outcome(reference_write_chart, chart, format)
+        assert outcome[0] is PreconditionError and "'a\\x1fb'" in outcome[1]
 
 
 # prefixes that keep an id valid whatever its alphabet, make XML escape
