@@ -10,7 +10,9 @@ reading); initialize, reduce and export, which add up to
 transformation; write_chart (the serialization inside writing); and
 write_trace, the exported trace serialized as the CLI writes it, timed
 after writing and outside all three phases.  A repetition builds its
-trace from scratch, so no state carries over.
+trace and chart from scratch; only the id strings the charts share carry
+over (see `chart`), made by the first repetition of a size larger than
+any before, which `discard_first` drops.
 Automatic garbage collection is paused inside the timed region, as
 `timeit` does, so collector scheduling does not leak into the phase
 times.

@@ -4,9 +4,10 @@ plus hyperedges connecting Basic states.
 Alternation rule: AND children are OR states; OR children are Basic or
 AND states; Basic states are leaves.  The tree root ("topstate") is an
 AND state.  Node ids are handed out by the owning chart from a creation
-counter, so equal construction sequences yield equal ids.  A composite's
-children are a plain dict mapping each child node, hashed by identity, to
-None: insertion-ordered, with O(1) membership.  A hyperedge stores its
+counter, as slices of id strings every chart shares, so equal
+construction sequences yield equal ids.  A composite's children are a
+plain dict mapping each child node, hashed by identity, to None:
+insertion-ordered, with O(1) membership.  A hyperedge stores its
 endpoint lists once, in the order the writers print them.  Only `reduce`
 reshapes a chart after it is built.
 """
@@ -17,6 +18,15 @@ from operator import attrgetter
 from typing import Iterator
 
 _id_of = attrgetter("id")
+
+# The id strings "s0", "s1", ... and "h0", "h1", ..., made once per process
+# and shared by every chart: element k is always the k-th id.  A list only
+# grows, and only to the most ids one chart has taken, by one slice
+# assignment at its end, so growth is amortized O(1) per id and a thread
+# that grows it over a range another thread grew writes the same strings
+# in the same places.
+_NODE_IDS: list[str] = []
+_EDGE_IDS: list[str] = []
 
 
 class Basic:
@@ -83,7 +93,7 @@ class StateChart:
     Callers build the nodes and hyperedges themselves and link them,
     under ids from `node_ids` ("s0", "s1", ...) and `edge_ids` ("h0",
     "h1", ...), which hand out blocks of one sequence each in creation
-    order.
+    order, as slices of `_NODE_IDS` and `_EDGE_IDS`.
     """
 
     def __init__(self, name: str):
@@ -96,14 +106,20 @@ class StateChart:
     def node_ids(self, count: int) -> list[str]:
         """The ids of the next *count* nodes, in creation order."""
         first = self._next_node
-        self._next_node += count
-        return [f"s{n}" for n in range(first, first + count)]
+        end = self._next_node = first + count
+        if len(_NODE_IDS) < end:
+            start = len(_NODE_IDS)
+            _NODE_IDS[start:end] = map("s{}".format, range(start, end))
+        return _NODE_IDS[first:end]
 
     def edge_ids(self, count: int) -> list[str]:
         """The ids of the next *count* hyperedges, in creation order."""
         first = self._next_edge
-        self._next_edge += count
-        return [f"h{n}" for n in range(first, first + count)]
+        end = self._next_edge = first + count
+        if len(_EDGE_IDS) < end:
+            start = len(_EDGE_IDS)
+            _EDGE_IDS[start:end] = map("h{}".format, range(start, end))
+        return _EDGE_IDS[first:end]
 
     # -- traversal ---------------------------------------------------------
 

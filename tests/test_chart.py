@@ -3,6 +3,10 @@ writers' refusal of what validation reports."""
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +28,9 @@ from netchart import (
     transform,
     validate_chart,
     write_chart,
+    write_trace,
 )
+from netchart import chart as chart_module
 from oracle import reference_validate_chart
 from support import chart_identical, general_nets, line_events
 
@@ -45,6 +51,117 @@ def test_id_blocks_continue_one_sequence():
     # hyperedges count on their own
     assert list(chart.edge_ids(1)) == ["h0"]
     assert list(chart.edge_ids(2)) == ["h1", "h2"]
+
+
+@pytest.fixture
+def empty_id_lists(monkeypatch):
+    """Start from the state of a fresh process: no id strings made yet."""
+    monkeypatch.setattr(chart_module, "_NODE_IDS", [])
+    monkeypatch.setattr(chart_module, "_EDGE_IDS", [])
+
+
+def _assert_ids_in_place(nodes: int, edges: int) -> None:
+    """The shared lists hold exactly the first *nodes* and *edges* ids,
+    element k the k-th."""
+    assert chart_module._NODE_IDS == [f"s{k}" for k in range(nodes)]
+    assert chart_module._EDGE_IDS == [f"h{k}" for k in range(edges)]
+
+
+def test_charts_cannot_see_the_shared_id_lists(empty_id_lists):
+    """Every chart's ids start at s0 and h0, whatever charts came before: a
+    chart built after a larger one takes a prefix of the shared lists, and
+    one built after a smaller one grows them, to its own count only."""
+    larger = StateChart("larger")
+    assert larger.node_ids(9) == [f"s{k}" for k in range(9)]
+    assert larger.edge_ids(4) == ["h0", "h1", "h2", "h3"]
+    after_larger = StateChart("after larger")
+    assert after_larger.node_ids(3) == ["s0", "s1", "s2"]
+    assert after_larger.edge_ids(1) == ["h0"]
+    _assert_ids_in_place(9, 4)
+    after_smaller = StateChart("after smaller")
+    assert after_smaller.node_ids(7) == [f"s{k}" for k in range(7)]
+    assert after_smaller.node_ids(2) == ["s7", "s8"]
+    assert after_smaller.node_ids(2) == ["s9", "s10"]  # two past the end
+    assert after_smaller.edge_ids(6) == [f"h{k}" for k in range(6)]
+    _assert_ids_in_place(11, 6)
+    small, large = generate_sp(SpSpec(12, 3)), generate_sp(SpSpec(40, 3))
+    alone = write_chart(transform(small).chart, "xml")
+    transform(large)
+    assert write_chart(transform(small).chart, "xml") == alone
+
+
+def test_a_returned_id_block_is_the_callers_own(empty_id_lists):
+    first = StateChart("first")
+    nodes, edges = first.node_ids(4), first.edge_ids(3)
+    nodes[:] = ["x"] * 4
+    edges.reverse()
+    nodes.append("s4")
+    second = StateChart("second")
+    assert second.node_ids(5) == ["s0", "s1", "s2", "s3", "s4"]
+    assert second.edge_ids(3) == ["h0", "h1", "h2"]
+    _assert_ids_in_place(5, 3)
+
+
+def test_threads_building_charts_write_the_sequential_bytes(empty_id_lists):
+    """Four threads transform nets of different sizes, each in its own
+    order, from empty id lists and with a short switch interval, so they
+    grow the shared lists over each other: every chart and trace document
+    is the one a sequential run writes, and element k stays the k-th id."""
+    nets = [generate_sp(SpSpec(places, 5)) for places in (1500, 40, 600, 3000)]
+
+    def documents(net):
+        chart, _, trace = transform(net)
+        return write_chart(chart, "xml"), write_chart(chart, "json"), write_trace(trace)
+
+    expected = [documents(net) for net in nets]
+    chart_module._NODE_IDS.clear()
+    chart_module._EDGE_IDS.clear()
+    start = threading.Barrier(4)
+    results: dict[int, list] = {}
+
+    def run(worker: int) -> None:
+        order = [(worker + step) % len(nets) for step in range(len(nets))]
+        start.wait()
+        results[worker] = [(n, documents(nets[n])) for n in order]
+
+    threads = [threading.Thread(target=run, args=(worker,)) for worker in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for runs in results.values():
+        for n, documents_written in runs:
+            assert documents_written == expected[n]
+    charts = [transform(net).chart for net in nets]
+    _assert_ids_in_place(max(chart._next_node for chart in charts),
+                         max(chart._next_edge for chart in charts))
+
+
+def test_the_id_lists_keep_only_the_largest_charts_ids(empty_id_lists):
+    """After a `transform` of sp2000 is freed, the shared lists hold
+    exactly the ids that chart took, and `tracemalloc` sees at most 80
+    bytes kept per id: the string, its list slot and the list's slack."""
+    net = generate_sp(SpSpec(2000, 11))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = transform(net)
+        nodes, edges = result.chart._next_node, result.chart._next_edge
+        del result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    _assert_ids_in_place(nodes, edges)
+    assert kept <= 80 * (nodes + edges), (kept, nodes + edges)
 
 
 def test_attach_enforces_alternation():

@@ -31,6 +31,7 @@ from netchart import (
     write_net,
     write_trace,
 )
+from netchart import chart as chart_module
 from families import (
     APPENDED_ARCS_CHART,
     APPENDED_ARCS_SEED,
@@ -522,11 +523,26 @@ def test_initialize_work_scales_linearly_on_every_family(name):
     calls is not counted (see `line_events`): the `map`, `sorted` and
     `dict.update` calls that build the flat chart and its trace count as
     the line that makes them, and the collector's passes, which run in
-    C too, count nothing.  The list comprehensions of
-    `StateChart.node_ids` and `edge_ids` are Python and count a line per
-    id."""
+    C too, count nothing.  `StateChart.node_ids` and `edge_ids` make
+    their id strings in C as well, once per process, so growing their
+    shared lists adds a constant count (see the test below) and no line
+    per id."""
     counts = [line_events(initialize, FAMILIES[name](k), Trace())[1] for k in (1000, 8000)]
     assert counts[1] <= 8.4 * counts[0], counts
+
+
+def test_growing_the_id_lists_adds_a_constant_count_of_line_events(monkeypatch):
+    """From empty id lists, a first `initialize` grows them and a second
+    one of the same net takes slices only: the first counts the same few
+    line events more at 1,000 places as at 8,000."""
+    extra = []
+    for k in (1000, 8000):
+        monkeypatch.setattr(chart_module, "_NODE_IDS", [])
+        monkeypatch.setattr(chart_module, "_EDGE_IDS", [])
+        net = FAMILIES["chain"](k)
+        first, second = (line_events(initialize, net, Trace())[1] for _ in range(2))
+        extra.append(first - second)
+    assert extra[0] == extra[1] > 0, extra
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
