@@ -102,11 +102,13 @@ def test_a_returned_id_block_is_the_callers_own(empty_id_lists):
     _assert_ids_in_place(5, 3)
 
 
-def test_threads_building_charts_write_the_sequential_bytes(empty_id_lists):
+def test_threads_building_charts_write_the_sequential_bytes(empty_id_lists, monkeypatch):
     """Four threads transform nets of different sizes, each in its own
     order, from empty id lists and with a short switch interval, so they
-    grow the shared lists over each other: every chart and trace document
-    is the one a sequential run writes, and element k stays the k-th id."""
+    grow the shared lists over each other, and with the limit at 2,000 ids,
+    which the two larger nets pass: every chart and trace document is the
+    one a sequential run writes, and element k stays the k-th id."""
+    monkeypatch.setattr(chart_module, "_CACHED_IDS", 2000)
     nets = [generate_sp(SpSpec(places, 5)) for places in (1500, 40, 600, 3000)]
 
     def documents(net):
@@ -140,14 +142,43 @@ def test_threads_building_charts_write_the_sequential_bytes(empty_id_lists):
         for n, documents_written in runs:
             assert documents_written == expected[n]
     charts = [transform(net).chart for net in nets]
-    _assert_ids_in_place(max(chart._next_node for chart in charts),
-                         max(chart._next_edge for chart in charts))
+    _assert_ids_in_place(min(2000, max(chart._next_node for chart in charts)),
+                         min(2000, max(chart._next_edge for chart in charts)))
 
 
-def test_the_id_lists_keep_only_the_largest_charts_ids(empty_id_lists):
+def test_ids_past_the_limit_are_made_for_each_chart(empty_id_lists, monkeypatch):
+    """A block that ends past `_CACHED_IDS` takes the cached ids and makes
+    the rest; the lists stop at the limit, and a chart's documents are the
+    same whatever the limit."""
+    net = generate_sp(SpSpec(300, 4))
+    documents = write_chart(transform(net).chart, "xml"), write_chart(transform(net).chart, "json")
+    monkeypatch.setattr(chart_module, "_NODE_IDS", [])
+    monkeypatch.setattr(chart_module, "_EDGE_IDS", [])
+    monkeypatch.setattr(chart_module, "_CACHED_IDS", 5)
+    chart = StateChart("c")
+    assert chart.node_ids(3) == ["s0", "s1", "s2"]
+    assert chart.node_ids(4) == ["s3", "s4", "s5", "s6"]
+    assert chart.node_ids(2) == ["s7", "s8"]
+    assert chart.edge_ids(7) == [f"h{k}" for k in range(7)]
+    _assert_ids_in_place(5, 5)
+    assert StateChart("d").node_ids(6) == [f"s{k}" for k in range(6)]
+    _assert_ids_in_place(5, 5)
+    monkeypatch.setattr(chart_module, "_CACHED_IDS", 100)
+    result = transform(net)
+    assert result.chart._next_node > 100 and result.chart._next_edge > 100
+    assert (write_chart(result.chart, "xml"), write_chart(result.chart, "json")) == documents
+    _assert_ids_in_place(100, 100)
+
+
+@pytest.mark.parametrize("limit", [None, 1000])
+def test_the_id_lists_keep_only_the_largest_charts_ids(empty_id_lists, monkeypatch, limit):
     """After a `transform` of sp2000 is freed, the shared lists hold
-    exactly the ids that chart took, and `tracemalloc` sees at most 80
-    bytes kept per id: the string, its list slot and the list's slack."""
+    exactly the ids that chart took, up to the limit, and `tracemalloc`
+    sees at most 80 bytes kept per id held: the string, its list slot and
+    the list's slack.  With the limit at 1,000, both lists stop there."""
+    if limit is not None:
+        monkeypatch.setattr(chart_module, "_CACHED_IDS", limit)
+    limit = chart_module._CACHED_IDS
     net = generate_sp(SpSpec(2000, 11))
     gc.collect()
     tracemalloc.start()
@@ -160,8 +191,9 @@ def test_the_id_lists_keep_only_the_largest_charts_ids(empty_id_lists):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    _assert_ids_in_place(nodes, edges)
-    assert kept <= 80 * (nodes + edges), (kept, nodes + edges)
+    held = min(nodes, limit), min(edges, limit)
+    _assert_ids_in_place(*held)
+    assert kept <= 80 * sum(held), (kept, held)
 
 
 def test_attach_enforces_alternation():

@@ -524,9 +524,9 @@ def test_initialize_work_scales_linearly_on_every_family(name):
     `dict.update` calls that build the flat chart and its trace count as
     the line that makes them, and the collector's passes, which run in
     C too, count nothing.  `StateChart.node_ids` and `edge_ids` make
-    their id strings in C as well, once per process, so growing their
-    shared lists adds a constant count (see the test below) and no line
-    per id."""
+    their id strings in C as well (see `chart._made_ids`), and share them
+    between the charts of a process, so an id counts no line whether an
+    earlier chart made it or not."""
     counts = [line_events(initialize, FAMILIES[name](k), Trace())[1] for k in (1000, 8000)]
     assert counts[1] <= 8.4 * counts[0], counts
 
@@ -534,7 +534,8 @@ def test_initialize_work_scales_linearly_on_every_family(name):
 def test_growing_the_id_lists_adds_a_constant_count_of_line_events(monkeypatch):
     """From empty id lists, a first `initialize` grows them and a second
     one of the same net takes slices only: the first counts the same few
-    line events more at 1,000 places as at 8,000."""
+    line events more at 1,000 places as at 8,000, whose 16,001 node ids
+    pass the limit, so both calls make the ids past it."""
     extra = []
     for k in (1000, 8000):
         monkeypatch.setattr(chart_module, "_NODE_IDS", [])
@@ -542,6 +543,7 @@ def test_growing_the_id_lists_adds_a_constant_count_of_line_events(monkeypatch):
         net = FAMILIES["chain"](k)
         first, second = (line_events(initialize, net, Trace())[1] for _ in range(2))
         extra.append(first - second)
+    assert chart_module._CACHED_IDS < 1 + 2 * 8000
     assert extra[0] == extra[1] > 0, extra
 
 
