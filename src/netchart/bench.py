@@ -11,8 +11,9 @@ transformation; write_chart (the serialization inside writing); and
 write_trace, the exported trace serialized as the CLI writes it, timed
 after writing and outside all three phases.  A repetition builds its
 trace and chart from scratch; only the id strings the charts share carry
-over (see `chart`), made by the first repetition of a size larger than
-any before, which `discard_first` drops.
+over (see `chart`, up to 8,192 of each kind), made by the first
+repetition of a size larger than any before, which `discard_first`
+drops.
 Automatic garbage collection is paused inside the timed region, as
 `timeit` does, so collector scheduling does not leak into the phase
 times.

@@ -116,7 +116,7 @@ class StateChart:
     Callers build the nodes and hyperedges themselves and link them,
     under ids from `node_ids` ("s0", "s1", ...) and `edge_ids` ("h0",
     "h1", ...), which hand out blocks of one sequence each in creation
-    order, as slices of `_NODE_IDS` and `_EDGE_IDS`.
+    order, as slices of `_NODE_IDS` and `_EDGE_IDS` up to `_CACHED_IDS`.
     """
 
     def __init__(self, name: str):
