@@ -36,7 +36,7 @@ from .formats import (
     write_trace,
 )
 from .generator import SpSpec, generate_sp
-from .net import PetriNet, Transition, check_net, find_self_loops
+from .net import PetriNet, check_net, find_self_loops
 from .pipeline import (
     ReductionReport,
     Trace,
@@ -69,7 +69,6 @@ __all__ = [
     "Trace",
     "TraceEntry",
     "TraceError",
-    "Transition",
     "TransformResult",
     "TreeError",
     "ValidationError",

@@ -61,7 +61,7 @@ from .errors import (
     TreeError,
     ValidationError,
 )
-from .net import PetriNet, Transition, _collector_paused, _joined_ids, _valid_ids
+from .net import PetriNet, _collector_paused, _joined_ids, _valid_ids
 from .net import check_id, check_net
 from .pipeline import TraceEntry
 
@@ -289,7 +289,7 @@ def _net_from_text(data: bytes | str) -> PetriNet | None:
         post = {tgt: None} if tgt in places else dict.fromkeys(tgt.split())
         if not (pre and post and pre.keys() <= known and post.keys() <= known):
             return None
-        transitions[tid] = Transition(tid, pre, post)
+        transitions[tid] = pre, post
     if len(places) + len(transitions) != len(elements) or not _valid_ids([*places, *transitions]):
         return None
     return net
@@ -366,7 +366,7 @@ def _net_from_object(obj) -> PetriNet | None:
         post = {tgt[0]: None} if len(tgt) == 1 else dict.fromkeys(tgt)
         if not (pre and post and pre.keys() <= known and post.keys() <= known):
             return None
-        transitions[tid] = Transition(tid, pre, post)
+        transitions[tid] = pre, post
     if (len(places) + len(transitions) != len(pids) + len(transition_entries)
             or not _valid_ids([*places, *transitions])):
         return None
@@ -409,8 +409,8 @@ def write_net(net: PetriNet, format: str = "xml") -> bytes:
     if not _valid_ids([*net.places, *net.transitions]):
         for pid in net.places:
             check_id("place", pid)
-        for transition in net.transitions.values():
-            check_id("transition", transition.id)
+        for tid in net.transitions:
+            check_id("transition", tid)
     return _net_to_xml(net) if format == "xml" else _net_to_json(net)
 
 
@@ -418,9 +418,9 @@ def _net_to_xml(net: PetriNet) -> bytes:
     """The net as XML, once `write_net` has checked it."""
     lines = [f"<petrinet name={_xml_attr(net.name)}>"]
     lines += [f"  <place id={_xml_attr(pid)}/>" for pid in net.places]
-    for tid, t in net.transitions.items():
-        src = " ".join(t.preset)
-        tgt = " ".join(t.postset)
+    for tid, (pre, post) in net.transitions.items():
+        src = " ".join(pre)
+        tgt = " ".join(post)
         lines.append(
             f"  <transition id={_xml_attr(tid)} src={_xml_attr(src)} tgt={_xml_attr(tgt)}/>"
         )
@@ -433,9 +433,9 @@ def _net_to_json(net: PetriNet) -> bytes:
     places = [f'    {{\n      "id": {_quote(pid)}\n    }}' for pid in net.places]
     transitions = [
         f'    {{\n      "id": {_quote(tid)},\n'
-        f'      "src": {_json_strings(t.preset, "      ")},\n'
-        f'      "tgt": {_json_strings(t.postset, "      ")}\n    }}'
-        for tid, t in net.transitions.items()
+        f'      "src": {_json_strings(pre, "      ")},\n'
+        f'      "tgt": {_json_strings(post, "      ")}\n    }}'
+        for tid, (pre, post) in net.transitions.items()
     ]
     return (
         f'{{\n  "name": {_quote(net.name)},\n'

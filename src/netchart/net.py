@@ -1,11 +1,12 @@
 """In-memory Petri nets: the read-only input model of the pipeline.
 
-Arcs are stored once, on the transitions; a place is its id.  The
-places of a net and each side of a transition are plain dicts mapping
-place ids to None: amortized O(1) membership and a deterministic
-insertion order, which the writers and the reduction rely on.  Nets are
-built with `add_place` and `add_transition`, which refuse ids that no
-document can carry; nothing in the pipeline changes them afterwards.
+Arcs are stored once, on the transitions; a place is its id, and a
+transition is its pair of sides.  The places of a net and each side of
+a transition are plain dicts mapping place ids to None: amortized O(1)
+membership and a deterministic insertion order, which the writers and
+the reduction rely on.  Nets are built with `add_place` and
+`add_transition`, which refuse ids that no document can carry; nothing
+in the pipeline changes them afterwards.
 """
 
 from __future__ import annotations
@@ -90,35 +91,6 @@ def _valid_ids(ids: list) -> bool:
     return _joined_ids(ids) is not None
 
 
-class Transition:
-    """A transition of a Petri net.
-
-    Attributes
-    ----------
-    id : str
-        Identifier, unique among the transitions of its net.
-    preset : dict of str to None
-        Input place ids.
-    postset : dict of str to None
-        Output place ids.
-    """
-
-    __slots__ = ("id", "preset", "postset")
-
-    def __init__(
-        self,
-        id: str,
-        preset: dict[str, None] | None = None,
-        postset: dict[str, None] | None = None,
-    ):
-        self.id = id
-        self.preset = {} if preset is None else preset
-        self.postset = {} if postset is None else postset
-
-    def __repr__(self) -> str:
-        return f"Transition({self.id!r})"
-
-
 class PetriNet:
     """A directed bipartite net; its arcs live on the transitions.
 
@@ -128,18 +100,19 @@ class PetriNet:
         Net name, carried into serialized documents.
     places : dict of str to None
         Place ids, in insertion order.
-    transitions : dict of str to Transition
-        Transitions keyed by id, in insertion order.
+    transitions : dict of str to (dict of str to None, dict of str to None)
+        Each transition id mapped to its sides, the tuple (preset,
+        postset) of input and output place ids, in insertion order.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.places: dict[str, None] = {}
-        self.transitions: dict[str, Transition] = {}
+        self.transitions: dict[str, tuple[dict[str, None], dict[str, None]]] = {}
 
     def __repr__(self) -> str:
-        sides = {t.id: (list(t.preset), list(t.postset))
-                 for t in self.transitions.values()}
+        sides = {tid: (list(pre), list(post))
+                 for tid, (pre, post) in self.transitions.items()}
         return f"PetriNet({self.name!r}, places={list(self.places)!r}, transitions={sides!r})"
 
     def add_place(self, id: str) -> str:
@@ -154,8 +127,9 @@ class PetriNet:
 
     def add_transition(
         self, id: str, preset: Iterable[str], postset: Iterable[str]
-    ) -> Transition:
-        """Add a transition wired to existing places, given by id."""
+    ) -> tuple[dict[str, None], dict[str, None]]:
+        """Add a transition wired to existing places, given by id; returns
+        its sides, (preset, postset)."""
         if not (isinstance(id, str) and _ID.fullmatch(id)):
             check_id("transition", id)
         if id in self.transitions:
@@ -180,30 +154,27 @@ class PetriNet:
                     side[pid] = None
         if not pre or not post:
             raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
-        transition = Transition(id, pre, post)
-        self.transitions[id] = transition
-        return transition
+        sides = self.transitions[id] = (pre, post)
+        return sides
 
 
 def check_net(net: PetriNet) -> list[str]:
     """Report every broken structural invariant; empty list means the net is sound.
 
-    Checks that each transition is stored under its id, that its sides
-    are nonempty and that every place id on them is a member of the net.
+    Checks that the sides of each transition are nonempty and that every
+    place id on them is a member of the net.
     Self-loops are legal and reported separately by `find_self_loops`.
     `initialize` checks the same invariants inline and calls it only to
     raise its list; `write_net` calls it once, before it prints.
     """
     places = net.places
     violations = []
-    for tid, t in net.transitions.items():
-        if t.id != tid:
-            violations.append(f"transition {tid!r}: stored under key {tid!r} but has id {t.id!r}")
-        if not t.preset:
+    for tid, (pre, post) in net.transitions.items():
+        if not pre:
             violations.append(f"transition {tid!r}: empty preset")
-        if not t.postset:
+        if not post:
             violations.append(f"transition {tid!r}: empty postset")
-        for side, pids in (("preset", t.preset), ("postset", t.postset)):
+        for side, pids in (("preset", pre), ("postset", post)):
             for pid in pids:
                 if pid not in places:
                     violations.append(
@@ -230,13 +201,12 @@ def find_self_loops(net: PetriNet) -> list[str]:
     """
     order = {pid: i for i, pid in enumerate(net.places)}
     loops = []
-    for t in net.transitions.values():
+    for tid, (small, large) in net.transitions.items():
         # scan the smaller side, so a hub's large side costs nothing extra
-        small, large = t.preset, t.postset
         if len(small) > len(large):
             small, large = large, small
-        loops.extend((p, t) for p in small if p in large)
+        loops.extend((p, tid) for p in small if p in large)
     return [
-        f"place {p!r} is on a self-loop through transition {t.id!r}"
-        for p, t in sorted(loops, key=lambda loop: order[loop[0]])
+        f"place {p!r} is on a self-loop through transition {tid!r}"
+        for p, tid in sorted(loops, key=lambda loop: order[loop[0]])
     ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple
 
-from .chart import AndState, Basic, HyperEdge, OrState, StateChart, _id_of
+from .chart import AndState, Basic, HyperEdge, OrState, StateChart
 from .errors import PreconditionError, TraceError
 from .net import PetriNet, _collector_paused, check_net, invalid_net
 
@@ -84,14 +84,15 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     hyperedge lists its sources and targets in place-declaration order.
     The trace records are appended rule by rule, each rule's in net
     order; only `Trace.export` fixes their order. The same walk over the
-    transitions fills `reduce`'s index graph (see `_Graph`), which the
-    trace holds until `reduce` runs.
+    transitions, each unpacked into its sides, fills `reduce`'s index
+    graph (see `_Graph`), which the trace holds until `reduce` runs.
 
     Raises
     ------
     ValidationError
-        If the net has structural violations, with `check_net`'s list;
-        the trace is left as it was.
+        If the net has structural violations, an empty side or a side
+        naming a place the net lacks, with `check_net`'s list; the trace
+        is left as it was.
     PreconditionError
         If *trace* already holds a pass; traces are single-use.
     """
@@ -117,10 +118,9 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     edges = chart.hyperedges
     edges.extend(map(HyperEdge, edge_ids, transitions))
     # what `check_net` checks is flagged here, and `check_net` runs only
-    # to raise its list: a transition stored under a key other than its
-    # id, an empty side, and a place that is not the net's (a KeyError
-    # where the sides' place ids are looked up)
-    sound = list(map(_id_of, transitions.values())) == list(transitions)
+    # to raise its list: an empty side, and a place that is not the net's
+    # (a KeyError where the sides' place ids are looked up)
+    sound = True
     # each side's slots give the hyperedge's endpoints and `reduce`'s
     # index graph (see `_Graph`) in the same walk, in net order, so each
     # slot dict gets its transitions in net order: a one-place side is one
@@ -132,8 +132,7 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     post = [{} for _ in basics]
     tpre, tpost = [], []
     try:
-        for j, edge, transition in zip(count(), edges, transitions.values()):
-            src, tgt = transition.preset, transition.postset
+        for j, edge, (src, tgt) in zip(count(), edges, transitions.values()):
             if not (src and tgt):
                 sound = False
                 break

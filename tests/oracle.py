@@ -57,7 +57,6 @@ from netchart import (
     OrState,
     PetriNet,
     StateChart,
-    Transition,
     detect_format,
 )
 from netchart.errors import (
@@ -499,7 +498,7 @@ def _reference_side(net: PetriNet, entries) -> dict:
     return side
 
 
-def reference_add_transition(net: PetriNet, id, preset, postset) -> Transition:
+def reference_add_transition(net: PetriNet, id, preset, postset) -> tuple[dict, dict]:
     check_id("transition", id)
     if id in net.transitions:
         raise DuplicateIdError(f"duplicate transition id {id!r}")
@@ -507,10 +506,8 @@ def reference_add_transition(net: PetriNet, id, preset, postset) -> Transition:
     post = _reference_side(net, postset)
     if not pre or not post:
         raise PreconditionError(f"transition {id!r}: preset and postset must be nonempty")
-    transition = Transition(id)
-    transition.preset, transition.postset = pre, post
-    net.transitions[id] = transition
-    return transition
+    net.transitions[id] = (pre, post)
+    return net.transitions[id]
 
 
 def reference_net_from_xml(data) -> PetriNet:

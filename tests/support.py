@@ -138,12 +138,8 @@ def edges_signature(chart: StateChart) -> frozenset:
 def net_edges_signature(net: PetriNet) -> frozenset:
     """The edge signature a chart over `net` must carry (conservation)."""
     return frozenset(
-        (
-            t.id,
-            frozenset(t.preset),
-            frozenset(t.postset),
-        )
-        for t in net.transitions.values()
+        (tid, frozenset(pre), frozenset(post))
+        for tid, (pre, post) in net.transitions.items()
     )
 
 
@@ -160,11 +156,8 @@ def net_to_plain(net: PetriNet) -> tuple[set[str], dict[str, tuple[frozenset, fr
     """Strip a net down to the id-level structure the oracle consumes."""
     places = set(net.places)
     transitions = {
-        t.id: (
-            frozenset(t.preset),
-            frozenset(t.postset),
-        )
-        for t in net.transitions.values()
+        tid: (frozenset(pre), frozenset(post))
+        for tid, (pre, post) in net.transitions.items()
     }
     return places, transitions
 

@@ -7,6 +7,7 @@ import gc
 import sys
 import threading
 import tracemalloc
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -534,6 +535,19 @@ def _cyclic_charts() -> list[StateChart]:
     wrapper.children[inner] = None
     second.topstate.children[wrapper] = None
     return [first, second]
+
+
+def test_states_skip_a_node_reached_twice():
+    """A chart built by hand with a cycle (AND, then OR, then the same
+    AND) and a basic state under two OR states: the walk yields each node
+    once, and ends."""
+    chart = StateChart("c")
+    top, first, second, shared = AndState("s0"), OrState("s1"), OrState("s2"), Basic("s3", "p")
+    first.children.update({shared: None, top: None})
+    second.children[shared] = None
+    top.children.update({first: None, second: None})
+    chart.topstate = top
+    assert [node.id for node in islice(chart.states(), 10)] == ["s0", "s1", "s3", "s2"]
 
 
 def test_states_yield_each_node_once_on_cyclic_children():

@@ -79,7 +79,8 @@ CALLS = {
 
 def _broken_net():
     net = diamond()
-    next(iter(net.transitions.values())).preset = {}
+    tid, (_, post) = next(iter(net.transitions.items()))
+    net.transitions[tid] = {}, post
     return net
 
 

@@ -148,7 +148,8 @@ def test_parse_net_xml():
     net = parse_net(D1_NET_XML)
     assert net.name == "D1"
     assert list(net.places) == ["q", "a", "b", "r"]
-    assert list(net.transitions["t1"].postset) == ["a", "b"]
+    _, post = net.transitions["t1"]
+    assert list(post) == ["a", "b"]
     assert write_net(net) == D1_NET_XML
 
 
@@ -278,7 +279,8 @@ def test_parse_net_enforces_model_rules():
 
 def test_write_net_refuses_broken_nets():
     net = diamond()
-    net.transitions["t1"].preset.clear()
+    pre, _ = net.transitions["t1"]
+    pre.clear()
     with pytest.raises(ValidationError) as info:
         write_net(net)
     assert info.value.violations
@@ -420,6 +422,14 @@ def test_writers_report_a_refused_id_before_a_character_xml_cannot_carry(format)
     net.places["b c"] = None
     net.add_transition("t", ["a\x01"], ["b c"])
     with pytest.raises(PreconditionError, match="^place id 'b c' must be"):
+        write_net(net, format)
+    # a transition's key is the id `write_net` prints for it
+    net = PetriNet("n")
+    net.add_place("a\x01")
+    net.add_place("b")
+    net.add_transition("t", ["a\x01"], ["b"])
+    net.transitions["t 9"] = net.transitions.pop("t")
+    with pytest.raises(PreconditionError, match="^transition id 't 9' must be"):
         write_net(net, format)
     chart = StateChart("n")
     chart.topstate = AndState("s2")
@@ -565,12 +575,57 @@ def test_parse_chart_rejects_bad_json_kinds():
                     b' "children": []}, "hyperedges": {}}')
 
 
+def _one_step_chart() -> dict:
+    """A JSON chart document: one OR state over basics a and b, and a
+    hyperedge from a to b."""
+    basics = [{"kind": "basic", "id": id, "place": id} for id in "ab"]
+    return {
+        "name": "c",
+        "topstate": {"kind": "and", "id": "s0",
+                     "children": [{"kind": "or", "id": "s1", "children": basics}]},
+        "hyperedges": [{"id": "h0", "transition": "t", "src": ["a"], "tgt": ["b"]}],
+    }
+
+
+# the broken basic is the first state read with a place, so a fast walk
+# that went past its refusal would have no place to build it from
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["topstate"]["children"][0]["children"][0].pop("place"),
+     "basic state: bad keys (missing: place)"),
+    (lambda doc: doc["topstate"]["children"][0]["children"][0].update(extra=1),
+     "basic state: bad keys (unexpected: extra)"),
+    (lambda doc: doc["hyperedges"][0].update(extra=1), "hyperedge: bad keys (unexpected: extra)"),
+    # a one-character string would resolve as a one-endpoint side
+    (lambda doc: doc["hyperedges"][0].update(src="a"), "'src' must be a list, got str"),
+], ids=["basic missing key", "basic extra key", "hyperedge extra key", "string src"])
+def test_the_fast_json_chart_walk_leaves_bad_entries_to_the_strict_one(change, message):
+    doc = _one_step_chart()
+    assert formats._chart_from_document(doc) is not None
+    change(doc)
+    assert formats._chart_from_document(doc) is None
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_chart(json.dumps(doc))
+
+
 def test_write_chart_refuses_invalid_charts():
     chart, _, _ = transform(diamond())
     top_or = list(chart.topstate.children)[0]
     del top_or.children[list(top_or.children)[0]]
     with pytest.raises(ValidationError):
         write_chart(chart)
+
+
+@pytest.mark.parametrize("format", ["xml", "json"])
+def test_write_chart_refuses_a_topstate_that_is_no_and_state(format):
+    or_top, no_top = StateChart("c"), StateChart("c")
+    or_top.topstate = OrState("x")
+    or_top.topstate.children[Basic("b", "p")] = None
+    for chart, expected in ((or_top, ["topstate 'x' is not an AND state"]),
+                            (no_top, ["chart 'c': no topstate"])):
+        with pytest.raises(ValidationError) as info:
+            write_chart(chart, format)
+        assert str(info.value) == "chart 'c' is not well formed"
+        assert info.value.violations == validate_chart(chart) == expected
 
 
 @pytest.mark.parametrize("format", ["xml", "json"])
@@ -674,11 +729,11 @@ def _net_obj(net):
         "places": [{"id": pid} for pid in net.places],
         "transitions": [
             {
-                "id": t.id,
-                "src": list(t.preset),
-                "tgt": list(t.postset),
+                "id": tid,
+                "src": list(pre),
+                "tgt": list(post),
             }
-            for t in net.transitions.values()
+            for tid, (pre, post) in net.transitions.items()
         ],
     }
 
@@ -988,12 +1043,10 @@ def _net_outcome(read, data):
     except Exception as exc:  # the reference fixes the type as well
         return type(exc), str(exc)
     assert set(net.places.values()) <= {None}
-    sides = [
-        (tid, t.id, list(t.preset), list(t.postset))
-        for tid, t in net.transitions.items()
-    ]
-    for t in net.transitions.values():
-        assert all(p in net.places for p in [*t.preset, *t.postset])
+    assert all(type(pair) is tuple for pair in net.transitions.values())
+    sides = [(tid, list(pre), list(post)) for tid, (pre, post) in net.transitions.items()]
+    for pre, post in net.transitions.values():
+        assert all(p in net.places for p in [*pre, *post])
     return net.name, list(net.places), sides
 
 
@@ -1150,7 +1203,8 @@ def test_full_checks_run_only_on_invalid_input(monkeypatch):
             assert calls == []
 
     broken = diamond()
-    broken.transitions["t1"].preset.clear()
+    pre, _ = broken.transitions["t1"]
+    pre.clear()
     for call in (lambda: transform(broken), lambda: write_net(broken, "json")):
         with pytest.raises(ValidationError):
             call()

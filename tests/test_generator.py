@@ -39,8 +39,8 @@ def test_degenerate_budgets_force_shapes():
     assert len(solo.places) == 1 and len(solo.transitions) == 0
     pair = generate_sp(SpSpec(places=2, seed=99))
     assert len(pair.transitions) == 1
-    t = next(iter(pair.transitions.values()))
-    assert len(t.preset) == len(t.postset) == 1
+    pre, post = next(iter(pair.transitions.values()))
+    assert len(pre) == len(post) == 1
     triple = generate_sp(SpSpec(places=3, seed=99))
     assert len(triple.transitions) == 2  # too small for a parallel split
 
@@ -48,17 +48,17 @@ def test_degenerate_budgets_force_shapes():
 def test_seed_one_yields_the_fork_join_diamond():
     net = generate_sp(SpSpec(places=4, seed=1))
     assert len(net.places) == 4 and len(net.transitions) == 2
-    fork, join = net.transitions.values()
-    assert len(fork.preset) == 1 and len(fork.postset) == 2
-    assert len(join.preset) == 2 and len(join.postset) == 1
-    assert set(fork.postset) == set(join.preset)
+    (fork_pre, fork_post), (join_pre, join_post) = net.transitions.values()
+    assert len(fork_pre) == 1 and len(fork_post) == 2
+    assert len(join_pre) == 2 and len(join_post) == 1
+    assert set(fork_post) == set(join_pre)
 
 
 def test_branch_cap_is_respected():
     for max_branch in (2, 3, 4, 6):
         net = generate_sp(SpSpec(places=200, seed=5, max_branch=max_branch))
         widths = [
-            max(len(t.preset), len(t.postset)) for t in net.transitions.values()
+            max(len(pre), len(post)) for pre, post in net.transitions.values()
         ]
         assert max(widths) <= max_branch
         assert len(net.places) == 200

@@ -14,11 +14,12 @@ from netchart import (
     MembershipError,
     PetriNet,
     PreconditionError,
+    SpSpec,
     Trace,
-    Transition,
     ValidationError,
     check_net,
     find_self_loops,
+    generate_sp,
     initialize,
     parse_net,
     reduce,
@@ -33,18 +34,24 @@ def test_add_place_and_transition():
     p = net.add_place("p")
     assert p == "p" and net.places == {"p": None}
     net.add_place("q")
-    t = net.add_transition("t", [p], ["q"])
-    assert list(t.preset) == ["p"]
-    assert list(t.postset) == ["q"]
+    sides = net.add_transition("t", [p], ["q"])
+    assert type(sides) is tuple and net.transitions == {"t": sides}
+    pre, post = sides
+    assert list(pre) == ["p"]
+    assert list(post) == ["q"]
     assert check_net(net) == []
 
 
-def test_transition_sides_default_to_fresh_empty_dicts():
-    t, u = Transition("t"), Transition("u")
-    assert t.preset == t.postset == {}
-    assert t.preset is not t.postset and t.preset is not u.preset
-    v = Transition("v", {"p": None}, {})
-    assert list(v.preset) == ["p"] and v.postset == {}
+def test_every_builder_stores_a_transition_as_its_pair_of_sides():
+    nets = [diamond(), generate_sp(SpSpec(places=60, seed=3))]
+    xml = write_net(nets[1], "xml")
+    # a comment leaves the layout `write_net` prints, so the net is read
+    # element by element through `add_transition`
+    commented = xml.replace(b"<petrinet", b"<!-- c --><petrinet")
+    nets += [parse_net(xml), parse_net(commented), parse_net(write_net(nets[1], "json"))]
+    for net in nets:
+        assert net.transitions
+        assert all(type(sides) is tuple and len(sides) == 2 for sides in net.transitions.values())
 
 
 def test_ids_no_document_can_carry_are_rejected():
@@ -99,31 +106,33 @@ def test_unknown_place_reference_rejected():
 def test_check_net_reports_nonmember_references():
     net = diamond()
     stray = PetriNet("other").add_place("x")
-    net.transitions["t1"].postset[stray] = None
+    _, post = net.transitions["t1"]
+    post[stray] = None
     violations = check_net(net)
     assert any("'x'" in v for v in violations)
     net = diamond()
-    net.transitions["t2"].preset[stray] = None
+    pre, _ = net.transitions["t2"]
+    pre[stray] = None
     assert check_net(net) == ["transition 't2': preset place 'x' is not a member of the net"]
 
 
 def test_check_net_reports_empty_sides():
     net = diamond()
-    net.transitions["t1"].preset.clear()
+    pre, _ = net.transitions["t1"]
+    pre.clear()
     assert any("empty preset" in v for v in check_net(net))
     net = diamond()
-    net.transitions["t2"].postset.clear()
+    _, post = net.transitions["t2"]
+    post.clear()
     assert check_net(net) == ["transition 't2': empty postset"]
 
 
-def test_check_net_reports_ids_that_differ_from_their_keys():
+def test_check_net_reports_a_dropped_place_its_sides_still_name():
     net = diamond()
     del net.places["q"]
     net.places["z"] = None
-    net.transitions["t2"].id = "t9"
     assert check_net(net) == [
         "transition 't1': preset place 'q' is not a member of the net",
-        "transition 't2': stored under key 't2' but has id 't9'",
     ]
 
 
@@ -176,7 +185,8 @@ def _build_outcome(build):
         return type(exc), str(exc)
     if isinstance(result, str):
         return result
-    return result.id, list(result.preset), list(result.postset)
+    pre, post = result
+    return type(result), list(pre), list(post)
 
 
 @settings(max_examples=400, deadline=None)
@@ -204,29 +214,35 @@ def test_builders_match_the_reference(steps):
     assert check_net(net) == []
 
 
-_NET_CHANGES = ["drop place", "rekey transition", "foreign place", "empty preset",
+_NET_CHANGES = ["drop place", "rename transition", "foreign place", "empty preset",
                 "empty postset"]
 
 
 def _change_net(net: PetriNet, kind: str, k: int) -> None:
     """Change *net* by hand, after building, in one of the ways
-    `check_net` reports."""
-    places, transitions = list(net.places), list(net.transitions.values())
+    `check_net` reports, or by renaming a transition in place, which
+    it accepts."""
+    places, transitions = list(net.places), net.transitions
     if kind == "drop place":  # the sides may still name it
         if places:
             del net.places[places[k % len(places)]]
         return
     if not transitions:
         return
-    transition = transitions[k % len(transitions)]
-    if kind == "rekey transition":
-        transition.id = f"z{k}"
+    tid = list(transitions)[k % len(transitions)]
+    pre, post = transitions[tid]
+    if kind == "rename transition":  # to a free id, keeping the order
+        if f"z{k}" not in transitions:
+            renamed = {(f"z{k}" if key == tid else key): sides
+                       for key, sides in transitions.items()}
+            transitions.clear()
+            transitions.update(renamed)
     elif kind == "foreign place":
-        transition.preset[f"x{k}"] = None
+        pre[f"x{k}"] = None
     elif kind == "empty preset":
-        transition.preset.clear()
+        pre.clear()
     elif kind == "empty postset":
-        transition.postset.clear()
+        post.clear()
 
 
 @settings(max_examples=300, deadline=None)

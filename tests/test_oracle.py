@@ -12,7 +12,7 @@ import oracle
 # errors, `check_id`, `detect_format`, and the helpers that read and print
 # documents, which its docstring names
 SHARED = {
-    "AndState", "Basic", "HyperEdge", "OrState", "PetriNet", "StateChart", "Transition",
+    "AndState", "Basic", "HyperEdge", "OrState", "PetriNet", "StateChart",
     "DuplicateIdError", "MembershipError", "ModelError", "ParseError", "PreconditionError",
     "TreeError", "ValidationError", "check_id", "detect_format", "FORMATS",
     "_attrs", "_chart_document_from_xml", "_json_document", "_json_object", "_json_records",

@@ -16,6 +16,7 @@ from netchart import (
     PetriNet,
     PreconditionError,
     SpSpec,
+    StateChart,
     Trace,
     TraceEntry,
     TraceError,
@@ -93,7 +94,8 @@ def test_initialize_smallest_net():
 
 def test_initialize_rejects_broken_nets():
     net = diamond()
-    net.transitions["t1"].postset[PetriNet("other").add_place("x")] = None
+    _, post = net.transitions["t1"]
+    post[PetriNet("other").add_place("x")] = None
     trace = Trace()
     with pytest.raises(ValidationError) as info:
         initialize(net, trace)
@@ -334,6 +336,19 @@ def test_reduce_refuses_a_second_pass():
     _refused(net, chart, trace)
 
 
+def test_reduce_refuses_a_chart_from_another_pass():
+    # the trace holds the index graph of its own pass; a flat chart of the
+    # same net from another pass has other OR states, and a chart with no
+    # topstate has none
+    net = two_chain()
+    chart, trace = _initialized(net)
+    other, _ = _initialized(net)
+    _refused(net, other, trace)
+    with pytest.raises(TraceError, match="is not the flat chart traced"):
+        reduce(net, StateChart(net.name), trace)
+    assert reduce(net, chart, trace).or_applications == 1
+
+
 @pytest.mark.parametrize(
     "build",
     [diamond, three_cycle, lambda: generate_sp(SpSpec(places=60, seed=3))],
@@ -466,8 +481,8 @@ def test_conservation_invariants_hold_on_general_nets(net, seed):
         # one hyperedge per transition, in net order, with endpoints in
         # place-declaration order
         assert [e.origin_transition for e in chart.hyperedges] == list(net.transitions)
-        for edge, t in zip(chart.hyperedges, net.transitions.values()):
-            for endpoints, side in ((edge.sources, t.preset), (edge.targets, t.postset)):
+        for edge, (pre, post) in zip(chart.hyperedges, net.transitions.values()):
+            for endpoints, side in ((edge.sources, pre), (edge.targets, post)):
                 expected = sorted(side, key=position.__getitem__)
                 assert endpoints == [basic_of[place] for place in expected]
         # an OR state the OR rule fused away is left empty
