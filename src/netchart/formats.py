@@ -237,11 +237,12 @@ def _net_from_xml(data: bytes | str) -> PetriNet:
 _VERBATIM = "[^" + _XML_ATTR_SPECIAL.pattern[1:] + "*"
 # a net document in the layout `write_net` prints, an XML declaration
 # naming UTF-8 allowed; no value admits the `"` that ends it, so each
-# element has one parse, and a match or a failed one takes linear time
+# element has one parse, and a match or a failed one takes linear time;
+# the element repeat is possessive, so the match keeps no state per element
 _NET_LAYOUT = re.compile(
     f'(?:<\\?xml version="1\\.0" encoding="UTF-8"\\?>)?[ \t\r\n]*<petrinet name="({_VERBATIM})">'
     f'(?:[ \t\r\n]*(?:<place id="{_VERBATIM}"/>'
-    f'|<transition id="{_VERBATIM}" src="{_VERBATIM}" tgt="{_VERBATIM}"/>))*'
+    f'|<transition id="{_VERBATIM}" src="{_VERBATIM}" tgt="{_VERBATIM}"/>))*+'
     "[ \t\r\n]*</petrinet>[ \t\r\n]*"
 )
 # the elements of such a document: (place id, "", "", "") for a place,

@@ -44,7 +44,7 @@ class Trace:
     def __init__(self) -> None:
         self.entries: list[TraceEntry] = []
         # `reduce`'s index graph as (net, ors, pre, post, tpre, tpost), see
-        # `_Graph`; set by `initialize`, taken off by `reduce`
+        # `reduce`; set by `initialize`, taken off by `reduce`
         self._graph: tuple | None = None
 
     def export(self) -> list[TraceEntry]:
@@ -85,7 +85,7 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     The trace records are appended rule by rule, each rule's in net
     order; only `Trace.export` fixes their order. The same walk over the
     transitions, each unpacked into its sides, fills `reduce`'s index
-    graph (see `_Graph`), which the trace holds until `reduce` runs.
+    graph (see `reduce`), which the trace holds until `reduce` runs.
 
     Raises
     ------
@@ -122,7 +122,7 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     # (a KeyError where the sides' place ids are looked up)
     sound = True
     # each side's slots give the hyperedge's endpoints and `reduce`'s
-    # index graph (see `_Graph`) in the same walk, in net order, so each
+    # index graph (see `reduce`) in the same walk, in net order, so each
     # slot dict gets its transitions in net order: a one-place side is one
     # slot lookup, a longer one is put in place-declaration order by slot
     slot_of = dict(zip(places, range(len(basics))))
@@ -180,210 +180,6 @@ def initialize(net: PetriNet, trace: Trace) -> StateChart:
     return chart
 
 
-class _Graph:
-    """The net as integer-indexed adjacency, private to one `reduce` call.
-
-    `initialize` fills the adjacency lists in its walk over the net, with
-    slot i for the i-th place and index j for the j-th transition, and
-    hands them over on the trace; this class takes them off it.
-
-    `pre[i]` and `post[i]` map the transitions around place slot i to
-    order keys; `tpre[j]` and `tpost[j]` are the place slots of transition
-    j. `ors[i]` is the OR state slot i stands for and `rank[i]` its
-    declaration rank: places rank in the net's order, merged places after
-    them. A dead slot holds None in `pre`, `post` and `ors`, and a dead
-    transition in both of its sides.
-
-    The OR rule fuses p into q, but the place with more arcs keeps its
-    slot and takes on q's OR state and rank, so only the other place's
-    arcs are renamed. Merged adjacency keeps q's entries first, then p's
-    new ones. An appended entry holds key 0 and iterates in insertion
-    order; entries put in front of a larger dict get fresh negative keys
-    and put the slot in `mixed`, whose dicts are read sorted by key.
-    `idle[i]` bounds from above how many transitions around slot i are off
-    the worklist; while it is 0, `reduce` skips the re-enqueue scan.
-
-    Fused OR states form a chain headed by `ors[i]`: `after` maps each
-    chained state to the next and `tail[i]` is the last. `_gather` moves
-    their children into the head once, when the AND rule nests the head
-    or when `reduce` ends.
-    """
-
-    __slots__ = ("net", "chart", "trace", "pre", "post", "tpre", "tpost", "ors", "rank",
-                 "idle", "mixed", "first_key", "merges", "after", "tail")
-
-    def __init__(self, chart: StateChart, trace: Trace):
-        self.net, ors, self.pre, self.post, self.tpre, self.tpost = trace._graph
-        trace._graph = None
-        self.chart, self.trace, self.ors = chart, trace, ors
-        self.rank = list(range(len(ors)))
-        self.idle = [0] * len(ors)
-        self.mixed: set[int] = set()
-        self.first_key = 0
-        self.merges = 0
-        self.after: dict[OrState, OrState] = {}
-        self.tail = list(ors)
-
-    def adjacent(self, i: int) -> list[int]:
-        """The transitions around slot i in logical order, preset side first."""
-        return [*self._ordered(i, self.pre[i]), *self._ordered(i, self.post[i])]
-
-    def _ordered(self, i: int, side: dict):
-        """Slot i's adjacency dict *side* in its logical order."""
-        return sorted(side, key=side.__getitem__) if i in self.mixed else side
-
-    def _append(self, side: list, q: int, p: int) -> None:
-        """Add p's entries of *side* that q lacks after q's, with key 0."""
-        into = side[q]
-        for u in self._ordered(p, side[p]):
-            if u not in into:
-                into[u] = 0
-
-    def _put_in_front(self, side: list, q: int, p: int) -> None:
-        """Give q's entries of *side* the lowest keys in p's dict."""
-        front = side[q]
-        if front:
-            back = side[p]
-            first = self.first_key - len(front)
-            for key, u in enumerate(self._ordered(q, front), first):
-                back[u] = key
-            self.first_key = first
-            self.mixed.add(p)
-
-    def or_rule(self, t: int) -> int | None:
-        """Fuse p into q for a sequential step q -> t -> p, putting or(p)'s
-        children after or(q)'s. Returns the surviving slot, or None when t
-        does not qualify."""
-        tpre, tpost = self.tpre, self.tpost
-        src, tgt = tpre[t], tpost[t]
-        if len(src) != 1 or len(tgt) != 1:
-            return None
-        (q,), (p,) = src, tgt
-        if q == p:
-            return None
-        pre, post = self.pre, self.post
-        pre_q, post_q, pre_p, post_p = pre[q], post[q], pre[p], post[p]
-        # a second q->p transition would become a self-loop on the fused place,
-        # and so would a p->q one; t alone is cheap to rule out
-        if len(post_q) > 1 and len(pre_p) > 1 and len(post_q.keys() & pre_p.keys()) > 1:
-            return None
-        if post_p and pre_q and not post_p.keys().isdisjoint(pre_q.keys()):
-            return None
-        del post_q[t], pre_p[t]
-        tpre[t] = tpost[t] = None
-        # or(p)'s chain goes after or(q)'s; no child moves until `_gather`
-        ors, tail = self.ors, self.tail
-        self.after[tail[q]] = ors[p]
-        if len(pre_q) + len(post_q) >= len(pre_p) + len(post_p):
-            survivor, gone = q, p
-        else:
-            survivor, gone = p, q
-        for u in pre[gone]:
-            side = tpost[u]
-            side.discard(gone)
-            side.add(survivor)
-        for u in post[gone]:
-            side = tpre[u]
-            side.discard(gone)
-            side.add(survivor)
-        if survivor == q:
-            if self.mixed and (p in self.mixed or q in self.mixed):
-                self._append(pre, q, p)
-                self._append(post, q, p)
-            else:  # every key is 0, so rewriting one keeps its place
-                if pre_p:
-                    pre_q.update(pre_p)
-                if post_p:
-                    post_q.update(post_p)
-            tail[q] = tail[p]
-        else:
-            self._put_in_front(pre, q, p)
-            self._put_in_front(post, q, p)
-            self.rank[p] = self.rank[q]
-            ors[p] = ors[q]
-        pre[gone] = post[gone] = ors[gone] = None
-        idle = self.idle
-        idle[survivor] += idle[gone]
-        return survivor
-
-    def _gather(self, state: OrState) -> OrState:
-        """Move the child of each OR state chained behind *state* into it,
-        in chain order, and empty the chained states."""
-        after, children = self.after, state.children
-        link = after.pop(state, None)
-        while link is not None:
-            (child,) = link.children
-            children[child] = None
-            link.children = {}
-            link = after.pop(link, None)
-        return state
-
-    def and_rule(self, t: int) -> int | None:
-        """Replace a group of interchangeable parallel places around t by one
-        fresh slot, nesting their OR states under a new AND. Returns the
-        fresh slot, or None when no group qualifies.
-
-        The group is the whole preset when it has two or more places, else
-        the whole postset, in declaration order. Every member must share
-        both adjacency sets exactly and stay off self-loops.
-        """
-        tpre, tpost = self.tpre, self.tpost
-        src, tgt = tpre[t], tpost[t]
-        group = src if len(src) >= 2 else tgt if len(tgt) >= 2 else None
-        if group is None:
-            return None
-        # most groups fail this test, so they are compared against any one
-        # member and put in rank order only once they qualify
-        pre, post = self.pre, self.post
-        others = iter(group)
-        some = next(others)
-        pre_keys, post_keys = pre[some].keys(), post[some].keys()
-        for member in others:
-            if pre[member].keys() != pre_keys or post[member].keys() != post_keys:
-                return None
-        if not pre_keys.isdisjoint(post_keys):
-            return None
-        group = sorted(group, key=self.rank.__getitem__)
-        first = group[0]
-
-        fresh, members = len(pre), set(group)
-        for u in pre_keys:
-            side = tpost[u]
-            side -= members
-            side.add(fresh)
-        for u in post_keys:
-            side = tpre[u]
-            side -= members
-            side.add(fresh)
-        pre.append(pre[first])
-        post.append(post[first])
-        if first in self.mixed:
-            self.mixed.add(fresh)
-        # the members leave the topstate, whose children `reduce` sets at
-        # the end
-        and_id, or_id = self.chart.node_ids(2)
-        node, wrapper = AndState(and_id), OrState(or_id)
-        ors = self.ors
-        for member in group:
-            node.children[self._gather(ors[member])] = None
-            pre[member] = post[member] = ors[member] = None
-        wrapper.children[node] = None
-        ors.append(wrapper)
-        self.tail.append(wrapper)
-        self.rank.append(fresh)
-        self.idle.append(1)  # t itself is off the worklist
-        self.trace.entries.append(TraceEntry("AndRulePlace2Or", self._merged_id(), wrapper.id))
-        return fresh
-
-    def _merged_id(self) -> str:
-        """The next id m<k> that is no place or transition id of the net."""
-        while True:
-            candidate = f"m{self.merges}"
-            self.merges += 1
-            if candidate not in self.net.places and candidate not in self.net.transitions:
-                return candidate
-
-
 @_collector_paused
 def reduce(
     net: PetriNet,
@@ -408,6 +204,29 @@ def reduce(
     rule nests its OR state or when the reduction ends. Hubs and long
     chains therefore reduce in near-linear time.
 
+    The index graph is the net as integer-indexed adjacency, with slot i
+    for the i-th place and index j for the j-th transition. `pre[i]` and
+    `post[i]` map the transitions around place slot i to order keys;
+    `tpre[j]` and `tpost[j]` are the place slots of transition j. `ors[i]`
+    is the OR state slot i stands for and `rank[i]` its declaration rank:
+    places rank in the net's order, merged places after them. A dead slot
+    holds None in `pre`, `post` and `ors`, and a dead transition in both
+    of its sides.
+
+    The OR rule fuses p into q, but the place with more arcs keeps its
+    slot and takes on q's OR state and rank, so only the other place's
+    arcs are renamed. Merged adjacency keeps q's entries first, then p's
+    new ones. An appended entry holds key 0 and iterates in insertion
+    order; entries put in front of a larger dict get fresh negative keys
+    and put the slot in `mixed`, whose dicts are read sorted by key.
+    `idle[i]` bounds from above how many transitions around slot i are off
+    the worklist; while it is 0, the re-enqueue scan is skipped.
+
+    Fused OR states form a chain headed by `ors[i]`: `after` maps each
+    chained state to the next and `tail[i]` is the last. `gather` moves
+    their children into the head once, when the AND rule nests the head
+    or when the reduction ends.
+
     Raises
     ------
     TraceError
@@ -428,10 +247,168 @@ def reduce(
         raise TraceError(
             f"chart {chart.name!r} is not the flat chart traced for net {net.name!r}"
         )
-    graph = _Graph(chart, trace)
-    ors = graph.ors
-    or_rule, and_rule = graph.or_rule, graph.and_rule
-    tpre, tpost, idle = graph.tpre, graph.tpost, graph.idle
+    _, ors, pre, post, tpre, tpost = handed
+    trace._graph = None
+    rank = list(range(len(ors)))
+    idle = [0] * len(ors)
+    mixed: set[int] = set()
+    first_key = 0
+    merges = 0
+    after: dict[OrState, OrState] = {}
+    tail = list(ors)
+
+    # the rules and their helpers close over the index graph; none names
+    # itself and no two name each other, so they form no reference cycle
+    def ordered(i: int, side: dict):
+        """Slot i's adjacency dict *side* in its logical order."""
+        return sorted(side, key=side.__getitem__) if i in mixed else side
+
+    def append(side: list, q: int, p: int) -> None:
+        """Add p's entries of *side* that q lacks after q's, with key 0."""
+        into = side[q]
+        for u in ordered(p, side[p]):
+            if u not in into:
+                into[u] = 0
+
+    def put_in_front(side: list, q: int, p: int) -> None:
+        """Give q's entries of *side* the lowest keys in p's dict."""
+        nonlocal first_key
+        front = side[q]
+        if front:
+            back = side[p]
+            first = first_key - len(front)
+            for key, u in enumerate(ordered(q, front), first):
+                back[u] = key
+            first_key = first
+            mixed.add(p)
+
+    def or_rule(t: int) -> int | None:
+        """Fuse p into q for a sequential step q -> t -> p, putting or(p)'s
+        children after or(q)'s. Returns the surviving slot, or None when t
+        does not qualify."""
+        src, tgt = tpre[t], tpost[t]
+        if len(src) != 1 or len(tgt) != 1:
+            return None
+        (q,), (p,) = src, tgt
+        if q == p:
+            return None
+        pre_q, post_q, pre_p, post_p = pre[q], post[q], pre[p], post[p]
+        # a second q->p transition would become a self-loop on the fused place,
+        # and so would a p->q one; t alone is cheap to rule out
+        if len(post_q) > 1 and len(pre_p) > 1 and len(post_q.keys() & pre_p.keys()) > 1:
+            return None
+        if post_p and pre_q and not post_p.keys().isdisjoint(pre_q.keys()):
+            return None
+        del post_q[t], pre_p[t]
+        tpre[t] = tpost[t] = None
+        # or(p)'s chain goes after or(q)'s; no child moves until `gather`
+        after[tail[q]] = ors[p]
+        if len(pre_q) + len(post_q) >= len(pre_p) + len(post_p):
+            survivor, gone = q, p
+        else:
+            survivor, gone = p, q
+        for u in pre[gone]:
+            side = tpost[u]
+            side.discard(gone)
+            side.add(survivor)
+        for u in post[gone]:
+            side = tpre[u]
+            side.discard(gone)
+            side.add(survivor)
+        if survivor == q:
+            if mixed and (p in mixed or q in mixed):
+                append(pre, q, p)
+                append(post, q, p)
+            else:  # every key is 0, so rewriting one keeps its place
+                if pre_p:
+                    pre_q.update(pre_p)
+                if post_p:
+                    post_q.update(post_p)
+            tail[q] = tail[p]
+        else:
+            put_in_front(pre, q, p)
+            put_in_front(post, q, p)
+            rank[p] = rank[q]
+            ors[p] = ors[q]
+        pre[gone] = post[gone] = ors[gone] = None
+        idle[survivor] += idle[gone]
+        return survivor
+
+    def gather(state: OrState) -> OrState:
+        """Move the child of each OR state chained behind *state* into it,
+        in chain order, and empty the chained states."""
+        children = state.children
+        link = after.pop(state, None)
+        while link is not None:
+            (child,) = link.children
+            children[child] = None
+            link.children = {}
+            link = after.pop(link, None)
+        return state
+
+    def merged_id() -> str:
+        """The next id m<k> that is no place or transition id of the net."""
+        nonlocal merges
+        while True:
+            candidate = f"m{merges}"
+            merges += 1
+            if candidate not in net.places and candidate not in net.transitions:
+                return candidate
+
+    def and_rule(t: int) -> int | None:
+        """Replace a group of interchangeable parallel places around t by one
+        fresh slot, nesting their OR states under a new AND. Returns the
+        fresh slot, or None when no group qualifies.
+
+        The group is the whole preset when it has two or more places, else
+        the whole postset, in declaration order. Every member must share
+        both adjacency sets exactly and stay off self-loops.
+        """
+        src, tgt = tpre[t], tpost[t]
+        group = src if len(src) >= 2 else tgt if len(tgt) >= 2 else None
+        if group is None:
+            return None
+        # most groups fail this test, so they are compared against any one
+        # member and put in rank order only once they qualify
+        others = iter(group)
+        some = next(others)
+        pre_keys, post_keys = pre[some].keys(), post[some].keys()
+        for member in others:
+            if pre[member].keys() != pre_keys or post[member].keys() != post_keys:
+                return None
+        if not pre_keys.isdisjoint(post_keys):
+            return None
+        group = sorted(group, key=rank.__getitem__)
+        first = group[0]
+
+        fresh, members = len(pre), set(group)
+        for u in pre_keys:
+            side = tpost[u]
+            side -= members
+            side.add(fresh)
+        for u in post_keys:
+            side = tpre[u]
+            side -= members
+            side.add(fresh)
+        pre.append(pre[first])
+        post.append(post[first])
+        if first in mixed:
+            mixed.add(fresh)
+        # the members leave the topstate, whose children `reduce` sets at
+        # the end
+        and_id, or_id = chart.node_ids(2)
+        node, wrapper = AndState(and_id), OrState(or_id)
+        for member in group:
+            node.children[gather(ors[member])] = None
+            pre[member] = post[member] = ors[member] = None
+        wrapper.children[node] = None
+        ors.append(wrapper)
+        tail.append(wrapper)
+        rank.append(fresh)
+        idle.append(1)  # t itself is off the worklist
+        trace.entries.append(TraceEntry("AndRulePlace2Or", merged_id(), wrapper.id))
+        return fresh
+
     queue: deque[int] = deque(range(len(tpre)))
     queued = [True] * len(tpre)
     or_applications = and_applications = 0
@@ -458,16 +435,17 @@ def reduce(
             and_applications += 1
         if idle[survivor]:
             idle[survivor] = 0
-            for adjacent in graph.adjacent(survivor):
-                if not queued[adjacent]:
-                    queue.append(adjacent)
-                    queued[adjacent] = True
+            for side in (pre[survivor], post[survivor]):
+                for adjacent in ordered(survivor, side):
+                    if not queued[adjacent]:
+                        queue.append(adjacent)
+                        queued[adjacent] = True
 
     live = [i for i, state in enumerate(ors) if state is not None]
-    live.sort(key=graph.rank.__getitem__)
+    live.sort(key=rank.__getitem__)
     top.children = {}
     for i in live:
-        top.children[graph._gather(ors[i])] = None
+        top.children[gather(ors[i])] = None
     # each OR application consumes one transition, and nothing else does
     return ReductionReport(
         and_applications=and_applications,

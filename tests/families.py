@@ -166,7 +166,7 @@ NON_CONFLUENT = {
 
 def keyed_order() -> PetriNet:
     """A net whose seeded reduction depends on the keyed adjacency order of
-    `pipeline._Graph`: when the place with more arcs keeps its slot in an
+    `pipeline.reduce`: when the place with more arcs keeps its slot in an
     OR fusion, the other place's transitions must still come first around
     it.  Net 10405 of a search over random general nets (14 places, 12
     transitions in shuffled order) in which appending them instead changed
@@ -252,11 +252,11 @@ KEYED_ORDER_TRACE_SHA256 = "cf74e687cda6c62b6d35654184e71c1271675a837426b6a35ab5
 
 
 def appended_arcs() -> PetriNet:
-    """A net whose reduction calls `pipeline._Graph._append` to move the
-    arcs of the fused place: a place of the fusion has keyed adjacency
-    entries (a slot in `mixed`), so the fusion cannot take the plain
-    `dict.update` path.  Random general nets of a few places rarely need
-    `_append` to reduce right.  With `_append` doing nothing, `reduce`
+    """A net whose reduction calls `append`, inside `pipeline.reduce`, to
+    move the arcs of the fused place: a place of the fusion has keyed
+    adjacency entries (a slot in `mixed`), so the fusion cannot take the
+    plain `dict.update` path.  Random general nets of a few places rarely
+    need `append` to reduce right.  With `append` doing nothing, `reduce`
     applies 3 OR rules and no AND rule and leaves 6 places, not 4."""
     net = PetriNet("append")
     for i in range(9):

@@ -7,6 +7,7 @@ import json
 import os
 import platform
 import re
+import subprocess
 
 import pytest
 
@@ -165,6 +166,34 @@ def test_render_json_keys():
         assert 0.0 <= spread["min_ms"] <= spread["median_ms"]
         assert spread["iqr_ms"] >= 0.0
     assert bad["error"] is not None and bad["samples"] == 0
+
+
+def test_revision_is_none_when_git_cannot_say(monkeypatch):
+    """`git describe` that cannot start or exits nonzero, whatever it
+    printed, gives no revision, and the JSON report carries null; a
+    successful one gives its stripped output.  Other commands, such as the
+    `uname -p` that `platform` may run once, go to the real
+    `subprocess.run`."""
+    calls = []
+    real_run = subprocess.run
+
+    def run(outcome):
+        def fake_run(args, **kwargs):
+            if args[0] != "git":
+                return real_run(args, **kwargs)
+            calls.append(args)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return subprocess.CompletedProcess(args, *outcome)
+        monkeypatch.setattr(subprocess, "run", fake_run)
+
+    run((0, " 0123abcd-dirty\n", ""))
+    assert bench_module._revision() == "0123abcd-dirty"
+    for outcome in (OSError("no git"), (128, "0123abcd\n", "fatal: not a git repository\n")):
+        run(outcome)
+        assert bench_module._revision() is None
+        assert json.loads(BenchReport(rows=[]).render_json())["revision"] is None
+    assert len(calls) == 5 and calls[0][:2] == ["git", "describe"]
 
 
 def test_render_json_spread_of_synthetic_rows():

@@ -10,6 +10,7 @@ frees it all, and `gc.collect()` finds nothing afterwards.
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -181,6 +182,27 @@ def test_entry_points_give_back_the_callers_setting(documents, name, enabled):
             with pytest.raises(expected):
                 call(*args)
         assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
+
+
+@pytest.mark.parametrize("name", [*CALLS, "reduce with an rng"])
+def test_successful_calls_leave_no_cyclic_garbage(documents, name):
+    """What a call returns, and what it built on the way, frees by
+    reference counting once dropped, so pausing the collector keeps no
+    garbage alive: `reduce`'s rules close over its locals, and none of
+    them names itself or another that names it back."""
+    if name in CALLS:
+        call, *args = CALLS[name](documents)
+    else:
+        call, *args = reduce, documents["net"], *_flat(documents["net"]), random.Random(1)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = call(*args)
+        del result, args
+        assert gc.collect() == 0
     finally:
         _set_collector(was)
 

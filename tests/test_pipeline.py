@@ -517,7 +517,7 @@ def test_seeded_reduction_keeps_the_keyed_adjacency_order():
 
 def test_fusion_into_a_keyed_slot_moves_the_fused_places_arcs():
     # an OR fusion in which a place has keyed adjacency entries moves the
-    # other place's arcs with `_Graph._append`; dropping them blocks the
+    # other place's arcs with `reduce`'s `append`; dropping them blocks the
     # AND rule and leaves six places instead of four
     expected = oracle_reduce(*net_to_plain(appended_arcs()))
     fifo = transform(appended_arcs())

@@ -24,7 +24,13 @@ reached it here", not as dead code:
 The tracer allocates objects of its own, so the garbage collector runs
 where a test in `test_collector.py` asserts it does not.  Failures in
 that file are therefore reported apart and not counted as failures of
-the program.  The exit status is 1 if any other test fails, else 0.
+the program.
+
+The list is complete only when every collected test ran.  When pytest
+stops early, as `-x` makes it at the first failure, or exits with a
+status other than 0 or 1 (interrupted, a usage or internal error, no
+tests), the script says the list is incomplete and exits with 2.
+Otherwise the exit status is 1 if any other test fails, else 0.
 """
 
 from __future__ import annotations
@@ -56,15 +62,24 @@ def statements(path: Path) -> set[int]:
     return lines
 
 
-class _Failures:
-    """A pytest plugin that keeps the node ids of failed tests."""
+class _Tally:
+    """A pytest plugin that keeps the node ids of failed tests and counts
+    the tests that ran against those collected."""
 
     def __init__(self) -> None:
-        self.nodeids: list[str] = []
+        self.failed: list[str] = []
+        self.ran = 0
+        self.collected = 0
 
     def pytest_runtest_logreport(self, report) -> None:
         if report.failed:
-            self.nodeids.append(report.nodeid)
+            self.failed.append(report.nodeid)
+
+    def pytest_runtest_logfinish(self) -> None:
+        self.ran += 1
+
+    def pytest_sessionfinish(self, session) -> None:
+        self.collected = session.testscollected
 
 
 def main(args: list[str]) -> int:
@@ -90,12 +105,12 @@ def main(args: list[str]) -> int:
 
     # the package is imported under the tracer, so its module bodies count
     sys.path.insert(0, str(PACKAGE.parent))
-    failures = _Failures()
+    tally = _Tally()
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
-                     *(args or [str(ROOT / "tests")])], plugins=[failures])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
+                              *(args or [str(ROOT / "tests")])], plugins=[tally])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -116,8 +131,8 @@ def main(args: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{span}: {source[run[0] - 1].strip()}")
     print(f"{missed} statement lines of {PACKAGE.relative_to(ROOT)} no test executed")
 
-    sensitive = [n for n in failures.nodeids if n.startswith(TRACER_SENSITIVE)]
-    others = [n for n in failures.nodeids if not n.startswith(TRACER_SENSITIVE)]
+    sensitive = [n for n in tally.failed if n.startswith(TRACER_SENSITIVE)]
+    others = [n for n in tally.failed if not n.startswith(TRACER_SENSITIVE)]
     if sensitive:
         print(f"{len(sensitive)} failures in {TRACER_SENSITIVE[:-2]} come from the "
               "tracer's own allocations, which start the collector; not counted:")
@@ -127,6 +142,11 @@ def main(args: list[str]) -> int:
         print(f"{len(others)} other tests failed:")
         for nodeid in others:
             print(f"  {nodeid}")
+    if status not in (0, 1) or tally.ran != tally.collected:
+        print(f"the list is incomplete: pytest exited with status {int(status)} after "
+              f"{tally.ran} of {tally.collected} collected tests ran, so it may name "
+              "statements that only the tests that did not run reach")
+        return 2
     return 1 if others else 0
 
 
