@@ -257,8 +257,8 @@ def reduce(
     after: dict[OrState, OrState] = {}
     tail = list(ors)
 
-    # the rules and their helpers close over the index graph; none names
-    # itself and no two name each other, so they form no reference cycle
+    # none of these closures names itself or one that names it back: such a
+    # cycle would outlive the call, since automatic collection is paused
     def ordered(i: int, side: dict):
         """Slot i's adjacency dict *side* in its logical order."""
         return sorted(side, key=side.__getitem__) if i in mixed else side
